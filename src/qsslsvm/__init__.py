@@ -5,16 +5,12 @@ from .channels import (
     EvolutionConfig,
     EvolutionResult,
     ProgramState,
-    controlled_partial_swap_evolution,
-    cyclic_permutation,
     glmr_step,
-    lmr_step,
     make_program_state_k,
     make_program_state_kk,
     make_program_state_klk,
     mix_program_states,
     simulate_evolution,
-    swap_operator,
 )
 from .classical import (
     AssembledSystem,
@@ -63,7 +59,6 @@ from .linalg import (
     filtered_pseudo_inverse,
     hermitian_eig,
     hermitian_exp,
-    kron,
     partial_trace,
     state_fidelity,
 )

@@ -10,12 +10,26 @@ swap and a partial trace:
 The generalized form replaces the auxiliary copy by a two-block program
 state rho' = |0><0| (x) rho'' + |1><1| (x) rho''' with tr(rho'' + rho''') = 1
 and evolves with a control-signed partial swap; the simulated generator is
-B = rho'' - rho'''.  Program states are built here for B = K (plain step
-embedded), B = K K (two copies cycled by a swap), and B = K L K (three
-copies cycled by a cyclic permutation, Hadamard and dephasing on the
-control).  Weighted mixtures of program states simulate weighted sums of
-generators, which is how the full training matrix
-gamma^-1 K + K K + gamma^-1 K L K is exponentiated.
+B = rho'' - rho'''.  Program states exist for B = K (plain step embedded),
+B = K K (two copies cycled by a swap) and B = K L K (three copies cycled
+by a cyclic permutation, Hadamard and dephasing on the control).
+Weighted mixtures of program states simulate weighted sums of generators,
+which is how the full training matrix gamma^-1 K + K K + gamma^-1 K L K
+is exponentiated.
+
+Every construction is evaluated in closed form on d x d matrices.  With
+S^2 = I, exp(-iS dt) = cos(dt) I - i sin(dt) S, and the partial traces of
+the dilated circuits reduce exactly to
+
+    step:   sigma -> c^2 sigma + s^2 tr(sigma) R - i c s [B, sigma]
+            with c, s = cos dt, sin dt and R = rho'' + rho''',
+    K K:    rho'' = (K + K K) / 2,    rho''' = (K - K K) / 2,
+    K L K:  rho'' = (K + K L K) / 2,  rho''' = (K - K L K) / 2,
+
+so a step costs O(d^3) where the dilation costs O(d^6).  The circuit-level
+constructions (swap and cyclic-permutation matrices, controlled partial
+swaps, partial traces over the program copies) are kept in
+``tests/dilation.py`` as the oracle these closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -28,81 +42,11 @@ import numpy as np
 
 from .encodings import DensityMatrix
 from .errors import LayoutError, ParameterError
-from .linalg import (
-    DEFAULT_MAX_DIM,
-    TensorLayout,
-    as_complex_matrix,
-    check_dim,
-    hermitian_part,
-    kron,
-    partial_trace,
-)
+from .linalg import TensorLayout, as_complex_matrix, hermitian_part
 
 #: Tolerances for channel outputs; trajectories accumulate roundoff beyond
 #: the strict single-construction bounds.
 _CHANNEL_TOLS = dict(hermitian_tol=1e-9, psd_tol=1e-8, trace_tol=1e-9)
-
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-
-
-def swap_operator(d: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """S = sum_{ij} |i><j| (x) |j><i| on two d-dimensional registers."""
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
-    check_dim(d * d, max_dim)
-    s = np.zeros((d * d, d * d), dtype=np.complex128)
-    idx = np.arange(d * d)
-    i, j = idx // d, idx % d
-    s[j * d + i, idx] = 1.0
-    return s
-
-
-def _swap_perm(d: int) -> np.ndarray:
-    """Index permutation realizing S: basis (i, j) -> (j, i)."""
-    idx = np.arange(d * d)
-    i, j = idx // d, idx % d
-    return j * d + i
-
-
-def cyclic_permutation(d: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """P |j1, j2, j3> = |j3, j1, j2> on three d-dimensional registers.
-
-    P is unitary with P^3 = I.
-    """
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
-    check_dim(d**3, max_dim)
-    p = np.zeros((d**3, d**3), dtype=np.complex128)
-    idx = np.arange(d**3)
-    a, b, c = idx // (d * d), (idx // d) % d, idx % d
-    p[c * d * d + a * d + b, idx] = 1.0
-    return p
-
-
-def _cyclic_perm_inverse(d: int) -> np.ndarray:
-    """Index array q with (P M)[x, :] = M[q[x], :] and (M P^dag)[:, x] = M[:, q[x]]."""
-    idx = np.arange(d**3)
-    a, b, c = idx // (d * d), (idx // d) % d, idx % d
-    # inverse of (a,b,c) -> (c,a,b) is (a,b,c) -> (b,c,a)
-    return b * d * d + c * d + a
-
-
-def _partial_swap_unitary(d: int, dt: float) -> np.ndarray:
-    """exp(-i S dt) = cos(dt) I - i sin(dt) S, using S^2 = I."""
-    s = swap_operator(d)
-    return math.cos(dt) * np.eye(d * d, dtype=np.complex128) - 1j * math.sin(dt) * s
-
-
-def lmr_step(k: DensityMatrix, sigma: DensityMatrix, dt: float) -> DensityMatrix:
-    """One density-exponentiation step: consume a copy of ``k`` to rotate
-    ``sigma`` by exp(-i k dt) up to O(dt^2)."""
-    if k.dim != sigma.dim:
-        raise LayoutError(f"dimension mismatch: {k.dim} vs {sigma.dim}")
-    d = k.dim
-    u = _partial_swap_unitary(d, dt)
-    joint = u @ kron(k.matrix, sigma.matrix) @ u.conj().T
-    out = partial_trace(joint, TensorLayout((d, d)), 0)
-    return DensityMatrix(hermitian_part(out), sigma.layout, **_CHANNEL_TOLS)
 
 
 @dataclass(frozen=True)
@@ -142,13 +86,10 @@ class ProgramState:
         """scale * (rho'' - rho''')."""
         return self.scale * (self.block(0) - self.block(1))
 
-
-def _dephase_control(rho: np.ndarray, d: int) -> np.ndarray:
-    """Zero the off-diagonal control blocks (measurement kept as a mixture)."""
-    out = rho.copy()
-    out[:d, d:] = 0.0
-    out[d:, :d] = 0.0
-    return out
+    def step_operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """(B, R) = (rho'' - rho''', rho'' + rho'''), the two matrices one
+        channel step needs."""
+        return self.block(0) - self.block(1), self.block(0) + self.block(1)
 
 
 def _assemble_program_state(rho00: np.ndarray, rho11: np.ndarray, d: int) -> ProgramState:
@@ -156,6 +97,12 @@ def _assemble_program_state(rho00: np.ndarray, rho11: np.ndarray, d: int) -> Pro
     rho[:d, :d] = rho00
     rho[d:, d:] = rho11
     return ProgramState(DensityMatrix(rho, TensorLayout((2, d)), **_CHANNEL_TOLS))
+
+
+def _two_copy_program_state(k: DensityMatrix, g: np.ndarray) -> ProgramState:
+    """rho'' = (K + G) / 2 and rho''' = (K - G) / 2, generator G."""
+    g = hermitian_part(g)
+    return _assemble_program_state((k.matrix + g) / 2.0, (k.matrix - g) / 2.0, k.dim)
 
 
 def make_program_state_k(k: DensityMatrix) -> ProgramState:
@@ -170,62 +117,24 @@ def make_program_state_kk(k: DensityMatrix) -> ProgramState:
 
     Two copies of K enter with a |+> control; a controlled swap, a partial
     trace over the second copy, a Hadamard on the control and dephasing
-    leave rho'' - rho''' = K K with tr(rho'' + rho''') = 1.
+    leave rho'' = (K + K K) / 2 and rho''' = (K - K K) / 2, which is
+    evaluated here directly.
     """
-    d = k.dim
-    t = kron(k.matrix, k.matrix)
-    perm = _swap_perm(d)
-    layout = TensorLayout((d, d))
-    # control blocks after the controlled swap: T, T S, S T, S T S
-    m00 = partial_trace(t, layout, 1)
-    m01 = partial_trace(t[:, perm], layout, 1)
-    m10 = partial_trace(t[perm, :], layout, 1)
-    m11 = partial_trace(t[np.ix_(perm, perm)], layout, 1)
-    return _finish_two_block(m00, m01, m10, m11, d)
+    return _two_copy_program_state(k, k.matrix @ k.matrix)
 
 
-def make_program_state_klk(
-    k: DensityMatrix, l: DensityMatrix, max_dim: int = DEFAULT_MAX_DIM
-) -> ProgramState:
-    """Program state whose generator is (K^dag L K + K L K^dag) / 2.
+def make_program_state_klk(k: DensityMatrix, l: DensityMatrix) -> ProgramState:
+    """Program state whose generator is K L K.
 
-    Faithful block evaluation of the three-register circuit: |+> control,
-    controlled cyclic permutation over the registers holding K, L, K,
-    partial traces over the third and second registers, Hadamard on the
-    control, and dephasing.  For Hermitian inputs the generator equals
-    K L K.
+    The three-register circuit (|+> control, controlled cyclic permutation
+    over the registers holding K, L, K, partial traces over the third and
+    second registers, Hadamard on the control, dephasing) leaves
+    rho'' = (K + K L K) / 2 and rho''' = (K - K L K) / 2 for Hermitian
+    inputs, which is evaluated here directly.
     """
     if k.dim != l.dim:
         raise LayoutError(f"dimension mismatch: K is {k.dim}, L is {l.dim}")
-    d = k.dim
-    check_dim(2 * d**3, max_dim)
-    t = kron(kron(k.matrix, l.matrix, max_dim), k.matrix, max_dim)
-    q = _cyclic_perm_inverse(d)
-    layout3 = TensorLayout((d, d, d))
-
-    def tr23(m):
-        return partial_trace(partial_trace(m, layout3, 2), TensorLayout((d, d)), 1)
-
-    # control blocks after the controlled permutation: T, T P^dag, P T, P T P^dag
-    m00 = tr23(t)
-    m01 = tr23(t[:, q])
-    m10 = tr23(t[q, :])
-    m11 = tr23(t[np.ix_(q, q)])
-    return _finish_two_block(m00, m01, m10, m11, d)
-
-
-def _finish_two_block(m00, m01, m10, m11, d: int) -> ProgramState:
-    """Hadamard on the control of (1/2) sum_{ab} |a><b| (x) m_ab, then dephase."""
-    rho = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    rho[:d, :d] = m00
-    rho[:d, d:] = m01
-    rho[d:, :d] = m10
-    rho[d:, d:] = m11
-    rho /= 2.0
-    h = kron(_HADAMARD, np.eye(d))
-    rho = h @ rho @ h
-    rho = _dephase_control(rho, d)
-    return ProgramState(DensityMatrix(hermitian_part(rho), TensorLayout((2, d)), **_CHANNEL_TOLS))
+    return _two_copy_program_state(k, k.matrix @ l.matrix @ k.matrix)
 
 
 def mix_program_states(sources: Sequence[tuple[float, ProgramState]]) -> ProgramState:
@@ -253,30 +162,12 @@ def mix_program_states(sources: Sequence[tuple[float, ProgramState]]) -> Program
     )
 
 
-def controlled_partial_swap_evolution(
-    dt: float, d: int, max_dim: int = DEFAULT_MAX_DIM
-) -> np.ndarray:
-    """exp(-i S' dt) with S' = |0><0| (x) S + |1><1| (x) (-S).
-
-    The control-0 block evolves forward, the control-1 block backward.
-    """
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
-    check_dim(2 * d * d, max_dim)
-    fwd = _partial_swap_unitary(d, dt)
-    out = np.zeros((2 * d * d, 2 * d * d), dtype=np.complex128)
-    out[: d * d, : d * d] = fwd
-    out[d * d :, d * d :] = fwd.conj()
-    return out
-
-
-def _glmr_apply(u: np.ndarray, ps: ProgramState, sigma_matrix: np.ndarray, d: int) -> np.ndarray:
-    """One generalized step: conjugate rho' (x) sigma by u, keep the target."""
-    joint = u @ np.kron(ps.rho_prime.matrix, sigma_matrix) @ u.conj().T
-    layout = TensorLayout((2, d, d))
-    out = partial_trace(joint, layout, 0)
-    out = partial_trace(out, TensorLayout((d, d)), 0)
-    return hermitian_part(out)
+def _channel_step(b: np.ndarray, r: np.ndarray, sigma: np.ndarray, dt: float) -> np.ndarray:
+    """One program-state step on a matrix:
+    c^2 sigma + s^2 tr(sigma) R - i c s [B, sigma] with c, s = cos dt, sin dt."""
+    c, s = math.cos(dt), math.sin(dt)
+    comm = b @ sigma - sigma @ b
+    return hermitian_part(c * c * sigma + (s * s * np.trace(sigma)) * r - (1j * c * s) * comm)
 
 
 def glmr_step(ps: ProgramState, sigma: DensityMatrix, dt: float) -> DensityMatrix:
@@ -285,9 +176,8 @@ def glmr_step(ps: ProgramState, sigma: DensityMatrix, dt: float) -> DensityMatri
     d = ps.system_dim
     if sigma.dim != d:
         raise LayoutError(f"dimension mismatch: program {d}, target {sigma.dim}")
-    u = controlled_partial_swap_evolution(dt, d)
-    out = _glmr_apply(u, ps, sigma.matrix, d)
-    return DensityMatrix(out, sigma.layout, **_CHANNEL_TOLS)
+    b, r = ps.step_operators()
+    return DensityMatrix(_channel_step(b, r, sigma.matrix, dt), sigma.layout, **_CHANNEL_TOLS)
 
 
 @dataclass(frozen=True)
@@ -355,16 +245,17 @@ def simulate_evolution(
     if n == 0:
         return EvolutionResult(sigma0, generator, mixture.scale, 0, 0.0)
     dt = cfg.total_time / n
-    u = controlled_partial_swap_evolution(dt, d)
     weights = np.array([w for w, _ in sources], dtype=np.float64)
     probs = weights / weights.sum()
+    mixture_ops = mixture.step_operators()
+    source_ops = [ps.step_operators() for _, ps in sources]
     state = sigma0.matrix
     for _ in range(n):
         if rng is None:
-            ps = mixture
+            b, r = mixture_ops
         else:
-            ps = sources[int(rng.choice(len(sources), p=probs))][1]
-        state = _glmr_apply(u, ps, state, d)
+            b, r = source_ops[int(rng.choice(len(sources), p=probs))]
+        state = _channel_step(b, r, state, dt)
     return EvolutionResult(
         DensityMatrix(state, sigma0.layout, **_CHANNEL_TOLS),
         generator,

@@ -152,11 +152,18 @@ def load_points(source: str | Path | IO[str]) -> np.ndarray:
     return np.array(out)
 
 
+def _read_text(source: str | Path | IO[str]) -> str:
+    """Whole text of a file or stream; bytes that are not UTF-8 are a parse error."""
+    try:
+        if hasattr(source, "read"):
+            return source.read()
+        return Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"file is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_lines(source: str | Path | IO[str]) -> list[tuple[int, str]]:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
+    text = _read_text(source)
     return [(i + 1, line) for i, line in enumerate(text.splitlines()) if line.strip()]
 
 
@@ -210,12 +217,8 @@ class SampleGraph:
 
 def load_graph(source: str | Path | IO[str]) -> SampleGraph:
     """Read a JSON adjacency list ``{"m": int, "edges": [[i, j], ...]}``."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(_read_text(source))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON graph file: {exc}") from None
     if not isinstance(doc, dict) or "m" not in doc or "edges" not in doc:

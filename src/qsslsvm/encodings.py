@@ -1,10 +1,13 @@
 """Classical construction of the quantum data encodings.
 
 Oracle and QRAM access are emulated by building the corresponding state
-vectors and density matrices directly: the data superposition |X>, the
-label state |y>, the incidence-row superposition |G_I>, and the reduced
-densities obtained from them by partial trace (the trace-normalized kernel
-matrix and the normalized-Laplacian density).
+vectors directly: the data superposition |X>, the label state |y> and the
+incidence-row superposition |G_I>.  The reduced densities the training
+route consumes are the partial traces Tr_2 |X><X| and Tr_2 |G_I><G_I|;
+they are evaluated in closed form, X X^T / ||X||_F^2 and G_I G_I^T / m,
+without building the (m p)^2 or (m E)^2 outer products.  The partial
+traces of the full states (``data_state(x).density().reduced(1)`` and
+``incidence_state(g).density().reduced(1)``) are the test oracle for both.
 """
 
 from __future__ import annotations
@@ -138,8 +141,10 @@ def data_state(x: TrainingSet) -> StateVector:
 
 
 def kernel_density(x: TrainingSet) -> DensityMatrix:
-    """Trace-normalized linear-kernel density: Tr_2 |X><X| = X X^T / tr(X X^T)."""
-    return data_state(x).density().reduced(1)
+    """Trace-normalized linear-kernel density: Tr_2 |X><X| = X X^T / ||X||_F^2."""
+    _row_norms(x)
+    f = x.features
+    return DensityMatrix(f @ f.T / np.sum(f * f), TensorLayout((x.sample_count,)))
 
 
 def label_state(y: np.ndarray) -> StateVector:
@@ -159,8 +164,10 @@ def incidence_state(g: SampleGraph) -> StateVector:
 
 
 def laplacian_density(g: SampleGraph) -> DensityMatrix:
-    """Tr_2 |G_I><G_I|: the degree-normalized Laplacian divided by m."""
-    return incidence_state(g).density().reduced(1)
+    """Tr_2 |G_I><G_I| = G_I G_I^T / m: the degree-normalized Laplacian
+    divided by m (every row of G_I is a unit vector)."""
+    gi = incidence_matrix(g)
+    return DensityMatrix(gi @ gi.T / g.vertex_count, TensorLayout((g.vertex_count,)))
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:

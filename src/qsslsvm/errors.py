@@ -33,10 +33,6 @@ class LayoutError(InputError):
     """Tensor layout or matrix dimensions do not match."""
 
 
-class SizeError(InputError):
-    """Tensor-product dimension exceeds the configured cap."""
-
-
 class DegreeError(InputError):
     """Graph has an isolated vertex where degrees >= 1 are required."""
 

@@ -8,23 +8,25 @@ filtered pseudo-inverse applied to the input.  The multiplication variant
 writes lambda instead of c/lambda and yields A|b>/||A|b>||.
 
 Controlled evolutions are synthesized from the spectral decomposition of
-the matrix (the ``exact`` backend).  The sample-based channel construction
-cannot be applied controlled inside a pure-state circuit -- it is a
-channel, not a unitary -- so its composition with phase estimation is
-provided separately as a density-matrix demonstration
-(:func:`glmr_phase_estimation`), with the channel itself certified
-standalone in :mod:`qsslsvm.channels`.
+the matrix.  The sample-based channel construction cannot be applied
+controlled inside a pure-state circuit -- it is a channel, not a unitary --
+so its composition with phase estimation is provided separately as a
+density-matrix demonstration (:func:`glmr_phase_estimation`), with the
+channel itself certified standalone in :mod:`qsslsvm.channels`.  That
+demonstration updates each clock block of the density matrix in closed
+form (see its docstring); the dilated circuit it reduces, with the program
+copy and control registers kept explicitly, is the test oracle in
+``tests/dilation.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .channels import ProgramState, controlled_partial_swap_evolution, mix_program_states
+from .channels import ProgramState, mix_program_states
 from .encodings import DensityMatrix, StateVector
 from .errors import (
     AmplitudeOverflowError,
@@ -42,15 +44,13 @@ from .linalg import (
     partial_trace,
 )
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-
 #: Clock-mass threshold below which a grid eigenvalue is not reported.
 _MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class QPEConfig:
-    """Clock size, evolution time, and backend for phase estimation.
+    """Clock size and evolution time for phase estimation.
 
     ``evolution_time`` of ``None`` auto-scales so the largest eigenvalue
     sits at phase 1/2, which makes it exactly representable on any clock.
@@ -58,7 +58,6 @@ class QPEConfig:
 
     clock_qubits: int = 8
     evolution_time: float | None = None
-    backend: str = "exact"
 
     def __post_init__(self):
         if not 2 <= self.clock_qubits <= 12:
@@ -69,8 +68,6 @@ class QPEConfig:
             raise ConfigurationError(
                 f"evolution_time must be positive, got {self.evolution_time}"
             )
-        if self.backend not in ("exact", "glmr"):
-            raise ConfigurationError(f"unknown backend {self.backend!r}")
 
     @property
     def clock_dim(self) -> int:
@@ -179,11 +176,6 @@ def phase_estimation(a_hat, b, cfg: QPEConfig) -> QPEState:
     lambda_i t0 / (2 pi); exactly representable eigenvalues give a sharp
     clock.  All eigenphases must lie in [0, 1).
     """
-    if cfg.backend != "exact":
-        raise ConfigurationError(
-            "coherent phase estimation supports the exact backend only; "
-            "use glmr_phase_estimation for the channel-backed density-matrix mode"
-        )
     a = _as_hermitian(a_hat)
     eig = hermitian_eig(a)
     vec = _as_unit_state(b, a.shape[0])
@@ -337,7 +329,7 @@ def quantum_multiply(k, y, cfg: QPEConfig) -> StateVector:
     """
     a = _as_hermitian(k)
     if cfg.evolution_time is None:
-        cfg = QPEConfig(cfg.clock_qubits, math.pi, cfg.backend)
+        cfg = QPEConfig(cfg.clock_qubits, math.pi)
     qpe = phase_estimation(a, y, cfg)
     flagged = conditional_rotation_multiply(qpe)
     solution, p_success = _postselect(flagged)
@@ -376,7 +368,15 @@ def glmr_phase_estimation(
     short channel steps, each consuming a fresh copy of the (mixed)
     program state, conditioned on one clock qubit.  Accuracy improves with
     ``steps_per_unit``; this path is a demonstration, the coherent solver
-    uses the exact backend.
+    synthesizes its evolutions from the spectral decomposition.
+
+    Tracing out the control and the program copy leaves a closed form on
+    each clock block X = rho[y, y'] of the clock (x) system density.  With
+    c, s = cos dt, sin dt, B = rho'' - rho''' and R = rho'' + rho''', a
+    step controlled on one clock bit maps X to the full channel step
+    c^2 X + s^2 tr(X) R - i c s [B, X] when that bit is 1 in both y and
+    y', to c X - i s B X when it is 1 in y only, to c X + i s X B when it
+    is 1 in y' only, and leaves X unchanged otherwise.
     """
     if steps_per_unit < 1:
         raise ParameterError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
@@ -392,43 +392,32 @@ def glmr_phase_estimation(
     if t0 is None:
         t0 = default_evolution_time(float(np.linalg.eigvalsh(generator)[-1]))
 
-    # registers: control (2) x program copy (d) x clock (T) x system (d)
-    clock_sys = np.zeros((t, d), dtype=np.complex128)
-    clock_sys[0, :] = vec
-    rho_big = np.outer(clock_sys.reshape(-1), clock_sys.reshape(-1).conj())
-    walsh = reduce(np.kron, [_HADAMARD] * cfg.clock_qubits)
-    w_full = np.kron(walsh, np.eye(d))
-    rho_big = w_full @ rho_big @ w_full.conj().T
-
-    layout_full = TensorLayout((2, d, t, d))
-    layout_after_ctl = TensorLayout((d, t * d))
+    # clock (T) x system (d) density as blocks X[y, y'] = rho[y, :, y', :],
+    # starting from the Walsh-transformed clock |+...+> times |b>
+    clock_sys = np.tile(vec, (t, 1)) / math.sqrt(t)
+    rho = np.einsum("ya,zb->yazb", clock_sys, clock_sys.conj())
+    b_op, r_op = mixture.step_operators()
     dt = -t0 / steps_per_unit
-    base = controlled_partial_swap_evolution(dt, d)  # on (control, a, b)
-    # embed (control, a, b) -> (control, a, clock, b): S commutes with the clock
-    idx = np.arange(2 * d * d)
-    ctl, xa, xb = idx // (d * d), (idx // d) % d, idx % d
-    emb = np.zeros((2 * d * t * d, 2 * d * t * d), dtype=np.complex128)
-    for y in range(t):
-        rows = (ctl * d + xa) * (t * d) + y * d + xb
-        emb[np.ix_(rows, rows)] = base
-    clock_bits = ((np.arange(t)[None, :] >> np.arange(cfg.clock_qubits)[:, None]) & 1).astype(bool)
-
-    rho_mix = mixture.rho_prime.matrix
+    c, s = math.cos(dt), math.sin(dt)
     for j in range(cfg.clock_qubits):
-        p1 = np.repeat(np.tile(clock_bits[j], 2 * d), d).astype(np.float64)
-        v = emb * p1[None, :] + np.diag(1.0 - p1)
-        vh = v.conj().T
+        on = ((np.arange(t) >> j) & 1).astype(np.float64)
+        alpha = 1.0 + (c - 1.0) * on
+        coeff = np.outer(alpha, alpha)[:, None, :, None]
+        left = (-1j * s * np.outer(on, alpha))[:, None, :, None]
+        right = (1j * s * np.outer(alpha, on))[:, None, :, None]
+        refill = (s * s * np.outer(on, on))[:, :, None, None] * r_op
         for _ in range(steps_per_unit * (2**j)):
-            joint = np.kron(rho_mix, rho_big)
-            joint = v @ joint @ vh
-            joint = partial_trace(joint, layout_full, 0)
-            rho_big = partial_trace(joint, layout_after_ctl, 0)
+            bx = np.einsum("ab,ybzc->yazc", b_op, rho)
+            xb = np.einsum("yazb,bc->yazc", rho, b_op)
+            trace = np.einsum("yaza->yz", rho)
+            rho = (coeff * rho + left * bx + right * xb
+                   + np.einsum("yz,yzab->yazb", trace, refill))
 
-    dft = np.exp(-2j * np.pi * np.outer(np.arange(t), np.arange(t)) / t) / math.sqrt(t)
-    q_full = np.kron(dft, np.eye(d))
-    rho_big = q_full @ rho_big @ q_full.conj().T
+    # inverse QFT on the clock: F rho F^dagger with F the unitary DFT
+    rho = np.fft.ifft(np.fft.fft(rho, axis=0, norm="ortho"), axis=2, norm="ortho")
     state = DensityMatrix(
-        rho_big, TensorLayout((t, d)), hermitian_tol=1e-8, psd_tol=1e-7, trace_tol=1e-8
+        rho.reshape(t * d, t * d), TensorLayout((t, d)),
+        hermitian_tol=1e-8, psd_tol=1e-7, trace_tol=1e-8,
     )
     probs = np.real(np.diag(partial_trace(state.matrix, state.layout, 1)))
     return GlmrPhaseEstimate(probs, state)

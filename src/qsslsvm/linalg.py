@@ -1,10 +1,10 @@
 """Dense complex linear algebra with tensor-product structure.
 
 Everything downstream (density encodings, channel simulation, phase
-estimation) is built from the primitives here: Kronecker products under a
-hard dimension cap, partial traces over labelled tensor factors, and
-spectral operations on Hermitian matrices (eigendecomposition, unitary
-exponentials, eigenvalue-filtered pseudo-inverses).
+estimation) is built from the primitives here: tensor layouts, partial
+traces over labelled tensor factors, and spectral operations on Hermitian
+matrices (eigendecomposition, unitary exponentials, eigenvalue-filtered
+pseudo-inverses).
 
 All functions are pure; returned arrays are fresh and never alias their
 inputs.
@@ -13,22 +13,10 @@ inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    LayoutError,
-    NumericalError,
-    ParameterError,
-    SizeError,
-    SymmetryError,
-)
-
-#: Hard cap on matrix dimensions produced by tensor products.  16**3 keeps
-#: tripartite desk-scale objects representable while rejecting anything
-#: that would silently blow up memory.
-DEFAULT_MAX_DIM = 4096
+from .errors import LayoutError, NumericalError, ParameterError, SymmetryError
 
 #: Max-entry deviation under which a matrix is accepted as Hermitian.
 HERMITIAN_TOL = 1e-10
@@ -42,13 +30,6 @@ def as_complex_matrix(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NumericalError("matrix contains NaN or Inf entries")
     return a
-
-
-def check_dim(dim: int, max_dim: int = DEFAULT_MAX_DIM) -> int:
-    """Reject dimensions above the configured cap."""
-    if dim > max_dim:
-        raise SizeError(f"dimension {dim} exceeds the cap {max_dim}")
-    return dim
 
 
 @dataclass(frozen=True)
@@ -109,23 +90,6 @@ class SpectralDecomposition:
         return (v * f(self.eigenvalues)) @ v.conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Kronecker product with a dimension cap.
-
-    ``(a kron b)[i*rb + k, j*cb + l] = a[i, j] * b[k, l]``.
-    """
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    check_dim(a.shape[0] * b.shape[0], max_dim)
-    check_dim(a.shape[1] * b.shape[1], max_dim)
-    return np.kron(a, b)
-
-
-def kron_all(mats, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Left-associated Kronecker product of a sequence of matrices."""
-    return reduce(lambda x, y: kron(x, y, max_dim), mats)
-
-
 def partial_trace(m: np.ndarray, layout: TensorLayout, traced_factor: int) -> np.ndarray:
     """Trace out one tensor factor (0-based index).
 
@@ -158,10 +122,6 @@ def hermitian_deviation(m: np.ndarray) -> float:
     if m.shape[0] != m.shape[1]:
         raise LayoutError("hermiticity is defined for square matrices only")
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return hermitian_deviation(m) <= tol
 
 
 def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
@@ -202,15 +162,6 @@ def filtered_pseudo_inverse(m: np.ndarray, sigma: float) -> np.ndarray:
     w = eig.eigenvalues
     inv = np.where(w >= sigma, 1.0 / np.where(w >= sigma, w, 1.0), 0.0)
     return eig.apply(lambda _: inv)
-
-
-def unit_vector(v: np.ndarray) -> np.ndarray:
-    """v / ||v||, rejecting zero vectors."""
-    v = np.ascontiguousarray(v, dtype=np.complex128).reshape(-1)
-    n = np.linalg.norm(v)
-    if n == 0.0 or not np.isfinite(n):
-        raise NumericalError("cannot normalize a zero or non-finite vector")
-    return v / n
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:

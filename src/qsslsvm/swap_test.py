@@ -21,28 +21,6 @@ from .linalg import TensorLayout
 
 
 @dataclass(frozen=True)
-class ClassifierState:
-    """Query and expansion states prepared for one prediction.
-
-    ``normalizer_c`` is the positive constant relating the state overlap
-    to the raw decision score: Re<x_q|s> = normalizer_c * sum_j alpha_j
-    <x_new, x_j>.  Classification uses only the overlap's sign, which any
-    positive normalization preserves.
-    """
-
-    query: StateVector
-    expansion: StateVector
-    normalizer_c: float
-
-    def __post_init__(self):
-        if not self.normalizer_c > 0:
-            raise ParameterError(f"normalizer must be positive, got {self.normalizer_c}")
-
-    def overlap(self) -> float:
-        return float(np.real(self.query.overlap(self.expansion)))
-
-
-@dataclass(frozen=True)
 class OverlapEstimate:
     """Measured (or analytic) swap-test probability.
 
@@ -96,19 +74,6 @@ def expansion_state(alpha: np.ndarray, training: TrainingSet) -> StateVector:
         raise EncodingError("training set has a zero-norm sample")
     blocks = (alpha[:, None] * training.features).reshape(-1)
     return StateVector.normalized(blocks, TensorLayout((m, training.feature_count)))
-
-
-def classifier_state(
-    alpha: np.ndarray, x_new: np.ndarray, training: TrainingSet
-) -> ClassifierState:
-    """Prepare both readout states and the overlap-to-score constant."""
-    q = query_state(x_new, training)
-    s = expansion_state(alpha, training)
-    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
-    x_new = np.asarray(x_new, dtype=np.float64).reshape(-1)
-    norm_q = np.sqrt(training.sample_count) * np.linalg.norm(x_new)
-    norm_s = np.linalg.norm(alpha[:, None] * training.features)
-    return ClassifierState(q, s, 1.0 / (norm_q * norm_s))
 
 
 def overlap_probability(

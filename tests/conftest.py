@@ -4,12 +4,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qsslsvm.datasets import SampleGraph, TrainingSet, build_knn_graph, load_dataset
 from qsslsvm.encodings import DensityMatrix
 from qsslsvm.linalg import TensorLayout
 
 DATA = Path(__file__).parent / "data"
+
+# property tests draw the same examples on every run and are never timed out
+settings.register_profile("seeded", derandomize=True, deadline=None, database=None)
+settings.load_profile("seeded")
 
 
 @pytest.fixture(scope="session")

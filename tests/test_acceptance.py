@@ -3,6 +3,10 @@
 Each test prints a PASS line with the measured values (run with
 ``pytest tests/test_acceptance.py -v -s`` to see them) and enforces its
 runtime budget.  Tolerances are fixed here, not configurable.
+
+Criteria 3 and 4 certify the circuit-level constructions (the dilations in
+``dilation.py``); the production closed forms are checked against those
+dilations in ``test_closed_forms.py``.
 """
 
 import math
@@ -17,15 +21,13 @@ from conftest import (
     random_density,
     random_training_set,
 )
-from qsslsvm.channels import (
-    EvolutionConfig,
-    exact_conjugation,
-    glmr_step,
-    make_program_state_k,
-    make_program_state_kk,
-    make_program_state_klk,
-    simulate_evolution,
+from dilation import (
+    dense_glmr_step,
+    dense_program_state_kk,
+    dense_program_state_klk,
+    dense_simulate_evolution,
 )
+from qsslsvm.channels import EvolutionConfig, exact_conjugation, make_program_state_k
 from qsslsvm.classical import KernelSpec, kernel_matrix, solve_classical, assemble_system
 from qsslsvm.datasets import build_knn_graph, load_dataset, normalized_laplacian
 from qsslsvm.encodings import StateVector, kernel_density, label_state, laplacian_density
@@ -95,7 +97,7 @@ def test_criterion_3_program_state_identity():
     for _ in range(50):
         d = int(rng.integers(2, 9))
         k, l = random_density(rng, d), random_density(rng, d)
-        ps = make_program_state_klk(k, l)
+        ps = dense_program_state_klk(k, l)
         target = 0.5 * (
             k.matrix.conj().T @ l.matrix @ k.matrix
             + k.matrix @ l.matrix @ k.matrix.conj().T
@@ -116,15 +118,16 @@ def test_criterion_4_channel_error_order():
     sigma = random_density(rng, 4)
     channels = {
         "k": make_program_state_k(k),
-        "kk": make_program_state_kk(k),
-        "klk": make_program_state_klk(k, l),
+        "kk": dense_program_state_kk(k),
+        "klk": dense_program_state_klk(k, l),
     }
     slopes, traj_errors = {}, {}
     t_total, delta = 1.0, 1e-3
     for name, ps in channels.items():
         errs = [
             np.linalg.norm(
-                glmr_step(ps, sigma, dt).matrix - exact_conjugation(ps.generator, sigma, dt).matrix
+                dense_glmr_step(ps, sigma, dt).matrix
+                - exact_conjugation(ps.generator, sigma, dt).matrix
             )
             for dt in DT_SWEEP
         ]
@@ -133,7 +136,7 @@ def test_criterion_4_channel_error_order():
         slopes[name] = slope
 
         steps = int(math.ceil(t_total**2 / delta))
-        run = simulate_evolution([(1.0, ps)], sigma, EvolutionConfig(t_total, delta, steps))
+        run = dense_simulate_evolution([(1.0, ps)], sigma, EvolutionConfig(t_total, delta, steps))
         err = float(np.linalg.norm(
             run.state.matrix - exact_conjugation(ps.generator, sigma, t_total).matrix
         ))

@@ -2,12 +2,36 @@
 
 import json
 
+import numpy as np
+import pytest
+
 from conftest import DATA
 from qsslsvm.cli import main
 
 DATASET8 = str(DATA / "two_cluster_8.csv")
 DATASET4 = str(DATA / "two_cluster_4.csv")
 GRID = str(DATA / "grid_20.csv")
+
+
+def _two_cluster_csv(path, m: int, seed: int) -> str:
+    """m points around (+-1, +-1), a quarter of them labeled."""
+    rng = np.random.default_rng(seed)
+    side = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    x = side[:, None] + 0.3 * rng.normal(size=(m, 2))
+    labels = np.where(np.arange(m) < max(2, m // 4), side, 0.0)
+    rows = ["f1,f2,label"] + [f"{a:.6f},{b:.6f},{int(l)}" for (a, b), l in zip(x, labels)]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["train", "simulate"])
+def test_binary_dataset_is_input_error(tmp_path, capsys, command):
+    data = tmp_path / "binary.csv"
+    data.write_bytes(b"f1,label\n\xff\xfe\x00\x81,1\n")
+    assert main([command, str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [ingest] ")
+    assert "Traceback" not in err
 
 
 class TestTrain:
@@ -45,6 +69,16 @@ class TestSimulate:
         assert doc["kind"] == "simulate"
         assert doc["classification"]["agreement"] == 1.0
         assert doc["quantum"]["solution_fidelity"] >= 0.99
+
+    @pytest.mark.parametrize("m", [13, 16])
+    def test_above_twelve_samples(self, tmp_path, m):
+        out_path = tmp_path / "sim.json"
+        data = _two_cluster_csv(tmp_path / "data.csv", m, seed=m)
+        assert main(["simulate", data, "--report", str(out_path)]) == 0
+        doc = json.loads(out_path.read_text())
+        assert doc["dataset"]["m"] == m
+        for slope in doc["lmr_slopes"].values():
+            assert 1.8 <= slope <= 2.2
 
     def test_graph_file_flag(self, tmp_path):
         graph = tmp_path / "g.json"

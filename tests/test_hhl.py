@@ -33,8 +33,6 @@ class TestQPEConfig:
             QPEConfig(clock_qubits=13)
         with pytest.raises(ConfigurationError):
             QPEConfig(evolution_time=0.0)
-        with pytest.raises(ConfigurationError):
-            QPEConfig(backend="magic")
 
 
 class TestPhaseEstimation:
@@ -69,12 +67,6 @@ class TestPhaseEstimation:
             phase_estimation(np.diag([1.5, 0.5]), np.array([1.0, 0.0]), QPEConfig(3, 2 * np.pi))
         with pytest.raises(ConfigurationError):
             phase_estimation(np.diag([-0.5, 0.5]), np.array([1.0, 0.0]), QPEConfig(3, 2 * np.pi))
-
-    def test_glmr_backend_rejected_for_pure_states(self):
-        with pytest.raises(ConfigurationError):
-            phase_estimation(
-                np.diag([0.5, 0.25]), np.array([1.0, 0.0]), QPEConfig(3, backend="glmr")
-            )
 
 
 class TestConditionalRotations:

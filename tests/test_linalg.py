@@ -4,26 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian
-from qsslsvm.errors import (
-    LayoutError,
-    NumericalError,
-    ParameterError,
-    SizeError,
-    SymmetryError,
-)
+from qsslsvm.errors import LayoutError, NumericalError, ParameterError, SymmetryError
 from qsslsvm.linalg import (
     TensorLayout,
     density_fidelity,
     filtered_pseudo_inverse,
     hermitian_eig,
     hermitian_exp,
-    kron,
     partial_trace,
     state_fidelity,
 )
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 class TestTensorLayout:
@@ -43,44 +35,13 @@ class TestTensorLayout:
             TensorLayout((2, 0))
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_pauli_blocks(self):
-        out = kron(PAULI_X, PAULI_Z)
-        expected = np.zeros((4, 4))
-        expected[:2, 2:] = PAULI_Z
-        expected[2:, :2] = PAULI_Z
-        assert np.array_equal(out, expected)
-
-    def test_index_formula_oracle(self, rng):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        out = kron(a, b)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert out[i * 2 + k, j * 2 + l] == pytest.approx(a[i, j] * b[k, l])
-
-    def test_trace_multiplicative(self, rng):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.trace(kron(a, b)) == pytest.approx(np.trace(a) * np.trace(b))
-
-    def test_dimension_cap(self):
-        with pytest.raises(SizeError):
-            kron(np.eye(100), np.eye(100), max_dim=4096)
-
-
 class TestPartialTrace:
     def test_product_state_factorizes(self, rng):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        out = partial_trace(kron(a, b), TensorLayout((2, 2)), 1)
+        out = partial_trace(np.kron(a, b), TensorLayout((2, 2)), 1)
         assert np.allclose(out, np.trace(b) * a)
-        out0 = partial_trace(kron(a, b), TensorLayout((2, 2)), 0)
+        out0 = partial_trace(np.kron(a, b), TensorLayout((2, 2)), 0)
         assert np.allclose(out0, np.trace(a) * b)
 
     def test_bell_state_reduction(self):

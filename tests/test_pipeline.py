@@ -8,8 +8,9 @@ import jsonschema
 import pytest
 
 from conftest import DATA
+from qsslsvm import pipeline
 from qsslsvm.classical import KernelSpec
-from qsslsvm.errors import ConfigurationError, DegreeError, ParameterError
+from qsslsvm.errors import ConfigurationError, DegreeError, NumericalError, ParameterError
 from qsslsvm.pipeline import (
     REPORT_SCHEMA,
     CostModelParams,
@@ -63,8 +64,18 @@ class TestRunPipeline:
             assert 1.8 <= slope <= 2.2
 
     def test_identical_matrix_checksums(self, cluster8_report):
-        q = cluster8_report.quantum
-        assert q["a_hat_checksum_classical"] == q["a_hat_checksum_quantum"]
+        # the program-state mixture simulates the classical A/tr(A)
+        assert 0.0 <= cluster8_report.quantum["a_hat_deviation"] <= 1e-12
+
+    def test_perturbed_classical_system_is_numerical_error(self, monkeypatch):
+        assemble = pipeline.assemble_system
+
+        def perturbed(k, l, y, gamma):
+            return assemble(k, l, y, gamma * (1.0 + 1e-6))
+
+        monkeypatch.setattr(pipeline, "assemble_system", perturbed)
+        with pytest.raises(NumericalError, match=r"^\[program_states\]"):
+            run_pipeline(RunConfig(knn_k=2), DATA / "two_cluster_8.csv")
 
     def test_edgeless_graph_rejected(self, tmp_path):
         graph = tmp_path / "empty.json"
