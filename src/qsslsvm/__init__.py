@@ -46,11 +46,8 @@ from .encodings import (
 from .hhl import (
     HHLResult,
     QPEConfig,
-    conditional_rotation_invert,
-    conditional_rotation_multiply,
     glmr_phase_estimation,
     hhl_solve,
-    phase_estimation,
     quantum_multiply,
 )
 from .linalg import (

@@ -186,7 +186,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        stage = getattr(exc, "stage", None)
+        where = "" if stage is None or str(exc).startswith(f"[{stage}] ") else f"[{stage}] "
+        print(f"i/o error: {where}{exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -198,6 +198,9 @@ class SampleGraph:
                 seen.add(key)
                 normalized.append(key)
         normalized.sort()
+        if m > 2 * len(normalized):
+            # checked before the degree array of length m is allocated
+            raise DegreeError(f"{len(normalized)} edges leave some of {m} vertices isolated")
         deg = np.zeros(m, dtype=np.int64)
         for i, j in normalized:
             deg[i] += 1
@@ -226,8 +229,10 @@ def load_graph(source: str | Path | IO[str]) -> SampleGraph:
     try:
         m = int(doc["m"])
         edges = [(int(e[0]), int(e[1])) for e in doc["edges"]]
-    except (TypeError, ValueError, IndexError):
-        raise ParseError("graph edges must be pairs of integer vertex indices") from None
+    except (TypeError, ValueError, IndexError, OverflowError):
+        raise ParseError(
+            'graph "m" must be an integer and its edges pairs of integer vertex indices'
+        ) from None
     return SampleGraph(m, tuple(edges))
 
 

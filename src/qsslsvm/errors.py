@@ -4,6 +4,8 @@ Two families, matching the CLI exit codes: ``InputError`` covers anything
 the caller can fix by changing files or parameters (exit code 2), and
 ``NumericalError`` covers failures of an otherwise well-formed request
 (exit code 3).  Plain ``OSError`` is left alone and maps to exit code 4.
+The pipeline re-raises an error from one of its stages as the same
+object, with the stage name in a ``stage`` attribute.
 """
 
 

@@ -7,6 +7,18 @@ postselects the flag, leaving a state proportional to the
 filtered pseudo-inverse applied to the input.  The multiplication variant
 writes lambda instead of c/lambda and yields A|b>/||A|b>||.
 
+Both run in closed form from one spectral decomposition A = sum_i lambda_i
+v_i v_i^dagger.  With c_i = <v_i|b>, clock size T and evolution time t0,
+phase estimation reads clock y on eigenvector i with probability
+w[y, i] = |a[y, i]|^2, a = fft(exp(i t0 outer(arange(T), lambda)), axis=0)
+/ T (a Fejer kernel).  A rotation with per-clock gain g_y followed by
+uncomputation and postselection leaves sum_i c_i (sum_y g_y w[y, i]) v_i
+in clock 0, with success probability sum_i |c_i|^2 sum_y g_y^2 w[y, i];
+the clock distribution is w @ |c|^2.  The circuit itself -- the clock (x)
+system array, the flag register, the inverse QFT, the controlled
+evolutions and the Walsh transform -- is the test oracle in
+``tests/dilation.py``.
+
 Controlled evolutions are synthesized from the spectral decomposition of
 the matrix.  The sample-based channel construction cannot be applied
 controlled inside a pure-state circuit -- it is a channel, not a unitary --
@@ -15,7 +27,7 @@ density-matrix demonstration (:func:`glmr_phase_estimation`), with the
 channel itself certified standalone in :mod:`qsslsvm.channels`.  That
 demonstration updates each clock block of the density matrix in closed
 form (see its docstring); the dilated circuit it reduces, with the program
-copy and control registers kept explicitly, is the test oracle in
+copy and control registers kept explicitly, is also in
 ``tests/dilation.py``.
 """
 
@@ -75,65 +87,6 @@ class QPEConfig:
 
 
 @dataclass(frozen=True)
-class PhaseGrid:
-    """Mapping between clock basis states and eigenvalue estimates."""
-
-    clock_dim: int
-    evolution_time: float
-
-    def eigenvalue(self, y) -> np.ndarray:
-        """Decode clock index y to lambda_hat = 2 pi y / (T t0)."""
-        return 2.0 * np.pi * np.asarray(y, dtype=np.float64) / (self.clock_dim * self.evolution_time)
-
-    def phase(self, lam) -> np.ndarray:
-        return np.asarray(lam, dtype=np.float64) * self.evolution_time / (2.0 * np.pi)
-
-
-@dataclass(frozen=True)
-class QPEState:
-    """Entangled clock (x) system state with its decoding metadata."""
-
-    state: StateVector
-    grid: PhaseGrid
-    basis: SpectralDecomposition
-
-    @property
-    def clock_dim(self) -> int:
-        return self.grid.clock_dim
-
-    @property
-    def system_dim(self) -> int:
-        return self.state.dim // self.grid.clock_dim
-
-    def array(self) -> np.ndarray:
-        return self.state.amplitudes.reshape(self.clock_dim, self.system_dim)
-
-    def clock_distribution(self) -> np.ndarray:
-        """Probability of reading each clock basis state."""
-        arr = self.array()
-        return np.sum(np.abs(arr) ** 2, axis=1)
-
-
-@dataclass(frozen=True)
-class FlaggedState:
-    """Flag (x) clock (x) system state after a conditional rotation.
-
-    Flag index 1 is the success branch.
-    """
-
-    state: StateVector
-    grid: PhaseGrid
-    basis: SpectralDecomposition
-
-    def array(self) -> np.ndarray:
-        t = self.grid.clock_dim
-        return self.state.amplitudes.reshape(2, t, -1)
-
-    def success_block(self) -> np.ndarray:
-        return self.array()[1]
-
-
-@dataclass(frozen=True)
 class HHLResult:
     """Postselected solution state with diagnostics."""
 
@@ -169,182 +122,105 @@ def _as_unit_state(b, dim: int) -> np.ndarray:
     return vec
 
 
-def phase_estimation(a_hat, b, cfg: QPEConfig) -> QPEState:
-    """Entangle a clock register with the eigencomponents of ``b``.
+def _clock_weights(
+    eig: SpectralDecomposition, t0: float, clock_dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue estimate of each clock state and the phase-estimation
+    weights w[y, i], the probability of reading clock y on eigenvector i.
 
-    The clock distribution peaks at the dyadic approximations of
-    lambda_i t0 / (2 pi); exactly representable eigenvalues give a sharp
-    clock.  All eigenphases must lie in [0, 1).
+    The clock amplitude on eigenvector i is the DFT of its controlled
+    evolution phases, a[y, i] = (1/T) sum_k exp(i t0 k lambda_i)
+    exp(-2 pi i y k / T), so w = |a|^2 is the Fejer kernel centred on
+    lambda_i t0 T / (2 pi).  All eigenphases must lie in [0, 1).
     """
-    a = _as_hermitian(a_hat)
-    eig = hermitian_eig(a)
-    vec = _as_unit_state(b, a.shape[0])
-    t0 = cfg.evolution_time
-    if t0 is None:
-        t0 = default_evolution_time(float(eig.eigenvalues[0]))
-    grid = PhaseGrid(cfg.clock_dim, float(t0))
-    phases = grid.phase(eig.eigenvalues)
+    phases = eig.eigenvalues * t0 / (2.0 * np.pi)
     if np.any(phases < -1e-12) or np.any(phases >= 1.0 - 1e-12):
         raise ConfigurationError(
             f"eigenphases must lie in [0, 1); got range "
             f"[{phases.min():.4g}, {phases.max():.4g}] -- rescale t0"
         )
-    t = cfg.clock_dim
-    coeff = eig.eigenvectors.conj().T @ vec
-    ks = np.arange(t)
-    # rows k = U^k |b> / sqrt(T) with U = exp(i a t0), then inverse QFT
-    amps = np.exp(1j * t0 * np.outer(ks, eig.eigenvalues)) * coeff[None, :]
-    arr = (amps @ eig.eigenvectors.T) / math.sqrt(t)
-    arr = np.fft.fft(arr, axis=0) / math.sqrt(t)
-    return QPEState(
-        StateVector(arr.reshape(-1), TensorLayout((t, a.shape[0]))), grid, eig
-    )
+    ks = np.arange(clock_dim)
+    amps = np.fft.fft(np.exp(1j * t0 * np.outer(ks, eig.eigenvalues)), axis=0) / clock_dim
+    return 2.0 * np.pi * ks / (clock_dim * t0), np.abs(amps) ** 2
 
 
-def conditional_rotation_invert(
-    qpe: QPEState, sigma_thresh: float, c_const: float | None = None
-) -> FlaggedState:
-    """Write amplitude c/lambda_hat on the success branch for retained
-    eigenvalue estimates; estimates below ``sigma_thresh`` go to the
-    failure branch (eigenvalue filtering)."""
-    if sigma_thresh <= 0:
-        raise ParameterError(f"sigma_thresh must be positive, got {sigma_thresh}")
-    c = sigma_thresh if c_const is None else float(c_const)
-    if c <= 0:
-        raise ParameterError(f"c_const must be positive, got {c}")
-    t = qpe.clock_dim
-    lam_hat = qpe.grid.eigenvalue(np.arange(t))
-    retained = lam_hat >= sigma_thresh
-    if retained.any() and c > lam_hat[retained].min() * (1 + 1e-12):
-        raise AmplitudeOverflowError(
-            f"c_const {c} exceeds the smallest retained eigenvalue estimate "
-            f"{lam_hat[retained].min():.6g}"
-        )
-    gain = np.zeros(t)
-    gain[retained] = c / lam_hat[retained]
-    return _apply_rotation(qpe, gain)
+def _postselected(
+    eig: SpectralDecomposition, coeff: np.ndarray, weights: np.ndarray, gain: np.ndarray,
+    failure: str,
+) -> tuple[StateVector, float]:
+    """Unit clock-0 system state and success probability after the flag
+    rotation |y> -> gain_y |1>|y> + sqrt(1 - gain_y^2) |0>|y>, clock
+    uncomputation and postselection of flag 1.
 
-
-def conditional_rotation_multiply(qpe: QPEState) -> FlaggedState:
-    """Write amplitude lambda_hat on the success branch.
-
-    Estimates above 1 cannot be written as amplitudes; the true spectrum
-    must stay within [0, 1], and out-of-range clock tails are routed to
-    the failure branch.
+    Uncomputing the clock leaves sum_i c_i (sum_y g_y w[y, i]) v_i in
+    clock 0, and the flagged branch has norm^2 sum_i |c_i|^2 sum_y g_y^2
+    w[y, i]; ``DegenerateSystemError(failure)`` when either vanishes.
     """
-    lam_max = float(qpe.basis.eigenvalues[0])
-    if lam_max > 1.0 + 1e-9:
-        raise AmplitudeOverflowError(
-            f"eigenvalue {lam_max:.6g} exceeds the unit multiplication range"
-        )
-    t = qpe.clock_dim
-    lam_hat = qpe.grid.eigenvalue(np.arange(t))
-    gain = np.where(lam_hat <= 1.0 + 1e-12, np.minimum(lam_hat, 1.0), 0.0)
-    return _apply_rotation(qpe, gain)
-
-
-def _apply_rotation(qpe: QPEState, gain: np.ndarray) -> FlaggedState:
-    """Flag isometry: |y> -> gain_y |1>|y> + sqrt(1 - gain_y^2) |0>|y>."""
-    arr = qpe.array()
-    t, d = arr.shape
-    residue = np.sqrt(np.clip(1.0 - gain**2, 0.0, None))
-    flagged = np.stack([arr * residue[:, None], arr * gain[:, None]])
-    return FlaggedState(
-        StateVector(flagged.reshape(-1), TensorLayout((2, t, d))), qpe.grid, qpe.basis
-    )
-
-
-def _walsh_transform(arr: np.ndarray) -> np.ndarray:
-    """Hadamard transform H^(x)c along axis 0 (length a power of two)."""
-    t, d = arr.shape
-    out = arr.copy()
-    h = 1
-    while h < t:
-        out = out.reshape(t // (2 * h), 2, h, d)
-        top = out[:, 0] + out[:, 1]
-        bot = out[:, 0] - out[:, 1]
-        out = np.stack([top, bot], axis=1).reshape(t, d)
-        h *= 2
-    return out / math.sqrt(t)
-
-
-def _uncompute_clock(arr: np.ndarray, grid: PhaseGrid, basis: SpectralDecomposition) -> np.ndarray:
-    """Inverse of the phase-estimation unitary on a clock (x) system array."""
-    t, _ = arr.shape
-    out = np.fft.ifft(arr, axis=0) * math.sqrt(t)
-    coeff = out @ basis.eigenvectors.conj()
-    ks = np.arange(t)
-    coeff = coeff * np.exp(-1j * grid.evolution_time * np.outer(ks, basis.eigenvalues))
-    out = coeff @ basis.eigenvectors.T
-    return _walsh_transform(out)
-
-
-def _postselect(flagged: FlaggedState) -> tuple[np.ndarray, float]:
-    """Uncompute the clock on both branches, project the success flag,
-    and return the clock-0 system block with the success probability."""
-    blocks = flagged.array()
-    success = _uncompute_clock(blocks[1], flagged.grid, flagged.basis)
-    p_success = float(np.sum(np.abs(success) ** 2))
-    return success[0, :], p_success
+    solution = eig.eigenvectors @ (coeff * (gain @ weights))
+    p_success = float((gain**2 @ weights) @ np.abs(coeff) ** 2)
+    norm = np.linalg.norm(solution)
+    if p_success <= 1e-24 or norm <= 1e-12:
+        raise DegenerateSystemError(failure)
+    return StateVector(solution / norm, TensorLayout((solution.shape[0],))), p_success
 
 
 def hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:
     """Produce a state proportional to the eigenvalue-filtered inverse of
     ``a_hat`` applied to ``b``.
 
-    Exact (fidelity 1 up to roundoff) whenever every retained eigenvalue
-    is exactly representable at the clock resolution; otherwise the error
-    vanishes as the clock grows.
+    The rotation gain is sigma/lambda_hat on clock estimates lambda_hat >=
+    sigma and 0 below.  Exact (fidelity 1 up to roundoff) whenever every
+    retained eigenvalue is exactly representable at the clock resolution;
+    otherwise the error vanishes as the clock grows.
     """
-    a = _as_hermitian(a_hat)
-    spectrum = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    if spectrum[0] < -1e-8:
-        raise NumericalError(f"matrix must be PSD, min eigenvalue {spectrum[0]:.3e}")
-    if spectrum[-1] < sigma_thresh:
+    if sigma_thresh <= 0:
+        raise ParameterError(f"sigma_thresh must be positive, got {sigma_thresh}")
+    eig = hermitian_eig(_as_hermitian(a_hat))
+    lam = eig.eigenvalues
+    if lam[-1] < -1e-8:
+        raise NumericalError(f"matrix must be PSD, min eigenvalue {lam[-1]:.3e}")
+    if lam[0] < sigma_thresh:
         raise DegenerateSystemError(
             f"every eigenvalue lies below the filter threshold {sigma_thresh}"
         )
-    qpe = phase_estimation(a, b, cfg)
-    flagged = conditional_rotation_invert(qpe, sigma_thresh)
-    solution, p_success = _postselect(flagged)
-    norm = np.linalg.norm(solution)
-    if p_success <= 1e-24 or norm <= 1e-12:
-        raise DegenerateSystemError(
-            "no eigenvalue mass survived the filter threshold"
-        )
-    retained = _retained_eigenvalues(qpe, sigma_thresh)
-    return HHLResult(
-        StateVector(solution / norm, TensorLayout((solution.shape[0],))),
-        p_success,
-        retained,
+    vec = _as_unit_state(b, lam.shape[0])
+    t0 = cfg.evolution_time
+    if t0 is None:
+        t0 = default_evolution_time(float(lam[0]))
+    lam_hat, weights = _clock_weights(eig, t0, cfg.clock_dim)
+    retained = lam_hat >= sigma_thresh
+    gain = np.zeros(cfg.clock_dim)
+    gain[retained] = sigma_thresh / lam_hat[retained]
+    coeff = eig.eigenvectors.conj().T @ vec
+    state, p_success = _postselected(
+        eig, coeff, weights, gain, "no eigenvalue mass survived the filter threshold"
     )
+    mass = weights @ np.abs(coeff) ** 2
+    keep = (mass > _MASS_TOL) & retained
+    return HHLResult(state, p_success, tuple(float(v) for v in lam_hat[keep][::-1]))
 
 
 def quantum_multiply(k, y, cfg: QPEConfig) -> StateVector:
     """State proportional to K y via phase estimation and an eigenvalue
     (not inverse-eigenvalue) conditional rotation.
 
+    The rotation gain is lambda_hat, and 0 on estimates above 1, which
+    cannot be written as amplitudes; the true spectrum must lie in [0, 1].
     The default evolution time here is pi, putting eigenvalue 1 at phase
     1/2, so dyadic spectra of trace-normalized kernels are exact.
     """
-    a = _as_hermitian(k)
-    if cfg.evolution_time is None:
-        cfg = QPEConfig(cfg.clock_qubits, math.pi)
-    qpe = phase_estimation(a, y, cfg)
-    flagged = conditional_rotation_multiply(qpe)
-    solution, p_success = _postselect(flagged)
-    norm = np.linalg.norm(solution)
-    if p_success <= 1e-24 or norm <= 1e-12:
-        raise DegenerateSystemError("matrix-vector product is zero")
-    return StateVector(solution / norm, TensorLayout((solution.shape[0],)))
-
-
-def _retained_eigenvalues(qpe: QPEState, sigma_thresh: float) -> tuple[float, ...]:
-    mass = qpe.clock_distribution()
-    lam_hat = qpe.grid.eigenvalue(np.arange(qpe.clock_dim))
-    keep = (mass > _MASS_TOL) & (lam_hat >= sigma_thresh)
-    vals = sorted((float(v) for v in lam_hat[keep]), reverse=True)
-    return tuple(vals)
+    eig = hermitian_eig(_as_hermitian(k))
+    vec = _as_unit_state(y, eig.eigenvalues.shape[0])
+    t0 = math.pi if cfg.evolution_time is None else cfg.evolution_time
+    lam_hat, weights = _clock_weights(eig, t0, cfg.clock_dim)
+    lam_max = float(eig.eigenvalues[0])
+    if lam_max > 1.0 + 1e-9:
+        raise AmplitudeOverflowError(
+            f"eigenvalue {lam_max:.6g} exceeds the unit multiplication range"
+        )
+    gain = np.where(lam_hat <= 1.0 + 1e-12, np.minimum(lam_hat, 1.0), 0.0)
+    coeff = eig.eigenvectors.conj().T @ vec
+    return _postselected(eig, coeff, weights, gain, "matrix-vector product is zero")[0]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -172,25 +172,6 @@ class RunConfig:
         # range checks for clock_qubits are enforced by QPEConfig
         QPEConfig(clock_qubits=self.clock_qubits)
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "kernel": {
-                "kind": self.kernel.kind,
-                "degree": self.kernel.degree,
-                "offset": self.kernel.offset,
-                "width": self.kernel.width,
-            },
-            "knn_k": self.knn_k,
-            "graph_path": self.graph_path,
-            "sigma_thresh": self.sigma_thresh,
-            "clock_qubits": self.clock_qubits,
-            "delta": self.delta,
-            "shots": self.shots,
-            "seed": self.seed,
-            "laplacian_kind": self.laplacian_kind,
-        }
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -235,7 +216,14 @@ class RunReport:
 
 
 class _Stages:
-    """Per-stage wall-clock timing; errors propagate tagged with the stage."""
+    """Per-stage wall-clock timing; errors propagate tagged with the stage.
+
+    A stage's exception is re-raised as the same object, so its type and
+    attributes (``ParseError.line``, ``OSError.errno``) survive.  Its
+    ``stage`` attribute names the stage, and so does a leading ``[stage] ``
+    in its message, except for an ``OSError`` that Python formats from its
+    errno and file name.
+    """
 
     def __init__(self):
         self.timings: dict[str, float] = {}
@@ -245,7 +233,9 @@ class _Stages:
         try:
             result = fn()
         except Exception as exc:
-            raise type(exc)(f"[{name}] {exc}") from exc
+            exc.stage = name
+            exc.args = (f"[{name}] {exc}",)
+            raise
         self.timings[name] = time.perf_counter() - start
         return result
 
@@ -401,7 +391,7 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
     )
 
     report = RunReport(
-        config={**cfg.to_dict(), "dataset": str(dataset),
+        config={**asdict(cfg), "dataset": str(dataset),
                 "testset": None if testset is None else str(testset)},
         dataset={
             "m": training.sample_count,
@@ -449,7 +439,7 @@ def run_classical(cfg: RunConfig, dataset: str | Path, testset: str | Path | Non
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "train",
-        "config": {**cfg.to_dict(), "dataset": str(dataset),
+        "config": {**asdict(cfg), "dataset": str(dataset),
                    "testset": None if testset is None else str(testset)},
         "dataset": {
             "m": training.sample_count,
@@ -507,7 +497,7 @@ def bench_lmr(
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "bench",
-        "config": {**cfg.to_dict(), "dataset": str(dataset)},
+        "config": {**asdict(cfg), "dataset": str(dataset)},
         "dt_values": list(dts),
         "errors": sweeps,
         "slopes": slopes,
@@ -583,7 +573,7 @@ def emit_report(report: RunReport | dict, path: str | Path) -> Path:
     if doc.get("kind") == "simulate":
         import jsonschema
 
-        jsonschema.validate(doc, REPORT_SCHEMA)
+        jsonschema.Draft7Validator(REPORT_SCHEMA).validate(doc)
     path = Path(path)
     try:
         with open(path, "w") as fh:

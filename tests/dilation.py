@@ -1,23 +1,48 @@
-"""Circuit-level dilations of the sample-based simulation primitives.
+"""Circuit-level dilations of the sample-based simulation primitives and
+of the phase-estimation solver.
 
 Test oracle only.  Each function builds the full tensor-product circuit --
 swap and cyclic-permutation matrices, controlled partial swaps, Kronecker
-products with the program copies and partial traces over them -- that the
-closed forms in ``qsslsvm.channels`` and ``qsslsvm.hhl`` reduce to d x d
-algebra.  A dilated channel step costs O(d^6), so these run only at the
-small dimensions the tests use.
+products with the program copies and partial traces over them, and the
+clock (x) system and flag (x) clock (x) system arrays of phase estimation,
+conditional rotation and uncomputation -- that the closed forms in
+``qsslsvm.channels`` and ``qsslsvm.hhl`` reduce to d x d algebra.  A
+dilated channel step costs O(d^6), so these run only at the small
+dimensions the tests use.
 """
 
 import math
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from qsslsvm.channels import EvolutionResult, ProgramState, mix_program_states
-from qsslsvm.encodings import DensityMatrix
-from qsslsvm.errors import LayoutError
-from qsslsvm.hhl import GlmrPhaseEstimate, QPEConfig, default_evolution_time
-from qsslsvm.linalg import TensorLayout, hermitian_part, partial_trace
+from qsslsvm.encodings import DensityMatrix, StateVector
+from qsslsvm.errors import (
+    AmplitudeOverflowError,
+    ConfigurationError,
+    DegenerateSystemError,
+    LayoutError,
+    NumericalError,
+    ParameterError,
+)
+from qsslsvm.hhl import (
+    _MASS_TOL,
+    GlmrPhaseEstimate,
+    HHLResult,
+    QPEConfig,
+    _as_hermitian,
+    _as_unit_state,
+    default_evolution_time,
+)
+from qsslsvm.linalg import (
+    SpectralDecomposition,
+    TensorLayout,
+    hermitian_eig,
+    hermitian_part,
+    partial_trace,
+)
 
 #: Same validation tolerances the production channels use.
 _TOLS = dict(hermitian_tol=1e-9, psd_tol=1e-8, trace_tol=1e-9)
@@ -230,3 +255,232 @@ def dense_glmr_phase_estimation(
     )
     probs = np.real(np.diag(partial_trace(state.matrix, state.layout, 1)))
     return GlmrPhaseEstimate(probs, state)
+
+
+@dataclass(frozen=True)
+class PhaseGrid:
+    """Mapping between clock basis states and eigenvalue estimates."""
+
+    clock_dim: int
+    evolution_time: float
+
+    def eigenvalue(self, y) -> np.ndarray:
+        """Decode clock index y to lambda_hat = 2 pi y / (T t0)."""
+        return 2.0 * np.pi * np.asarray(y, dtype=np.float64) / (self.clock_dim * self.evolution_time)
+
+    def phase(self, lam) -> np.ndarray:
+        return np.asarray(lam, dtype=np.float64) * self.evolution_time / (2.0 * np.pi)
+
+
+@dataclass(frozen=True)
+class QPEState:
+    """Entangled clock (x) system state with its decoding metadata."""
+
+    state: StateVector
+    grid: PhaseGrid
+    basis: SpectralDecomposition
+
+    @property
+    def clock_dim(self) -> int:
+        return self.grid.clock_dim
+
+    @property
+    def system_dim(self) -> int:
+        return self.state.dim // self.grid.clock_dim
+
+    def array(self) -> np.ndarray:
+        return self.state.amplitudes.reshape(self.clock_dim, self.system_dim)
+
+    def clock_distribution(self) -> np.ndarray:
+        """Probability of reading each clock basis state."""
+        arr = self.array()
+        return np.sum(np.abs(arr) ** 2, axis=1)
+
+
+@dataclass(frozen=True)
+class FlaggedState:
+    """Flag (x) clock (x) system state after a conditional rotation.
+
+    Flag index 1 is the success branch.
+    """
+
+    state: StateVector
+    grid: PhaseGrid
+    basis: SpectralDecomposition
+
+    def array(self) -> np.ndarray:
+        t = self.grid.clock_dim
+        return self.state.amplitudes.reshape(2, t, -1)
+
+    def success_block(self) -> np.ndarray:
+        return self.array()[1]
+
+
+def phase_estimation(a_hat, b, cfg: QPEConfig) -> QPEState:
+    """Entangle a clock register with the eigencomponents of ``b``.
+
+    The clock distribution peaks at the dyadic approximations of
+    lambda_i t0 / (2 pi); exactly representable eigenvalues give a sharp
+    clock.  All eigenphases must lie in [0, 1).
+    """
+    a = _as_hermitian(a_hat)
+    eig = hermitian_eig(a)
+    vec = _as_unit_state(b, a.shape[0])
+    t0 = cfg.evolution_time
+    if t0 is None:
+        t0 = default_evolution_time(float(eig.eigenvalues[0]))
+    grid = PhaseGrid(cfg.clock_dim, float(t0))
+    phases = grid.phase(eig.eigenvalues)
+    if np.any(phases < -1e-12) or np.any(phases >= 1.0 - 1e-12):
+        raise ConfigurationError(
+            f"eigenphases must lie in [0, 1); got range "
+            f"[{phases.min():.4g}, {phases.max():.4g}] -- rescale t0"
+        )
+    t = cfg.clock_dim
+    coeff = eig.eigenvectors.conj().T @ vec
+    ks = np.arange(t)
+    # rows k = U^k |b> / sqrt(T) with U = exp(i a t0), then inverse QFT
+    amps = np.exp(1j * t0 * np.outer(ks, eig.eigenvalues)) * coeff[None, :]
+    arr = (amps @ eig.eigenvectors.T) / math.sqrt(t)
+    arr = np.fft.fft(arr, axis=0) / math.sqrt(t)
+    return QPEState(
+        StateVector(arr.reshape(-1), TensorLayout((t, a.shape[0]))), grid, eig
+    )
+
+
+def conditional_rotation_invert(
+    qpe: QPEState, sigma_thresh: float, c_const: float | None = None
+) -> FlaggedState:
+    """Write amplitude c/lambda_hat on the success branch for retained
+    eigenvalue estimates; estimates below ``sigma_thresh`` go to the
+    failure branch (eigenvalue filtering)."""
+    if sigma_thresh <= 0:
+        raise ParameterError(f"sigma_thresh must be positive, got {sigma_thresh}")
+    c = sigma_thresh if c_const is None else float(c_const)
+    if c <= 0:
+        raise ParameterError(f"c_const must be positive, got {c}")
+    t = qpe.clock_dim
+    lam_hat = qpe.grid.eigenvalue(np.arange(t))
+    retained = lam_hat >= sigma_thresh
+    if retained.any() and c > lam_hat[retained].min() * (1 + 1e-12):
+        raise AmplitudeOverflowError(
+            f"c_const {c} exceeds the smallest retained eigenvalue estimate "
+            f"{lam_hat[retained].min():.6g}"
+        )
+    gain = np.zeros(t)
+    gain[retained] = c / lam_hat[retained]
+    return _apply_rotation(qpe, gain)
+
+
+def conditional_rotation_multiply(qpe: QPEState) -> FlaggedState:
+    """Write amplitude lambda_hat on the success branch.
+
+    Estimates above 1 cannot be written as amplitudes; the true spectrum
+    must stay within [0, 1], and out-of-range clock tails are routed to
+    the failure branch.
+    """
+    lam_max = float(qpe.basis.eigenvalues[0])
+    if lam_max > 1.0 + 1e-9:
+        raise AmplitudeOverflowError(
+            f"eigenvalue {lam_max:.6g} exceeds the unit multiplication range"
+        )
+    t = qpe.clock_dim
+    lam_hat = qpe.grid.eigenvalue(np.arange(t))
+    gain = np.where(lam_hat <= 1.0 + 1e-12, np.minimum(lam_hat, 1.0), 0.0)
+    return _apply_rotation(qpe, gain)
+
+
+def _apply_rotation(qpe: QPEState, gain: np.ndarray) -> FlaggedState:
+    """Flag isometry: |y> -> gain_y |1>|y> + sqrt(1 - gain_y^2) |0>|y>."""
+    arr = qpe.array()
+    t, d = arr.shape
+    residue = np.sqrt(np.clip(1.0 - gain**2, 0.0, None))
+    flagged = np.stack([arr * residue[:, None], arr * gain[:, None]])
+    return FlaggedState(
+        StateVector(flagged.reshape(-1), TensorLayout((2, t, d))), qpe.grid, qpe.basis
+    )
+
+
+def _walsh_transform(arr: np.ndarray) -> np.ndarray:
+    """Hadamard transform H^(x)c along axis 0 (length a power of two)."""
+    t, d = arr.shape
+    out = arr.copy()
+    h = 1
+    while h < t:
+        out = out.reshape(t // (2 * h), 2, h, d)
+        top = out[:, 0] + out[:, 1]
+        bot = out[:, 0] - out[:, 1]
+        out = np.stack([top, bot], axis=1).reshape(t, d)
+        h *= 2
+    return out / math.sqrt(t)
+
+
+def _uncompute_clock(arr: np.ndarray, grid: PhaseGrid, basis: SpectralDecomposition) -> np.ndarray:
+    """Inverse of the phase-estimation unitary on a clock (x) system array."""
+    t, _ = arr.shape
+    out = np.fft.ifft(arr, axis=0) * math.sqrt(t)
+    coeff = out @ basis.eigenvectors.conj()
+    ks = np.arange(t)
+    coeff = coeff * np.exp(-1j * grid.evolution_time * np.outer(ks, basis.eigenvalues))
+    out = coeff @ basis.eigenvectors.T
+    return _walsh_transform(out)
+
+
+def _postselect(flagged: FlaggedState) -> tuple[np.ndarray, float]:
+    """Uncompute the clock on both branches, project the success flag,
+    and return the clock-0 system block with the success probability."""
+    blocks = flagged.array()
+    success = _uncompute_clock(blocks[1], flagged.grid, flagged.basis)
+    p_success = float(np.sum(np.abs(success) ** 2))
+    return success[0, :], p_success
+
+
+def dense_hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:
+    """``hhl_solve`` through the circuit: phase estimation on the full
+    clock (x) system array, the inverting rotation onto a flag register,
+    uncomputation of the clock on the success branch, postselection."""
+    a = _as_hermitian(a_hat)
+    spectrum = np.linalg.eigvalsh((a + a.conj().T) / 2)
+    if spectrum[0] < -1e-8:
+        raise NumericalError(f"matrix must be PSD, min eigenvalue {spectrum[0]:.3e}")
+    if spectrum[-1] < sigma_thresh:
+        raise DegenerateSystemError(
+            f"every eigenvalue lies below the filter threshold {sigma_thresh}"
+        )
+    qpe = phase_estimation(a, b, cfg)
+    flagged = conditional_rotation_invert(qpe, sigma_thresh)
+    solution, p_success = _postselect(flagged)
+    norm = np.linalg.norm(solution)
+    if p_success <= 1e-24 or norm <= 1e-12:
+        raise DegenerateSystemError(
+            "no eigenvalue mass survived the filter threshold"
+        )
+    retained = _retained_eigenvalues(qpe, sigma_thresh)
+    return HHLResult(
+        StateVector(solution / norm, TensorLayout((solution.shape[0],))),
+        p_success,
+        retained,
+    )
+
+
+def dense_quantum_multiply(k, y, cfg: QPEConfig) -> StateVector:
+    """``quantum_multiply`` through the same circuit with the eigenvalue
+    (not inverse-eigenvalue) rotation."""
+    a = _as_hermitian(k)
+    if cfg.evolution_time is None:
+        cfg = QPEConfig(cfg.clock_qubits, math.pi)
+    qpe = phase_estimation(a, y, cfg)
+    flagged = conditional_rotation_multiply(qpe)
+    solution, p_success = _postselect(flagged)
+    norm = np.linalg.norm(solution)
+    if p_success <= 1e-24 or norm <= 1e-12:
+        raise DegenerateSystemError("matrix-vector product is zero")
+    return StateVector(solution / norm, TensorLayout((solution.shape[0],)))
+
+
+def _retained_eigenvalues(qpe: QPEState, sigma_thresh: float) -> tuple[float, ...]:
+    mass = qpe.clock_distribution()
+    lam_hat = qpe.grid.eigenvalue(np.arange(qpe.clock_dim))
+    keep = (mass > _MASS_TOL) & (lam_hat >= sigma_thresh)
+    vals = sorted((float(v) for v in lam_hat[keep]), reverse=True)
+    return tuple(vals)

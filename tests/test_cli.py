@@ -34,6 +34,16 @@ def test_binary_dataset_is_input_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("m", ["1e400", "1e300"])
+def test_huge_graph_vertex_count_is_input_error(tmp_path, capsys, m):
+    graph = tmp_path / "g.json"
+    graph.write_text(f'{{"m": {m}, "edges": []}}')
+    assert main(["simulate", DATASET4, "--graph", str(graph)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [graph] ")
+    assert "Traceback" not in err
+
+
 class TestTrain:
     def test_success(self, capsys):
         code = main(["train", DATASET8, "--knn", "2", "--sigma-thresh", "1e-9"])
@@ -51,6 +61,12 @@ class TestTrain:
         doc = json.loads(out_path.read_text())
         assert doc["kind"] == "train"
         assert len(doc["predictions"]["labels"]) == 20
+
+    def test_empty_dataset_is_input_error(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("")
+        assert main(["train", str(data)]) == 2
+        assert capsys.readouterr().err.startswith("error: [ingest] ")
 
     def test_rbf_kernel(self):
         assert main(["train", DATASET8, "--knn", "2", "--kernel", "rbf:1.0",
@@ -88,6 +104,10 @@ class TestSimulate:
         code = main(["simulate", DATASET4, "--graph", str(graph)])
         assert code == 0
 
+    def test_oversize_clock_is_input_error(self, capsys):
+        assert main(["simulate", DATASET8, "--clock-qubits", "13"]) == 2
+        assert "clock_qubits must be in [2, 12]" in capsys.readouterr().err
+
     def test_nonlinear_kernel_is_input_error(self):
         assert main(["simulate", DATASET8, "--kernel", "rbf:0.5"]) == 2
 
@@ -97,8 +117,9 @@ class TestSimulate:
     def test_all_filtered_is_numerical_error(self):
         assert main(["simulate", DATASET8, "--knn", "2", "--sigma-thresh", "0.999"]) == 3
 
-    def test_missing_file_is_io_error(self):
+    def test_missing_file_is_io_error(self, capsys):
         assert main(["simulate", "/no/such/file.csv"]) == 4
+        assert capsys.readouterr().err.startswith("i/o error: [ingest] ")
 
     def test_report_to_missing_dir_is_io_error(self, tmp_path):
         assert main([

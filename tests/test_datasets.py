@@ -124,6 +124,9 @@ class TestSampleGraph:
             SampleGraph(3, ((0, 1),))
         with pytest.raises(DegreeError):
             SampleGraph(4, ())
+        # rejected before a degree array of that length is allocated
+        with pytest.raises(DegreeError):
+            SampleGraph(10**300, ((0, 1),))
 
 
 class TestLoadGraph:
@@ -146,6 +149,11 @@ class TestLoadGraph:
     def test_bad_edge_entries(self):
         with pytest.raises(ParseError):
             load_graph(io.StringIO('{"m": 2, "edges": [[0]]}'))
+
+    @pytest.mark.parametrize("m", ["1e400", "Infinity", "NaN"])
+    def test_non_finite_vertex_count(self, m):
+        with pytest.raises(ParseError):
+            load_graph(io.StringIO(f'{{"m": {m}, "edges": []}}'))
 
 
 class TestKnnGraph:

@@ -1,9 +1,14 @@
-"""Tests for phase estimation, conditional rotations, solve and multiply."""
+"""Tests for phase estimation, conditional rotations, solve and multiply.
+
+Phase estimation and the conditional rotations are the circuit oracle in
+``dilation.py``; ``hhl_solve`` and ``quantum_multiply`` are the closed forms
+of the circuit."""
 
 import numpy as np
 import pytest
 
 from conftest import random_density
+from dilation import conditional_rotation_invert, conditional_rotation_multiply, phase_estimation
 from qsslsvm.channels import make_program_state_k
 from qsslsvm.classical import KernelSpec, assemble_system, solve_classical
 from qsslsvm.encodings import DensityMatrix, kernel_density, label_state, laplacian_density
@@ -13,15 +18,7 @@ from qsslsvm.errors import (
     DegenerateSystemError,
     ParameterError,
 )
-from qsslsvm.hhl import (
-    QPEConfig,
-    conditional_rotation_invert,
-    conditional_rotation_multiply,
-    glmr_phase_estimation,
-    hhl_solve,
-    phase_estimation,
-    quantum_multiply,
-)
+from qsslsvm.hhl import QPEConfig, glmr_phase_estimation, hhl_solve, quantum_multiply
 from qsslsvm.linalg import filtered_pseudo_inverse, state_fidelity
 
 
@@ -192,6 +189,21 @@ class TestHhlSolve:
         # uncompute is unitary, so the flagged success norm is the probability
         p = float(np.sum(np.abs(flagged.success_block()) ** 2))
         assert res.success_probability == pytest.approx(p, abs=1e-12)
+
+    def test_one_eigendecomposition(self, monkeypatch, rng):
+        # the PSD, filter and phase-range checks share the response's decomposition
+        a = random_density(rng, 5).matrix
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        hhl_solve(a, rng.normal(size=5), 0.05, QPEConfig(6))
+        assert calls == ["eigh"]
 
     def test_degenerate_when_all_filtered(self):
         with pytest.raises(DegenerateSystemError):

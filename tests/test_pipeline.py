@@ -10,7 +10,13 @@ import pytest
 from conftest import DATA
 from qsslsvm import pipeline
 from qsslsvm.classical import KernelSpec
-from qsslsvm.errors import ConfigurationError, DegreeError, NumericalError, ParameterError
+from qsslsvm.errors import (
+    ConfigurationError,
+    DegreeError,
+    NumericalError,
+    ParameterError,
+    ParseError,
+)
 from qsslsvm.pipeline import (
     REPORT_SCHEMA,
     CostModelParams,
@@ -125,6 +131,14 @@ class TestRunClassical:
         report = run_classical(cfg, DATA / "two_cluster_8.csv")
         assert report["residual"] <= 1e-8
 
+    def test_stage_error_keeps_type_and_line(self, tmp_path):
+        data = tmp_path / "bad.csv"
+        data.write_text("f1,label\n1.0,1\n2.0,2\n")
+        with pytest.raises(ParseError, match=r"^\[ingest\] line 3: ") as info:
+            run_classical(RunConfig(), data)
+        assert info.value.line == 3
+        assert info.value.stage == "ingest"
+
     def test_rbf_kernel_allowed(self):
         cfg = RunConfig(knn_k=2, kernel=KernelSpec("rbf", width=1.0), sigma_thresh=1e-9)
         report = run_classical(cfg, DATA / "two_cluster_8.csv")
@@ -201,6 +215,9 @@ class TestEmitReport:
 
     def test_schema_validation(self, cluster8_report):
         jsonschema.validate(cluster8_report.to_dict(), REPORT_SCHEMA)
+
+    def test_schema_is_valid_draft7(self):
+        jsonschema.Draft7Validator.check_schema(REPORT_SCHEMA)
 
     def test_invalid_report_rejected(self, tmp_path):
         with pytest.raises(jsonschema.ValidationError):
