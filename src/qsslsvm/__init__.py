@@ -37,8 +37,6 @@ from .datasets import (
 from .encodings import (
     DensityMatrix,
     StateVector,
-    data_state,
-    incidence_state,
     kernel_density,
     label_state,
     laplacian_density,
@@ -62,13 +60,12 @@ from .linalg import (
 from .pipeline import (
     CostModelParams,
     RunConfig,
-    RunReport,
     bench_lmr,
     cost_model,
     emit_report,
     run_classical,
     run_pipeline,
 )
-from .swap_test import classify, expansion_state, overlap_probability, query_state
+from .swap_test import classify
 
 __version__ = "0.1.0"

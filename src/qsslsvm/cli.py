@@ -90,15 +90,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_simulate(args) -> int:
     report = run_pipeline(_config(args), args.dataset, args.testset)
-    q = report.quantum
-    print(f"samples: {report.dataset['m']}  labeled: {report.dataset['labeled']}"
-          f"  edges: {report.dataset['edges']}")
+    data, q, cls = report["dataset"], report["quantum"], report["classification"]
+    print(f"samples: {data['m']}  labeled: {data['labeled']}  edges: {data['edges']}")
     print(f"multiply fidelity:   {q['multiply_fidelity']:.6f}")
     print(f"solution fidelity:   {q['solution_fidelity']:.6f}")
     print(f"success probability: {q['hhl_success_probability']:.6f}")
-    print(f"prediction agreement: {report.prediction_agreement:.4f} "
-          f"over {report.classification['test_point_count']} points")
-    slopes = report.lmr_slopes
+    print(f"prediction agreement: {cls['agreement']:.4f} "
+          f"over {cls['test_point_count']} points")
+    slopes = report["lmr_slopes"]
     print(f"channel slopes: k={slopes['k']:.3f} kk={slopes['kk']:.3f} klk={slopes['klk']:.3f}")
     if args.report:
         emit_report(report, args.report)

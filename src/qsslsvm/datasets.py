@@ -10,6 +10,7 @@ quantum-state encodings.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
@@ -78,44 +79,66 @@ def _split(line: str, delim: str) -> list[str]:
     return [f.strip() for f in line.split(delim)]
 
 
+def _read_table(
+    source: str | Path | IO[str], label_required: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix and last column of a delimited table with a header row.
+
+    A header ending in ``label`` marks the last column as labels, which
+    ``label_required`` makes mandatory and restricts to -1, 0 and +1;
+    otherwise every column is a feature.  Feature values must be finite.
+    Errors carry the line they were found on.
+    """
+    rows = _read_lines(source)
+    if not rows:
+        raise ParseError("empty file")
+    header_line, header_text = rows[0]
+    delim = _detect_delimiter(header_text)
+    header = _split(header_text, delim)
+    has_label = header[-1].strip().lower() == "label"
+    if label_required:
+        if len(header) < 2:
+            raise ParseError(
+                "header must name at least one feature column and 'label'", header_line
+            )
+        if not has_label:
+            raise ParseError(
+                f"last header column must be 'label', got {header[-1]!r}", header_line
+            )
+    p = len(header) - has_label
+    if p < 1:
+        raise ParseError("no feature columns", header_line)
+
+    feats, last = [], []
+    for lineno, line in rows[1:]:
+        fields = _split(line, delim)
+        if len(fields) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(fields)}", lineno)
+        try:
+            values = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ParseError(f"non-numeric field: {exc}", lineno) from None
+        bad = [f for f, v in zip(fields, values[:p]) if not math.isfinite(v)]
+        if bad:
+            raise ParseError(f"non-finite field: {bad[0]!r}", lineno)
+        if label_required and values[-1] not in (-1.0, 0.0, 1.0):
+            raise ParseError(f"label must be -1, 0 or +1, got {values[-1]}", lineno)
+        feats.append(values[:p])
+        last.append(values[-1])
+    if not feats:
+        raise ParseError("no data rows")
+    return np.array(feats), np.array(last)
+
+
 def load_dataset(source: str | Path | IO[str]) -> TrainingSet:
     """Parse a delimited text table with header ``f1,...,fp,label``.
 
     Labels must be -1, 0, or +1; rows with label 0 are moved after the
     labeled rows (stable order within each block).
     """
-    rows = _read_lines(source)
-    if not rows:
-        raise ParseError("empty file")
-    delim = _detect_delimiter(rows[0][1])
-    header = _split(rows[0][1], delim)
-    if len(header) < 2:
-        raise ParseError("header must name at least one feature column and 'label'", rows[0][0])
-    if header[-1].strip().lower() != "label":
-        raise ParseError(f"last header column must be 'label', got {header[-1]!r}", rows[0][0])
-    p = len(header) - 1
-
-    feats, labels = [], []
-    for lineno, line in rows[1:]:
-        fields = _split(line, delim)
-        if len(fields) != p + 1:
-            raise ParseError(f"expected {p + 1} fields, got {len(fields)}", lineno)
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric field: {exc}", lineno) from None
-        label = values[-1]
-        if label not in (-1.0, 0.0, 1.0):
-            raise ParseError(f"label must be -1, 0 or +1, got {label}", lineno)
-        feats.append(values[:-1])
-        labels.append(label)
-    if not feats:
-        raise ParseError("no data rows")
-
-    y = np.array(labels)
+    x, y = _read_table(source, label_required=True)
     order = np.concatenate([np.flatnonzero(y != 0), np.flatnonzero(y == 0)])
-    x = np.array(feats)[order]
-    y = y[order]
+    x, y = x[order], y[order]
     labeled = int(np.count_nonzero(y))
     if labeled == 0:
         raise ParseError("dataset has no labeled rows")
@@ -126,30 +149,9 @@ def load_points(source: str | Path | IO[str]) -> np.ndarray:
     """Parse a test-point table in the dataset format; labels are ignored.
 
     A trailing ``label`` column is optional; every other column is a
-    feature.
+    feature.  Feature values must be finite.
     """
-    rows = _read_lines(source)
-    if not rows:
-        raise ParseError("empty file")
-    delim = _detect_delimiter(rows[0][1])
-    header = _split(rows[0][1], delim)
-    has_label = header[-1].strip().lower() == "label"
-    p = len(header) - 1 if has_label else len(header)
-    if p < 1:
-        raise ParseError("no feature columns", rows[0][0])
-    out = []
-    for lineno, line in rows[1:]:
-        fields = _split(line, delim)
-        if len(fields) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(fields)}", lineno)
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric field: {exc}", lineno) from None
-        out.append(values[:p])
-    if not out:
-        raise ParseError("no data rows")
-    return np.array(out)
+    return _read_table(source, label_required=False)[0]
 
 
 def _read_text(source: str | Path | IO[str]) -> str:
@@ -218,6 +220,14 @@ class SampleGraph:
         return len(self.edges)
 
 
+def _integer(value) -> int:
+    """``value`` as an int; a fractional or non-numeric value raises ``ValueError``."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return n
+
+
 def load_graph(source: str | Path | IO[str]) -> SampleGraph:
     """Read a JSON adjacency list ``{"m": int, "edges": [[i, j], ...]}``."""
     try:
@@ -227,8 +237,8 @@ def load_graph(source: str | Path | IO[str]) -> SampleGraph:
     if not isinstance(doc, dict) or "m" not in doc or "edges" not in doc:
         raise ParseError('graph file must be an object with keys "m" and "edges"')
     try:
-        m = int(doc["m"])
-        edges = [(int(e[0]), int(e[1])) for e in doc["edges"]]
+        m = _integer(doc["m"])
+        edges = [(_integer(e[0]), _integer(e[1])) for e in doc["edges"]]
     except (TypeError, ValueError, IndexError, OverflowError):
         raise ParseError(
             'graph "m" must be an integer and its edges pairs of integer vertex indices'

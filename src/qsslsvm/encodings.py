@@ -1,13 +1,12 @@
 """Classical construction of the quantum data encodings.
 
-Oracle and QRAM access are emulated by building the corresponding state
-vectors directly: the data superposition |X>, the label state |y> and the
-incidence-row superposition |G_I>.  The reduced densities the training
-route consumes are the partial traces Tr_2 |X><X| and Tr_2 |G_I><G_I|;
-they are evaluated in closed form, X X^T / ||X||_F^2 and G_I G_I^T / m,
-without building the (m p)^2 or (m E)^2 outer products.  The partial
-traces of the full states (``data_state(x).density().reduced(1)`` and
-``incidence_state(g).density().reduced(1)``) are the test oracle for both.
+Oracle and QRAM access are emulated classically.  The training route
+consumes the label state |y> and the reduced densities of the data
+superposition |X> and the incidence-row superposition |G_I>; those are the
+partial traces Tr_2 |X><X| and Tr_2 |G_I><G_I|, evaluated in closed form as
+X X^T / ||X||_F^2 and G_I G_I^T / m without building either full state or
+its (m p)^2 or (m E)^2 outer product.  The full states and their partial
+traces are the test oracle in ``tests/dilation.py``.
 """
 
 from __future__ import annotations
@@ -15,13 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .datasets import SampleGraph, TrainingSet, incidence_matrix
-from .errors import DegreeError, EncodingError, LayoutError
+from .errors import EncodingError, LayoutError
 from .linalg import (
     TensorLayout,
     as_complex_matrix,
     hermitian_deviation,
     hermitian_part,
-    partial_trace,
 )
 
 #: Default validation tolerances for quantum objects.
@@ -60,17 +58,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    def overlap(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        if self.dim != other.dim:
-            raise LayoutError(f"state dimensions differ: {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def density(self) -> "DensityMatrix":
-        """Rank-1 projector |psi><psi| as a density matrix."""
-        outer = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(outer, self.layout)
 
 
 class DensityMatrix:
@@ -114,11 +101,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def reduced(self, traced_factor: int, **tols) -> "DensityMatrix":
-        """Partial trace over one register."""
-        out = partial_trace(self.matrix, self.layout, traced_factor)
-        return DensityMatrix(out, self.layout.without(traced_factor), **tols)
-
 
 def _row_norms(x: TrainingSet) -> np.ndarray:
     norms = np.linalg.norm(x.features, axis=1)
@@ -126,18 +108,6 @@ def _row_norms(x: TrainingSet) -> np.ndarray:
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise EncodingError(f"sample {bad} has zero norm and cannot be encoded")
     return norms
-
-
-def data_state(x: TrainingSet) -> StateVector:
-    """Superposition (1/sqrt(sum ||x_i||^2)) sum_i |i> (x) ||x_i|| |x_i>.
-
-    Block i of the amplitude vector is simply row x_i, so the state is the
-    flattened feature matrix normalized to unit Frobenius norm.
-    """
-    _row_norms(x)
-    return StateVector.normalized(
-        x.features.reshape(-1), TensorLayout((x.sample_count, x.feature_count))
-    )
 
 
 def kernel_density(x: TrainingSet) -> DensityMatrix:
@@ -151,16 +121,6 @@ def label_state(y: np.ndarray) -> StateVector:
     """|y> = y / ||y||; all-zero label vectors cannot be encoded."""
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     return StateVector.normalized(y, TensorLayout((y.shape[0],)))
-
-
-def incidence_state(g: SampleGraph) -> StateVector:
-    """(1/sqrt(m)) sum_i |i> (x) |v_i> over unit incidence-matrix rows."""
-    if np.any(g.degrees == 0):
-        raise DegreeError("graph has an isolated vertex")
-    gi = incidence_matrix(g)
-    return StateVector.normalized(
-        gi.reshape(-1), TensorLayout((g.vertex_count, g.edge_count))
-    )
 
 
 def laplacian_density(g: SampleGraph) -> DensityMatrix:

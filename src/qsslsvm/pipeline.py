@@ -3,7 +3,7 @@ complexity cost model, and structured JSON reports.
 
 ``run_pipeline`` executes the full quantum-simulated training pass --
 density encodings, quantum matrix multiplication for |Ky>, eigenvalue-
-filtered inversion for |alpha>, analytic swap-test classification -- and
+filtered inversion for |alpha>, overlap-readout classification -- and
 verifies every stage against the classical solver on the identical
 normalized matrix, including the matrix the program-state mixture
 simulates.
@@ -173,48 +173,6 @@ class RunConfig:
         QPEConfig(clock_qubits=self.clock_qubits)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything a ``simulate`` run measured, in stable key order."""
-
-    config: dict
-    dataset: dict
-    classical: dict
-    quantum: dict
-    classification: dict
-    lmr_slopes: dict
-    timings: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "simulate",
-            "config": self.config,
-            "dataset": self.dataset,
-            "classical": self.classical,
-            "quantum": self.quantum,
-            "classification": self.classification,
-            "lmr_slopes": self.lmr_slopes,
-            "timings": self.timings,
-        }
-
-    @property
-    def quantum_fidelity(self) -> float:
-        return self.quantum["solution_fidelity"]
-
-    @property
-    def prediction_agreement(self) -> float:
-        return self.classification["agreement"]
-
-    @property
-    def classical_alpha(self) -> np.ndarray:
-        return np.array(self.classical["alpha"])
-
-    @property
-    def hhl_success_probability(self) -> float:
-        return self.quantum["hhl_success_probability"]
-
-
 class _Stages:
     """Per-stage wall-clock timing; errors propagate tagged with the stage.
 
@@ -299,9 +257,10 @@ def _one_step_slopes(
     return probe, slopes, errors
 
 
-def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None = None) -> RunReport:
+def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None = None) -> dict:
     """Full quantum-simulated training run verified against the classical
-    solver on the identical normalized system matrix."""
+    solver on the identical normalized system matrix; returns the
+    ``simulate`` report (:data:`REPORT_SCHEMA`)."""
     if cfg.kernel.kind != "linear":
         raise ConfigurationError(
             "the quantum pipeline encodes the linear kernel only; "
@@ -390,32 +349,33 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
         np.linalg.norm(keep.T @ resid_vec) / max(np.linalg.norm(rhs_proj), 1e-30)
     )
 
-    report = RunReport(
-        config={**asdict(cfg), "dataset": str(dataset),
-                "testset": None if testset is None else str(testset)},
-        dataset={
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "simulate",
+        "config": {**asdict(cfg), "dataset": str(dataset),
+                   "testset": None if testset is None else str(testset)},
+        "dataset": {
             "m": training.sample_count,
             "p": training.feature_count,
             "labeled": training.labeled_count,
             "edges": graph.edge_count,
         },
-        classical={
+        "classical": {
             "alpha": [float(a) for a in alpha_classical],
             "residual_retained": residual_retained,
             "gradient_norm": float(np.linalg.norm(objective_gradient(sysq, alpha_classical))),
         },
-        quantum={
+        "quantum": {
             "solution_fidelity": float(solution_fidelity),
             "multiply_fidelity": float(multiply_fidelity),
             "hhl_success_probability": float(hhl_result.success_probability),
             "retained_eigenvalues": [float(v) for v in hhl_result.retained_eigenvalues],
             "a_hat_deviation": a_hat_deviation,
         },
-        classification=classification,
-        lmr_slopes=slopes,
-        timings=stages.timings,
-    )
-    return report
+        "classification": classification,
+        "lmr_slopes": slopes,
+        "timings": stages.timings,
+    }
 
 
 def run_classical(cfg: RunConfig, dataset: str | Path, testset: str | Path | None = None) -> dict:
@@ -563,21 +523,20 @@ def cost_model(params: CostModelParams) -> dict:
     }
 
 
-def emit_report(report: RunReport | dict, path: str | Path) -> Path:
+def emit_report(report: dict, path: str | Path) -> Path:
     """Write a report as JSON with stable key order.
 
     ``simulate`` reports are validated against :data:`REPORT_SCHEMA`
     before writing.  I/O failures surface as ``OSError`` with the path.
     """
-    doc = report.to_dict() if isinstance(report, RunReport) else report
-    if doc.get("kind") == "simulate":
+    if report.get("kind") == "simulate":
         import jsonschema
 
-        jsonschema.Draft7Validator(REPORT_SCHEMA).validate(doc)
+        jsonschema.Draft7Validator(REPORT_SCHEMA).validate(report)
     path = Path(path)
     try:
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(report, fh, indent=2)
             fh.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc

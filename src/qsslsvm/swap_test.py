@@ -1,11 +1,18 @@
 """Classification of new points by ancilla-interference overlap readout.
 
-The trained coefficient state is never read out directly; instead a query
-state built from the new point and an expansion state built from the
-coefficients and the training points interfere on an ancilla.  The
-probability of the |-> outcome is P = (1 - Re<x_q|s>) / 2, so P < 1/2
-means positive overlap and a positive predicted label.  For the linear
-kernel the overlap sign equals the sign of the classical decision score.
+The trained coefficient state is never read out directly; a query state
+(the new point x tiled over the m sample slots) and an expansion state
+(sum_j alpha_j |j> (x) x_j) interfere on an ancilla, and the |-> outcome
+lands with probability P = (1 - Re<q|s>) / 2.  Both states are real and
+unit-normalized, so their overlap is the identity
+
+    Re<q|s> = x . (X^T alpha) / (sqrt(m) ||x|| ||diag(alpha) X||_F)
+
+for training rows X (m x p), and ``classify`` evaluates P from it in
+O(m p) without building either state.  P < 1/2 means positive overlap and
+a positive predicted label; for the linear kernel the overlap sign equals
+the sign of the classical decision score.  The state construction and the
+ancilla circuit are kept as the test oracle in ``tests/dilation.py``.
 """
 
 from __future__ import annotations
@@ -15,24 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import TrainingSet
-from .encodings import StateVector
 from .errors import DegenerateSystemError, EncodingError, LayoutError, ParameterError
-from .linalg import TensorLayout
 
-
-@dataclass(frozen=True)
-class OverlapEstimate:
-    """Measured (or analytic) swap-test probability.
-
-    ``probability`` is the estimate of P = (1 - Re<psi|phi>) / 2;
-    ``exact_overlap`` retains the analytic Re<psi|phi> for verification.
-    ``shots == 0`` marks the analytic mode, where probability equals P
-    exactly.
-    """
-
-    probability: float
-    shots: int
-    exact_overlap: float
+#: Sampled estimates within this many binomial standard deviations of 1/2
+#: are flagged as ambiguous.
+_AMBIGUITY_SIGMAS = 3.0
 
 
 @dataclass(frozen=True)
@@ -42,90 +36,55 @@ class ClassificationResult:
     ambiguous: bool
 
 
-def query_state(x_new: np.ndarray, training: TrainingSet) -> StateVector:
-    """Uniform superposition over sample slots of the normalized new point.
-
-    Normalized to exactly unit norm; classification uses only the overlap
-    sign, which any positive normalization preserves.
-    """
-    x_new = np.asarray(x_new, dtype=np.float64).reshape(-1)
-    if x_new.shape[0] != training.feature_count:
-        raise LayoutError(
-            f"query point has {x_new.shape[0]} features, training set has "
-            f"{training.feature_count}"
-        )
-    if np.linalg.norm(x_new) == 0.0:
-        raise EncodingError("cannot encode a zero query point")
-    m = training.sample_count
-    blocks = np.tile(x_new, m)
-    return StateVector.normalized(blocks, TensorLayout((m, x_new.shape[0])))
-
-
-def expansion_state(alpha: np.ndarray, training: TrainingSet) -> StateVector:
-    """Coefficient-weighted superposition sum_j alpha_j |j> (x) ||x_j|| |x_j>."""
-    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
-    m = training.sample_count
-    if alpha.shape[0] != m:
-        raise LayoutError(f"alpha has {alpha.shape[0]} entries, expected {m}")
-    if not np.any(alpha):
-        raise DegenerateSystemError("model coefficients are all zero")
-    norms = np.linalg.norm(training.features, axis=1)
-    if np.any(norms == 0.0):
-        raise EncodingError("training set has a zero-norm sample")
-    blocks = (alpha[:, None] * training.features).reshape(-1)
-    return StateVector.normalized(blocks, TensorLayout((m, training.feature_count)))
-
-
-def overlap_probability(
-    psi: StateVector, phi: StateVector, shots: int = 0, seed: int = 0
-) -> OverlapEstimate:
-    """Swap-test style overlap readout between two states.
-
-    The ancilla state (|0>|psi> + |1>|phi>) / sqrt(2) is built explicitly;
-    after a Hadamard on the ancilla, the |-> outcome lands with
-    probability (1 - Re<psi|phi>) / 2.  ``shots == 0`` returns that
-    probability analytically, otherwise it is estimated from seeded
-    Bernoulli draws.
-    """
-    if psi.dim != phi.dim:
-        raise LayoutError(f"state dimensions differ: {psi.dim} vs {phi.dim}")
-    if shots < 0:
-        raise ParameterError(f"shots must be >= 0, got {shots}")
-    # post-Hadamard branches: |0>(psi + phi)/2 and |1>(psi - phi)/2
-    minus_branch = (psi.amplitudes - phi.amplitudes) / 2.0
-    p_exact = float(np.clip(np.sum(np.abs(minus_branch) ** 2), 0.0, 1.0))
-    overlap = float(np.real(psi.overlap(phi)))
-    if shots == 0:
-        return OverlapEstimate(p_exact, 0, overlap)
-    rng = np.random.default_rng(seed)
-    hits = int(rng.binomial(shots, p_exact))
-    return OverlapEstimate(hits / shots, shots, overlap)
-
-
 def classify(
     alpha: np.ndarray,
     x_new: np.ndarray,
     training: TrainingSet,
     shots: int = 0,
     seed: int = 0,
-    ambiguity_sigmas: float = 3.0,
 ) -> ClassificationResult:
     """Predict the label of ``x_new`` from the overlap of the query and
     expansion states.
 
     P < 1/2 means positive overlap and label +1; exactly 1/2 maps to +1,
-    the same tie rule as the classical predictor's sign(0).  In sampled
-    mode an estimate within ``ambiguity_sigmas`` binomial standard
+    the same tie rule as the classical predictor's sign(0).  ``shots == 0``
+    returns P itself; otherwise P is estimated from ``shots`` seeded
+    Bernoulli draws, and an estimate within three binomial standard
     deviations of 1/2 is flagged as ambiguous (the label is still
-    returned).
+    returned).  Errors are raised in the order the construction would meet
+    them: the query point, then the coefficients and training rows, then
+    ``shots``.
     """
-    q = query_state(x_new, training)
-    s = expansion_state(alpha, training)
-    est = overlap_probability(q, s, shots=shots, seed=seed)
-    p = est.probability
-    label = 1 if p <= 0.5 else -1
+    m, p = training.sample_count, training.feature_count
+    x = np.asarray(x_new, dtype=np.float64).reshape(-1)
+    if x.shape[0] != p:
+        raise LayoutError(f"query point has {x.shape[0]} features, training set has {p}")
+    q_norm = np.sqrt(m) * np.linalg.norm(x)
+    if q_norm == 0.0:
+        raise EncodingError("cannot encode a zero query point")
+    if not np.isfinite(q_norm):
+        raise EncodingError("cannot encode a non-finite query point")
+
+    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
+    if alpha.shape[0] != m:
+        raise LayoutError(f"alpha has {alpha.shape[0]} entries, expected {m}")
+    if not np.any(alpha):
+        raise DegenerateSystemError("model coefficients are all zero")
+    row_norms = np.linalg.norm(training.features, axis=1)
+    if np.any(row_norms == 0.0):
+        raise EncodingError("training set has a zero-norm sample")
+    s_norm = np.linalg.norm(alpha * row_norms)
+    if s_norm == 0.0 or not np.isfinite(s_norm):
+        raise EncodingError("cannot encode a zero or non-finite expansion")
+
+    if shots < 0:
+        raise ParameterError(f"shots must be >= 0, got {shots}")
+    overlap = float(x @ (training.features.T @ alpha)) / (q_norm * s_norm)
+    prob = float(np.clip((1.0 - overlap) / 2.0, 0.0, 1.0))
     ambiguous = False
     if shots > 0:
-        std = float(np.sqrt(max(p * (1.0 - p), 0.0) / shots))
-        ambiguous = abs(p - 0.5) < ambiguity_sigmas * std
-    return ClassificationResult(label, p, ambiguous)
+        prob = int(np.random.default_rng(seed).binomial(shots, prob)) / shots
+        std = float(np.sqrt(prob * (1.0 - prob) / shots))
+        ambiguous = abs(prob - 0.5) < _AMBIGUITY_SIGMAS * std
+    label = 1 if prob <= 0.5 else -1
+    return ClassificationResult(label, prob, ambiguous)

@@ -1,5 +1,6 @@
-"""Circuit-level dilations of the sample-based simulation primitives and
-of the phase-estimation solver.
+"""Circuit-level dilations of the sample-based simulation primitives, of
+the phase-estimation solver, of the data encodings and of the overlap
+readout.
 
 Test oracle only.  Each function builds the full tensor-product circuit --
 swap and cyclic-permutation matrices, controlled partial swaps, Kronecker
@@ -8,7 +9,10 @@ clock (x) system and flag (x) clock (x) system arrays of phase estimation,
 conditional rotation and uncomputation -- that the closed forms in
 ``qsslsvm.channels`` and ``qsslsvm.hhl`` reduce to d x d algebra.  A
 dilated channel step costs O(d^6), so these run only at the small
-dimensions the tests use.
+dimensions the tests use.  The full data and incidence states with their
+outer products and partial traces are the oracle for
+``qsslsvm.encodings``, and the query and expansion states with the
+ancilla-interference readout the oracle for ``qsslsvm.swap_test``.
 """
 
 import math
@@ -18,11 +22,14 @@ from functools import reduce
 import numpy as np
 
 from qsslsvm.channels import EvolutionResult, ProgramState, mix_program_states
-from qsslsvm.encodings import DensityMatrix, StateVector
+from qsslsvm.datasets import SampleGraph, TrainingSet, incidence_matrix
+from qsslsvm.encodings import DensityMatrix, StateVector, _row_norms
 from qsslsvm.errors import (
     AmplitudeOverflowError,
     ConfigurationError,
     DegenerateSystemError,
+    DegreeError,
+    EncodingError,
     LayoutError,
     NumericalError,
     ParameterError,
@@ -43,6 +50,7 @@ from qsslsvm.linalg import (
     hermitian_part,
     partial_trace,
 )
+from qsslsvm.swap_test import ClassificationResult
 
 #: Same validation tolerances the production channels use.
 _TOLS = dict(hermitian_tol=1e-9, psd_tol=1e-8, trace_tol=1e-9)
@@ -484,3 +492,136 @@ def _retained_eigenvalues(qpe: QPEState, sigma_thresh: float) -> tuple[float, ..
     keep = (mass > _MASS_TOL) & (lam_hat >= sigma_thresh)
     vals = sorted((float(v) for v in lam_hat[keep]), reverse=True)
     return tuple(vals)
+
+
+def density(state: StateVector) -> DensityMatrix:
+    """Rank-1 projector |psi><psi| as a density matrix."""
+    outer = np.outer(state.amplitudes, state.amplitudes.conj())
+    return DensityMatrix(outer, state.layout)
+
+
+def overlap(a: StateVector, b: StateVector) -> complex:
+    """<a|b>."""
+    if a.dim != b.dim:
+        raise LayoutError(f"state dimensions differ: {a.dim} vs {b.dim}")
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def reduced(rho: DensityMatrix, traced_factor: int, **tols) -> DensityMatrix:
+    """Partial trace over one register."""
+    out = partial_trace(rho.matrix, rho.layout, traced_factor)
+    return DensityMatrix(out, rho.layout.without(traced_factor), **tols)
+
+
+def data_state(x: TrainingSet) -> StateVector:
+    """Superposition (1/sqrt(sum ||x_i||^2)) sum_i |i> (x) ||x_i|| |x_i>.
+
+    Block i of the amplitude vector is simply row x_i, so the state is the
+    flattened feature matrix normalized to unit Frobenius norm.
+    """
+    _row_norms(x)
+    return StateVector.normalized(
+        x.features.reshape(-1), TensorLayout((x.sample_count, x.feature_count))
+    )
+
+
+def incidence_state(g: SampleGraph) -> StateVector:
+    """(1/sqrt(m)) sum_i |i> (x) |v_i> over unit incidence-matrix rows."""
+    if np.any(g.degrees == 0):
+        raise DegreeError("graph has an isolated vertex")
+    gi = incidence_matrix(g)
+    return StateVector.normalized(
+        gi.reshape(-1), TensorLayout((g.vertex_count, g.edge_count))
+    )
+
+
+@dataclass(frozen=True)
+class OverlapEstimate:
+    """Measured (or analytic) swap-test probability.
+
+    ``probability`` is the estimate of P = (1 - Re<psi|phi>) / 2;
+    ``exact_overlap`` retains the analytic Re<psi|phi> for verification.
+    ``shots == 0`` marks the analytic mode, where probability equals P
+    exactly.
+    """
+
+    probability: float
+    shots: int
+    exact_overlap: float
+
+
+def query_state(x_new: np.ndarray, training: TrainingSet) -> StateVector:
+    """Uniform superposition over sample slots of the normalized new point.
+
+    Normalized to exactly unit norm; classification uses only the overlap
+    sign, which any positive normalization preserves.
+    """
+    x_new = np.asarray(x_new, dtype=np.float64).reshape(-1)
+    if x_new.shape[0] != training.feature_count:
+        raise LayoutError(
+            f"query point has {x_new.shape[0]} features, training set has "
+            f"{training.feature_count}"
+        )
+    if np.linalg.norm(x_new) == 0.0:
+        raise EncodingError("cannot encode a zero query point")
+    m = training.sample_count
+    blocks = np.tile(x_new, m)
+    return StateVector.normalized(blocks, TensorLayout((m, x_new.shape[0])))
+
+
+def expansion_state(alpha: np.ndarray, training: TrainingSet) -> StateVector:
+    """Coefficient-weighted superposition sum_j alpha_j |j> (x) ||x_j|| |x_j>."""
+    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
+    m = training.sample_count
+    if alpha.shape[0] != m:
+        raise LayoutError(f"alpha has {alpha.shape[0]} entries, expected {m}")
+    if not np.any(alpha):
+        raise DegenerateSystemError("model coefficients are all zero")
+    norms = np.linalg.norm(training.features, axis=1)
+    if np.any(norms == 0.0):
+        raise EncodingError("training set has a zero-norm sample")
+    blocks = (alpha[:, None] * training.features).reshape(-1)
+    return StateVector.normalized(blocks, TensorLayout((m, training.feature_count)))
+
+
+def overlap_probability(
+    psi: StateVector, phi: StateVector, shots: int = 0, seed: int = 0
+) -> OverlapEstimate:
+    """Swap-test style overlap readout between two states.
+
+    The ancilla state (|0>|psi> + |1>|phi>) / sqrt(2) is built explicitly;
+    after a Hadamard on the ancilla, the |-> outcome lands with
+    probability (1 - Re<psi|phi>) / 2.  ``shots == 0`` returns that
+    probability analytically, otherwise it is estimated from seeded
+    Bernoulli draws.
+    """
+    if psi.dim != phi.dim:
+        raise LayoutError(f"state dimensions differ: {psi.dim} vs {phi.dim}")
+    if shots < 0:
+        raise ParameterError(f"shots must be >= 0, got {shots}")
+    # post-Hadamard branches: |0>(psi + phi)/2 and |1>(psi - phi)/2
+    minus_branch = (psi.amplitudes - phi.amplitudes) / 2.0
+    p_exact = float(np.clip(np.sum(np.abs(minus_branch) ** 2), 0.0, 1.0))
+    exact_overlap = float(np.real(overlap(psi, phi)))
+    if shots == 0:
+        return OverlapEstimate(p_exact, 0, exact_overlap)
+    rng = np.random.default_rng(seed)
+    hits = int(rng.binomial(shots, p_exact))
+    return OverlapEstimate(hits / shots, shots, exact_overlap)
+
+
+def dense_classify(
+    alpha: np.ndarray, x_new: np.ndarray, training: TrainingSet, shots: int = 0, seed: int = 0
+) -> ClassificationResult:
+    """``classify`` through the query and expansion states and the ancilla
+    readout; sampled estimates within three binomial standard deviations
+    of 1/2 are ambiguous."""
+    q = query_state(x_new, training)
+    s = expansion_state(alpha, training)
+    p = overlap_probability(q, s, shots=shots, seed=seed).probability
+    label = 1 if p <= 0.5 else -1
+    ambiguous = False
+    if shots > 0:
+        std = float(np.sqrt(max(p * (1.0 - p), 0.0) / shots))
+        ambiguous = abs(p - 0.5) < 3.0 * std
+    return ClassificationResult(label, p, ambiguous)

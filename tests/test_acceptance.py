@@ -13,6 +13,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 import sympy
 
 from conftest import (
@@ -29,12 +30,12 @@ from dilation import (
 )
 from qsslsvm.channels import EvolutionConfig, exact_conjugation, make_program_state_k
 from qsslsvm.classical import KernelSpec, kernel_matrix, solve_classical, assemble_system
-from qsslsvm.datasets import build_knn_graph, load_dataset, normalized_laplacian
-from qsslsvm.encodings import StateVector, kernel_density, label_state, laplacian_density
+from qsslsvm.datasets import TrainingSet, build_knn_graph, load_dataset, normalized_laplacian
+from qsslsvm.encodings import kernel_density, label_state, laplacian_density
 from qsslsvm.hhl import QPEConfig, hhl_solve, quantum_multiply
 from qsslsvm.linalg import state_fidelity
 from qsslsvm.pipeline import CostModelParams, RunConfig, cost_model, run_pipeline
-from qsslsvm.swap_test import overlap_probability
+from qsslsvm.swap_test import classify
 
 DT_SWEEP = (0.2, 0.1, 0.05, 0.025)
 
@@ -183,35 +184,37 @@ def test_criterion_6_end_to_end_agreement():
     report = run_pipeline(
         RunConfig(knn_k=2), DATA / "two_cluster_8.csv", DATA / "grid_20.csv"
     )
-    assert report.quantum_fidelity >= 0.99
-    assert report.prediction_agreement == 1.0
-    assert report.classification["test_point_count"] == 20
+    assert report["quantum"]["solution_fidelity"] >= 0.99
+    assert report["classification"]["agreement"] == 1.0
+    assert report["classification"]["test_point_count"] == 20
     elapsed = budget.done()
     print(f"\nPASS criterion 6: end-to-end agreement "
-          f"(fidelity {report.quantum_fidelity:.6f}, "
-          f"agreement {report.prediction_agreement:.2f}, {elapsed:.2f}s)")
+          f"(fidelity {report['quantum']['solution_fidelity']:.6f}, "
+          f"agreement {report['classification']['agreement']:.2f}, {elapsed:.2f}s)")
 
 
 def test_criterion_7_swap_test_statistics():
     budget = _Budget(30.0)
     shots = 10_000
+    # one training row x_1 and alpha = (1): P = (1 - cos(x_1, query)) / 2
     cases = {
         0.0: (np.array([1.0, 0.0]), np.array([1.0, 0.0])),
         0.25: (np.array([1.0, 0.0]), np.array([0.5, math.sqrt(3) / 2])),
         0.5: (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
     }
+    alpha = np.array([1.0])
     hit_counts = {}
-    for p_true, (a, b) in cases.items():
-        psi = StateVector.normalized(a, (2,))
-        phi = StateVector.normalized(b, (2,))
+    for p_true, (row, query) in cases.items():
+        training = TrainingSet(row[None, :], np.array([1.0]), 1)
+        assert classify(alpha, query, training).p_estimate == pytest.approx(p_true, abs=1e-15)
         bound = 4.0 * math.sqrt(p_true * (1.0 - p_true) / shots)
         hits = sum(
-            abs(overlap_probability(psi, phi, shots=shots, seed=seed).probability - p_true)
+            abs(classify(alpha, query, training, shots=shots, seed=seed).p_estimate - p_true)
             <= bound
             for seed in range(100)
         )
         assert hits >= 99, f"P={p_true}: only {hits}/100 trials within 4 sigma"
-        hit_counts[p_true] = hits
+    hit_counts[p_true] = hits
     elapsed = budget.done()
     text = " ".join(f"P={p}:{h}/100" for p, h in hit_counts.items())
     print(f"\nPASS criterion 7: swap-test statistics ({text}, {elapsed:.2f}s)")

@@ -44,6 +44,20 @@ def test_huge_graph_vertex_count_is_input_error(tmp_path, capsys, m):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "simulate"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_test_point_is_input_error(tmp_path, capsys, command, value):
+    points = tmp_path / "pts.csv"
+    points.write_text(f"f1,f2\n1.0,2.0\n{value},0.5\n")
+    out_path = tmp_path / "report.json"
+    assert main([command, DATASET8, "--knn", "2", "--testset", str(points),
+                 "--report", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"line 3: non-finite field: '{value}'" in err
+    assert not out_path.exists()
+
+
 class TestTrain:
     def test_success(self, capsys):
         code = main(["train", DATASET8, "--knn", "2", "--sigma-thresh", "1e-9"])

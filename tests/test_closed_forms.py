@@ -1,6 +1,6 @@
 """The production closed forms against the circuit-level dilations in
-``dilation.py`` (and the encodings against the partial traces of their
-full states), at <= 1e-12."""
+``dilation.py`` (the encodings against the partial traces of their full
+states, the readout against the query and expansion states), at <= 1e-12."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_graph, random_density, random_training_set
 from dilation import (
+    data_state,
+    dense_classify,
     dense_glmr_phase_estimation,
     dense_glmr_step,
     dense_hhl_solve,
@@ -16,7 +18,10 @@ from dilation import (
     dense_program_state_klk,
     dense_quantum_multiply,
     dense_simulate_evolution,
+    density,
+    incidence_state,
     lmr_step,
+    reduced,
 )
 from qsslsvm.channels import (
     EvolutionConfig,
@@ -27,17 +32,17 @@ from qsslsvm.channels import (
     make_program_state_klk,
     simulate_evolution,
 )
-from qsslsvm.classical import assemble_system
+from qsslsvm.classical import KernelSpec, assemble_system, train_semi_supervised
+from qsslsvm.datasets import TrainingSet, load_points, normalized_laplacian
 from qsslsvm.encodings import (
     DensityMatrix,
-    data_state,
-    incidence_state,
     kernel_density,
     label_state,
     laplacian_density,
 )
 from qsslsvm.hhl import QPEConfig, glmr_phase_estimation, hhl_solve, quantum_multiply
 from qsslsvm.linalg import TensorLayout
+from qsslsvm.swap_test import classify
 
 TOL = 1e-12
 
@@ -71,10 +76,10 @@ def _assert_multiply_matches(k, y, cfg):
                 dense_quantum_multiply(k, y, cfg).amplitudes) <= TOL
 
 
-def _outcome(fn, *args):
+def _outcome(fn, *args, **kwargs):
     """The function's result, or the type of the exception it raised."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except Exception as exc:  # compared by type with the other route
         return type(exc)
 
@@ -133,10 +138,64 @@ class TestAgainstDilation:
 
     def test_encodings(self, rng):
         ts = random_training_set(rng, 7, 3)
-        assert _gap(kernel_density(ts).matrix, data_state(ts).density().reduced(1).matrix) <= TOL
+        assert _gap(kernel_density(ts).matrix, reduced(density(data_state(ts)), 1).matrix) <= TOL
         g = random_connected_graph(rng, 7)
         assert _gap(laplacian_density(g).matrix,
-                    incidence_state(g).density().reduced(1).matrix) <= TOL
+                    reduced(density(incidence_state(g)), 1).matrix) <= TOL
+
+
+def _assert_classify_matches(alpha, x, training, shots=0, seed=0):
+    """Both routes raise the same exception type, or give P within 1e-12
+    (equal estimates when sampled), equal labels and ambiguity flags."""
+    closed = _outcome(classify, alpha, x, training, shots=shots, seed=seed)
+    dense = _outcome(dense_classify, alpha, x, training, shots=shots, seed=seed)
+    if isinstance(dense, type):
+        assert closed is dense
+        return
+    if shots == 0:
+        assert abs(closed.p_estimate - dense.p_estimate) <= TOL
+    else:
+        assert closed.p_estimate == dense.p_estimate
+    assert (closed.label, closed.ambiguous) == (dense.label, dense.ambiguous)
+
+
+class TestReadoutAgainstCircuit:
+    def test_fixture_model(self, cluster8, cluster8_graph, data_dir):
+        model, _ = train_semi_supervised(cluster8, normalized_laplacian(cluster8_graph),
+                                         KernelSpec("linear"), 1.0, 1e-9)
+        for i, point in enumerate(load_points(data_dir / "grid_20.csv")):
+            for shots in (0, 1, 1000):
+                _assert_classify_matches(model.alpha, point, cluster8, shots, seed=i)
+
+    def test_exact_probabilities(self):
+        training = TrainingSet(np.array([[1.0, 0.0]]), np.array([1.0]), 1)
+        for query, p in (([2.0, 0.0], 0.0), ([0.0, 3.0], 0.5), ([-1.0, 0.0], 1.0)):
+            assert classify(np.array([1.0]), np.array(query), training).p_estimate == p
+            _assert_classify_matches(np.array([1.0]), np.array(query), training)
+
+    def test_invalid_inputs(self, cluster8):
+        alpha, x = np.ones(8), np.array([1.0, 2.0])
+        with_zero_row = TrainingSet(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), 1)
+        cases = [
+            (alpha, np.ones(3), cluster8, 0),                 # query feature count
+            (alpha, np.zeros(2), cluster8, 0),                # zero query
+            (alpha, np.array([np.nan, 1.0]), cluster8, 0),    # non-finite query
+            (alpha, np.array([np.inf, 0.0]), cluster8, 0),
+            (np.ones(7), x, cluster8, 0),                     # alpha length
+            (np.zeros(8), x, cluster8, 0),                    # all-zero alpha
+            (np.full(8, np.nan), x, cluster8, 0),             # non-finite alpha
+            (np.r_[np.inf, np.ones(7)], x, cluster8, 0),
+            (np.ones(2), x, with_zero_row, 0),                # zero-norm training row
+            (alpha, x, cluster8, -1),                         # negative shots
+            # several faults at once: the query is checked first, shots last
+            (np.zeros(7), np.zeros(2), cluster8, -1),
+            (np.zeros(8), np.ones(3), with_zero_row, -1),
+            (np.zeros(8), x, cluster8, -1),
+            (np.ones(2), x, with_zero_row, -1),
+        ]
+        for a, q, training, shots in cases:
+            assert isinstance(_outcome(classify, a, q, training, shots=shots), type)
+            _assert_classify_matches(a, q, training, shots)
 
 
 class TestSolverAgainstCircuit:
@@ -200,6 +259,39 @@ class TestProperties:
             assert _gap(closed.amplitudes, dense.amplitudes) <= TOL
 
 
+    @given(m=st.integers(1, 12), p=st.integers(1, 5), seed=seeds,
+           shots=st.just(0) | st.integers(1, 1000), shot_seed=seeds,
+           faults=st.lists(st.sampled_from(["query_width", "query_zero", "query_nan",
+                                            "alpha_length", "alpha_zero", "alpha_inf",
+                                            "zero_row", "shots"]), max_size=2))
+    def test_classify(self, m, p, seed, shots, shot_seed, faults):
+        """Random training rows, coefficients and query, now and then with
+        one or two faulty inputs; both routes raise the same exception type
+        or agree."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(m, p))
+        alpha = rng.normal(size=m)
+        query = rng.normal(size=p)
+        if "zero_row" in faults:
+            x[rng.integers(m)] = 0.0
+        if "query_width" in faults:
+            query = rng.normal(size=p + 1)
+        if "query_zero" in faults:
+            query = np.zeros_like(query)
+        if "query_nan" in faults:
+            query[0] = np.nan
+        if "alpha_length" in faults:
+            alpha = rng.normal(size=m + 1)
+        if "alpha_zero" in faults:
+            alpha = np.zeros_like(alpha)
+        if "alpha_inf" in faults:
+            alpha[-1] = np.inf
+        if "shots" in faults:
+            shots = -shots - 1
+        labels = np.zeros(m)
+        labels[0] = 1.0
+        _assert_classify_matches(alpha, query, TrainingSet(x, labels, 1), shots, shot_seed)
+
     @given(d=dims, seed=seeds, dt=times)
     def test_glmr_step(self, d, seed, dt):
         rng = np.random.default_rng(seed)
@@ -221,10 +313,10 @@ class TestProperties:
     @given(m=dims, p=dims, seed=seeds)
     def test_kernel_density(self, m, p, seed):
         ts = random_training_set(np.random.default_rng(seed), m, p)
-        assert _gap(kernel_density(ts).matrix, data_state(ts).density().reduced(1).matrix) <= TOL
+        assert _gap(kernel_density(ts).matrix, reduced(density(data_state(ts)), 1).matrix) <= TOL
 
     @given(m=st.integers(2, 6), seed=seeds)
     def test_laplacian_density(self, m, seed):
         g = random_connected_graph(np.random.default_rng(seed), m)
         assert _gap(laplacian_density(g).matrix,
-                    incidence_state(g).density().reduced(1).matrix) <= TOL
+                    reduced(density(incidence_state(g)), 1).matrix) <= TOL

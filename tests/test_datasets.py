@@ -74,6 +74,11 @@ class TestLoadDataset:
         assert ts.feature_count == 3
         assert ts.labeled_count == expected_labeled
 
+    @pytest.mark.parametrize("value", ["inf", "-Infinity", "nan"])
+    def test_non_finite_feature_reports_line(self, value):
+        with pytest.raises(ParseError, match="line 3: non-finite field"):
+            load_dataset(io.StringIO(f"f1,f2,label\n1.0,2.0,1\n{value},2.0,0\n"))
+
     @pytest.mark.parametrize("delim", [";", "\t", " "])
     def test_other_delimiters(self, delim):
         text = delim.join(["f1", "f2", "label"]) + "\n" + delim.join(["1.0", "2.0", "1"]) + "\n"
@@ -91,6 +96,15 @@ class TestLoadPoints:
         pts = load_points(io.StringIO("f1,f2\n1.0,2.0\n3.0,4.0\n"))
         assert pts.shape == (2, 2)
         assert np.array_equal(pts, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_feature_reports_line(self, value):
+        with pytest.raises(ParseError, match="line 2: non-finite field"):
+            load_points(io.StringIO(f"f1,f2,label\n{value},2.0,1\n"))
+
+    def test_label_column_ignored(self):
+        pts = load_points(io.StringIO("f1,label\n1.0,nan\n"))
+        assert np.array_equal(pts, [[1.0]])
 
 
 class TestTrainingSet:
@@ -149,6 +163,12 @@ class TestLoadGraph:
     def test_bad_edge_entries(self):
         with pytest.raises(ParseError):
             load_graph(io.StringIO('{"m": 2, "edges": [[0]]}'))
+
+    @pytest.mark.parametrize("doc", ['{"m": 2.7, "edges": [[0, 1]]}',
+                                     '{"m": 2, "edges": [[0.9, 1.2]]}'])
+    def test_fractional_values(self, doc):
+        with pytest.raises(ParseError):
+            load_graph(io.StringIO(doc))
 
     @pytest.mark.parametrize("m", ["1e400", "Infinity", "NaN"])
     def test_non_finite_vertex_count(self, m):

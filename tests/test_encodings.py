@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph, random_training_set
+from dilation import data_state, density, incidence_state, overlap, reduced
 from qsslsvm.datasets import SampleGraph, TrainingSet, incidence_matrix, normalized_laplacian
 from qsslsvm.encodings import (
     DensityMatrix,
     StateVector,
-    data_state,
-    incidence_state,
     kernel_density,
     label_state,
     laplacian_density,
@@ -33,7 +32,7 @@ class TestStateVector:
         a = StateVector(np.array([1.0, 0.0]), (2,))
         b = StateVector(np.array([1.0, 0.0, 0.0]), (3,))
         with pytest.raises(LayoutError):
-            a.overlap(b)
+            overlap(a, b)
 
     def test_layout_must_match(self):
         with pytest.raises(LayoutError):
@@ -51,10 +50,9 @@ class TestDensityMatrix:
 
     def test_from_state_and_reduced(self):
         sv = StateVector.normalized(np.array([1.0, 0.0, 0.0, 1.0]), (2, 2))
-        rho = sv.density()
+        rho = density(sv)
         assert np.trace(rho.matrix).real == pytest.approx(1.0)
-        reduced = rho.reduced(1)
-        assert np.allclose(reduced.matrix, np.eye(2) / 2)
+        assert np.allclose(reduced(rho, 1).matrix, np.eye(2) / 2)
 
 
 class TestDataState:

@@ -59,19 +59,19 @@ class TestRunConfig:
 class TestRunPipeline:
     def test_fixture_fidelity_and_agreement(self, cluster8_report):
         report = cluster8_report
-        assert report.quantum_fidelity >= 0.99
-        assert report.prediction_agreement == 1.0
-        assert report.quantum["multiply_fidelity"] >= 0.999
-        assert 0.0 <= report.hhl_success_probability <= 1.0
-        assert report.classification["test_point_count"] == 20
+        assert report["quantum"]["solution_fidelity"] >= 0.99
+        assert report["classification"]["agreement"] == 1.0
+        assert report["quantum"]["multiply_fidelity"] >= 0.999
+        assert 0.0 <= report["quantum"]["hhl_success_probability"] <= 1.0
+        assert report["classification"]["test_point_count"] == 20
 
     def test_channel_slopes_in_range(self, cluster8_report):
-        for slope in cluster8_report.lmr_slopes.values():
+        for slope in cluster8_report["lmr_slopes"].values():
             assert 1.8 <= slope <= 2.2
 
     def test_identical_matrix_checksums(self, cluster8_report):
         # the program-state mixture simulates the classical A/tr(A)
-        assert 0.0 <= cluster8_report.quantum["a_hat_deviation"] <= 1e-12
+        assert 0.0 <= cluster8_report["quantum"]["a_hat_deviation"] <= 1e-12
 
     def test_perturbed_classical_system_is_numerical_error(self, monkeypatch):
         assemble = pipeline.assemble_system
@@ -95,9 +95,8 @@ class TestRunPipeline:
         docs = []
         for _ in range(2):
             report = run_pipeline(cfg, DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
-            doc = report.to_dict()
-            doc.pop("timings")
-            docs.append(json.dumps(doc, sort_keys=True))
+            report.pop("timings")
+            docs.append(json.dumps(report, sort_keys=True))
         assert docs[0] == docs[1]
 
     def test_nonlinear_kernel_rejected(self):
@@ -112,8 +111,8 @@ class TestRunPipeline:
 
     def test_without_testset_uses_training_points(self):
         report = run_pipeline(RunConfig(knn_k=2), DATA / "two_cluster_8.csv")
-        assert report.classification["test_point_count"] == 8
-        assert report.prediction_agreement == 1.0
+        assert report["classification"]["test_point_count"] == 8
+        assert report["classification"]["agreement"] == 1.0
 
 
 class TestRunClassical:
@@ -207,14 +206,14 @@ class TestEmitReport:
     def test_round_trip(self, cluster8_report, tmp_path):
         path = emit_report(cluster8_report, tmp_path / "report.json")
         doc = load_report(path)
-        assert doc == cluster8_report.to_dict()
+        assert doc == cluster8_report
 
     def test_missing_directory_is_io_error(self, cluster8_report, tmp_path):
         with pytest.raises(OSError):
             emit_report(cluster8_report, tmp_path / "no_such_dir" / "report.json")
 
     def test_schema_validation(self, cluster8_report):
-        jsonschema.validate(cluster8_report.to_dict(), REPORT_SCHEMA)
+        jsonschema.validate(cluster8_report, REPORT_SCHEMA)
 
     def test_schema_is_valid_draft7(self):
         jsonschema.Draft7Validator.check_schema(REPORT_SCHEMA)

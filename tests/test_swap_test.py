@@ -1,8 +1,10 @@
-"""Tests for the overlap-readout classifier."""
+"""Tests for the overlap-readout classifier and for its state-level oracle
+(query state, expansion state and ancilla readout in ``dilation.py``)."""
 
 import numpy as np
 import pytest
 
+from dilation import expansion_state, overlap, overlap_probability, query_state
 from qsslsvm.classical import KernelSpec, predict
 from qsslsvm.datasets import TrainingSet
 from qsslsvm.encodings import StateVector
@@ -13,7 +15,7 @@ from qsslsvm.errors import (
     ParameterError,
 )
 from qsslsvm.linalg import TensorLayout
-from qsslsvm.swap_test import classify, expansion_state, overlap_probability, query_state
+from qsslsvm.swap_test import classify
 
 
 def _state(vec) -> StateVector:
@@ -60,11 +62,11 @@ class TestExpansionState:
         x_new = rng.normal(size=2)
         q = query_state(x_new, cluster8)
         s = expansion_state(alpha, cluster8)
-        overlap = float(np.real(q.overlap(s)))
+        overlap_qs = float(np.real(overlap(q, s)))
         score = float(alpha @ (cluster8.features @ x_new))
         norm_q = np.sqrt(8.0) * np.linalg.norm(x_new)
         norm_s = np.linalg.norm(alpha[:, None] * cluster8.features)
-        assert overlap == pytest.approx(score / (norm_q * norm_s), abs=1e-12)
+        assert overlap_qs == pytest.approx(score / (norm_q * norm_s), abs=1e-12)
 
     def test_zero_alpha_rejected(self, cluster8):
         with pytest.raises(DegenerateSystemError):
