@@ -54,7 +54,6 @@ from .linalg import (
     filtered_pseudo_inverse,
     hermitian_eig,
     hermitian_exp,
-    partial_trace,
     state_fidelity,
 )
 from .pipeline import (

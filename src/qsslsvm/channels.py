@@ -26,9 +26,19 @@ the dilated circuits reduce exactly to
     K K:    rho'' = (K + K K) / 2,    rho''' = (K - K K) / 2,
     K L K:  rho'' = (K + K L K) / 2,  rho''' = (K - K L K) / 2,
 
-so a step costs O(d^3) where the dilation costs O(d^6).  The circuit-level
-constructions (swap and cyclic-permutation matrices, controlled partial
-swaps, partial traces over the program copies) are kept in
+so a step costs O(d^3) where the dilation costs O(d^6).  n steps have a
+closed form too.  In the eigenbasis B = V diag(lam) V^dagger, with
+X~ = V^dagger X V, one step multiplies sigma~_ab by
+h_ab = c^2 - i c s (lam_a - lam_b) and adds s^2 tr(sigma) R~_ab; it keeps
+the trace of any matrix because tr R = 1, so
+
+    power:  sigma~_n = h^n sigma~_0 + s^2 tr(sigma_0) G R~,
+            G = sum_{k<n} h^k = (1 - h^n) / (1 - h)   (entrywise),
+
+and a trajectory costs one eigendecomposition of B whatever n is.  The
+circuit-level constructions (swap and cyclic-permutation matrices,
+controlled partial swaps, partial traces over the program copies) and
+the step-by-step trajectory (``stepwise_simulate_evolution``) are kept in
 ``tests/dilation.py`` as the oracle these closed forms are tested against.
 """
 
@@ -42,7 +52,7 @@ import numpy as np
 
 from .encodings import DensityMatrix
 from .errors import LayoutError, ParameterError
-from .linalg import TensorLayout, as_complex_matrix, hermitian_part
+from .linalg import TensorLayout, as_complex_matrix, hermitian_eig, hermitian_part
 
 #: Tolerances for channel outputs; trajectories accumulate roundoff beyond
 #: the strict single-construction bounds.
@@ -223,18 +233,53 @@ class EvolutionResult:
     dt: float
 
 
+def _channel_power(
+    b: np.ndarray, r: np.ndarray, sigma: np.ndarray, dt: float, n: int
+) -> np.ndarray:
+    """n program-state steps on a matrix (see :func:`simulate_evolution`).
+
+    h^n and G = (1 - h^n) / (1 - h) come from log1p/expm1, with
+    1 - h = s (s + i c (lam_a - lam_b)) computed directly.  Where |1 - h|
+    is 0 or below the smallest normal float, G takes its limit n (relative
+    error n |1 - h| / 2).
+    """
+    c, s = math.cos(dt), math.sin(dt)
+    eig = hermitian_eig(b)
+    lam, v = eig.eigenvalues, eig.eigenvectors
+    vh = v.conj().T
+    gap = lam[:, None] - lam[None, :]
+    with np.errstate(divide="ignore"):
+        log_abs = np.log1p(-s * s * (1.0 - gap * gap)) + np.log1p(-s * s)
+    # n log h, its imaginary part scaled on its own so that h = 0
+    # (log|h| = -inf) gives h^n = 0 rather than NaN
+    n_log_h = (0.5 * n) * log_abs + 1j * (n * np.arctan2(-c * s * gap, c * c))
+    one_minus_h = s * (s + 1j * c * gap)
+    geo = np.full(gap.shape, float(n), dtype=np.complex128)
+    np.divide(-np.expm1(n_log_h), one_minus_h, out=geo,
+              where=np.abs(one_minus_h) >= np.finfo(np.float64).tiny)
+    geo *= s * s * np.trace(sigma)
+    state = np.exp(n_log_h) * (vh @ sigma @ v) + geo * (vh @ r @ v)
+    return v @ state @ vh
+
+
 def simulate_evolution(
     sources: Sequence[tuple[float, ProgramState]],
     sigma0: DensityMatrix,
     cfg: EvolutionConfig,
-    rng: np.random.Generator | None = None,
 ) -> EvolutionResult:
-    """Repeated program-state steps under a weighted source mixture.
+    """n program-state steps under the deterministic source mixture, in
+    closed form.
 
-    By default each step consumes the deterministic mixture state; passing
-    ``rng`` switches to the sampled protocol in which each step draws one
-    source with probability proportional to its weight (equivalent in
-    expectation, useful for shot-noise experiments).
+    In the eigenbasis B = V diag(lam) V^dagger of the mixture generator,
+    with X~ = V^dagger X V, one step maps sigma~_ab to
+    h_ab sigma~_ab + s^2 tr(sigma) R~_ab, h_ab = c^2 - i c s (lam_a - lam_b).
+    The step keeps the trace because tr R = 1, so n steps give
+
+        sigma~_n = h^n sigma~_0 + s^2 tr(sigma_0) G R~,  G = sum_{k<n} h^k,
+
+    entrywise, from one eigendecomposition of B whatever n is.  The
+    step-by-step loop, with its sampled-source variant, is the test oracle
+    ``tests/dilation.py::stepwise_simulate_evolution``.
     """
     mixture = mix_program_states(sources)
     d = mixture.system_dim
@@ -245,17 +290,7 @@ def simulate_evolution(
     if n == 0:
         return EvolutionResult(sigma0, generator, mixture.scale, 0, 0.0)
     dt = cfg.total_time / n
-    weights = np.array([w for w, _ in sources], dtype=np.float64)
-    probs = weights / weights.sum()
-    mixture_ops = mixture.step_operators()
-    source_ops = [ps.step_operators() for _, ps in sources]
-    state = sigma0.matrix
-    for _ in range(n):
-        if rng is None:
-            b, r = mixture_ops
-        else:
-            b, r = source_ops[int(rng.choice(len(sources), p=probs))]
-        state = _channel_step(b, r, state, dt)
+    state = _channel_power(*mixture.step_operators(), sigma0.matrix, dt, n)
     return EvolutionResult(
         DensityMatrix(state, sigma0.layout, **_CHANNEL_TOLS),
         generator,

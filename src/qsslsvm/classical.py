@@ -182,25 +182,6 @@ def predict(model: ModelSolution, x_new: np.ndarray) -> tuple[float, int]:
     return score, (1 if score >= 0 else -1)
 
 
-def objective_value(
-    k: np.ndarray,
-    l: np.ndarray | LaplacianMatrix,
-    y: np.ndarray,
-    gamma: float,
-    alpha: np.ndarray,
-) -> float:
-    """Quadratic training objective whose gradient is A alpha - K y."""
-    lm = l.matrix if isinstance(l, LaplacianMatrix) else np.asarray(l, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    f = k @ alpha
-    return float(
-        -alpha @ (k @ y)
-        + 0.5 * f @ f
-        + 0.5 * alpha @ f / gamma
-        + 0.5 * f @ lm @ f / gamma
-    )
-
-
 def objective_gradient(sys: AssembledSystem, alpha: np.ndarray) -> np.ndarray:
     """Gradient A alpha - K y of the training objective."""
     return sys.a_matrix @ np.asarray(alpha, dtype=np.float64) - sys.rhs

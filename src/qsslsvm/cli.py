@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .classical import KernelSpec
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, ParameterError
 from .pipeline import (
     CostModelParams,
     RunConfig,
@@ -106,7 +106,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    dts = tuple(float(v) for v in args.dt.split(","))
+    try:
+        dts = tuple(float(v) for v in args.dt.split(","))
+    except ValueError:
+        raise ParameterError(f"--dt must be comma-separated numbers, got {args.dt!r}") from None
     report = bench_lmr(_config(args), args.dataset, dts=dts, total_time=args.time)
     for name in ("k", "kk", "klk"):
         traj = report["trajectory"][name]

@@ -128,9 +128,3 @@ def laplacian_density(g: SampleGraph) -> DensityMatrix:
     divided by m (every row of G_I is a unit vector)."""
     gi = incidence_matrix(g)
     return DensityMatrix(gi @ gi.T / g.vertex_count, TensorLayout((g.vertex_count,)))
-
-
-def maximally_mixed(dim: int) -> DensityMatrix:
-    """I/d on a single register."""
-    return DensityMatrix(np.eye(dim) / dim, TensorLayout((dim,)))
-

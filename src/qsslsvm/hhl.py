@@ -24,11 +24,16 @@ the matrix.  The sample-based channel construction cannot be applied
 controlled inside a pure-state circuit -- it is a channel, not a unitary --
 so its composition with phase estimation is provided separately as a
 density-matrix demonstration (:func:`glmr_phase_estimation`), with the
-channel itself certified standalone in :mod:`qsslsvm.channels`.  That
-demonstration updates each clock block of the density matrix in closed
-form (see its docstring); the dilated circuit it reduces, with the program
-copy and control registers kept explicitly, is also in
-``tests/dilation.py``.
+channel itself certified standalone in :mod:`qsslsvm.channels`.  In the
+eigenbasis of the channel generator B, the diagonals D[y, y', a] of the
+clock blocks of that density form a closed subsystem: each clock qubit
+multiplies them by a power of c -/+ i s lam_a where its bit is set in y
+or y' only, and mixes them towards tr(D) diag(R~) where it is set in
+both, so the clock distribution follows from clock-row recursions on
+T x d arrays (see its docstring).  The step-by-step clock (x) system
+density (``stepwise_glmr_phase_estimation``) and the dilated circuit with
+the program copy and control registers kept explicitly
+(``dense_glmr_phase_estimation``) are the oracles in ``tests/dilation.py``.
 """
 
 from __future__ import annotations
@@ -48,13 +53,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .linalg import (
-    SpectralDecomposition,
-    TensorLayout,
-    as_complex_matrix,
-    hermitian_eig,
-    partial_trace,
-)
+from .linalg import SpectralDecomposition, TensorLayout, as_complex_matrix, hermitian_eig
 
 #: Clock-mass threshold below which a grid eigenvalue is not reported.
 _MASS_TOL = 1e-12
@@ -223,36 +222,34 @@ def quantum_multiply(k, y, cfg: QPEConfig) -> StateVector:
     return _postselected(eig, coeff, weights, gain, "matrix-vector product is zero")[0]
 
 
-@dataclass(frozen=True)
-class GlmrPhaseEstimate:
-    """Clock readout of the channel-backed density-matrix phase estimation."""
-
-    clock_probabilities: np.ndarray
-    state: DensityMatrix
-
-
 def glmr_phase_estimation(
     sources,
     b,
     cfg: QPEConfig,
     steps_per_unit: int = 2000,
-) -> GlmrPhaseEstimate:
-    """Phase estimation with controlled evolutions realized by the
-    program-state channel (density-matrix demonstration mode).
+) -> np.ndarray:
+    """Clock distribution of phase estimation whose controlled evolutions
+    are realized by the program-state channel (density-matrix demonstration
+    mode).
 
-    Each controlled power of the evolution is decomposed into repeated
-    short channel steps, each consuming a fresh copy of the (mixed)
-    program state, conditioned on one clock qubit.  Accuracy improves with
-    ``steps_per_unit``; this path is a demonstration, the coherent solver
-    synthesizes its evolutions from the spectral decomposition.
+    Clock qubit j controls n_j = steps_per_unit * 2^j channel steps of
+    dt = -t0 / steps_per_unit, each consuming a fresh copy of the (mixed)
+    program state.  Accuracy improves with ``steps_per_unit``; the coherent
+    solver synthesizes its evolutions from the spectral decomposition.
 
-    Tracing out the control and the program copy leaves a closed form on
-    each clock block X = rho[y, y'] of the clock (x) system density.  With
-    c, s = cos dt, sin dt, B = rho'' - rho''' and R = rho'' + rho''', a
-    step controlled on one clock bit maps X to the full channel step
-    c^2 X + s^2 tr(X) R - i c s [B, X] when that bit is 1 in both y and
-    y', to c X - i s B X when it is 1 in y only, to c X + i s X B when it
-    is 1 in y' only, and leaves X unchanged otherwise.
+    With c, s = cos dt, sin dt, B = rho'' - rho''' = V diag(lam) V^dagger
+    and R = rho'' + rho''', the diagonals D[y, y', a] of the clock blocks
+    V^dagger rho[y, y'] V form a closed subsystem.  Clock qubit j
+    multiplies D[y, y', a] by (c - i s lam_a)^n_j where bit j is set in y
+    only and by (c + i s lam_a)^n_j where it is set in y' only; where it
+    is set in both it maps D -> c^(2 n_j) D + (1 - c^(2 n_j)) tr(D) r with
+    r = diag(V^dagger R V), and where it is set in neither it leaves D
+    alone.  These maps do not commute; they apply for j = 0, 1, ... in
+    turn.  The clock distribution is diag(F tau F^dagger), with
+    tau[y, y'] = sum_a D[y, y', a] and F the unitary DFT, accumulated one
+    clock row y at a time, so memory is O(T d).  The step-by-step clock
+    (x) system density is the test oracle
+    ``tests/dilation.py::stepwise_glmr_phase_estimation``.
     """
     if steps_per_unit < 1:
         raise ParameterError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
@@ -260,40 +257,38 @@ def glmr_phase_estimation(
         mixture = sources
     else:
         mixture = mix_program_states(sources)
-    d = mixture.system_dim
-    vec = _as_unit_state(b, d)
+    vec = _as_unit_state(b, mixture.system_dim)
     t = cfg.clock_dim
-    generator = mixture.generator / mixture.scale
+    b_op, r_op = mixture.step_operators()
+    eig = hermitian_eig(b_op)
+    lam, v = eig.eigenvalues, eig.eigenvectors
     t0 = cfg.evolution_time
     if t0 is None:
-        t0 = default_evolution_time(float(np.linalg.eigvalsh(generator)[-1]))
-
-    # clock (T) x system (d) density as blocks X[y, y'] = rho[y, :, y', :],
-    # starting from the Walsh-transformed clock |+...+> times |b>
-    clock_sys = np.tile(vec, (t, 1)) / math.sqrt(t)
-    rho = np.einsum("ya,zb->yazb", clock_sys, clock_sys.conj())
-    b_op, r_op = mixture.step_operators()
+        t0 = default_evolution_time(float(lam[0]))
     dt = -t0 / steps_per_unit
     c, s = math.cos(dt), math.sin(dt)
+    with np.errstate(divide="ignore"):
+        log_abs = 0.5 * np.log1p(-s * s * (1.0 - lam * lam))  # log|c - i s lam|
+        log_c2 = float(np.log1p(-s * s))
+    clock = np.arange(t)
+    maps = []
     for j in range(cfg.clock_qubits):
-        on = ((np.arange(t) >> j) & 1).astype(np.float64)
-        alpha = 1.0 + (c - 1.0) * on
-        coeff = np.outer(alpha, alpha)[:, None, :, None]
-        left = (-1j * s * np.outer(on, alpha))[:, None, :, None]
-        right = (1j * s * np.outer(alpha, on))[:, None, :, None]
-        refill = (s * s * np.outer(on, on))[:, :, None, None] * r_op
-        for _ in range(steps_per_unit * (2**j)):
-            bx = np.einsum("ab,ybzc->yazc", b_op, rho)
-            xb = np.einsum("yazb,bc->yazc", rho, b_op)
-            trace = np.einsum("yaza->yz", rho)
-            rho = (coeff * rho + left * bx + right * xb
-                   + np.einsum("yz,yzab->yazb", trace, refill))
-
-    # inverse QFT on the clock: F rho F^dagger with F the unitary DFT
-    rho = np.fft.ifft(np.fft.fft(rho, axis=0, norm="ortho"), axis=2, norm="ortho")
-    state = DensityMatrix(
-        rho.reshape(t * d, t * d), TensorLayout((t, d)),
-        hermitian_tol=1e-8, psd_tol=1e-7, trace_tol=1e-8,
-    )
-    probs = np.real(np.diag(partial_trace(state.matrix, state.layout, 1)))
-    return GlmrPhaseEstimate(probs, state)
+        n_j = steps_per_unit * 2**j
+        left = np.exp(n_j * log_abs + 1j * (n_j * np.arctan2(-s * lam, c)))
+        on = ((clock >> j) & 1).astype(bool)
+        maps.append((on, left, math.exp(n_j * log_c2), -math.expm1(n_j * log_c2)))
+    refill = np.real(np.einsum("ka,kl,la->a", v.conj(), r_op, v))
+    start = (np.abs(v.conj().T @ vec) ** 2 / t).astype(np.complex128)
+    probs = np.zeros(t)
+    for y in range(t):
+        row = np.tile(start, (t, 1))  # D[y, y', a] over y' and a
+        for on, left, damp, fill in maps:
+            if on[y]:
+                row[~on] *= left
+                both = row[on]
+                row[on] = damp * both + fill * both.sum(axis=1, keepdims=True) * refill
+            else:
+                row[on] *= left.conj()
+        column = np.exp(-2j * np.pi * clock * y / t) / math.sqrt(t)  # F[:, y]
+        probs += np.real(column * np.fft.ifft(row.sum(axis=1), norm="ortho"))
+    return probs

@@ -1,10 +1,9 @@
 """Dense complex linear algebra with tensor-product structure.
 
 Everything downstream (density encodings, channel simulation, phase
-estimation) is built from the primitives here: tensor layouts, partial
-traces over labelled tensor factors, and spectral operations on Hermitian
-matrices (eigendecomposition, unitary exponentials, eigenvalue-filtered
-pseudo-inverses).
+estimation) is built from the primitives here: tensor layouts and
+spectral operations on Hermitian matrices (eigendecomposition, unitary
+exponentials, eigenvalue-filtered pseudo-inverses).
 
 All functions are pure; returned arrays are fresh and never alias their
 inputs.
@@ -59,15 +58,6 @@ class TensorLayout:
                 f"matrix has {dim}"
             )
 
-    def without(self, factor: int) -> "TensorLayout":
-        """Layout left after removing one factor."""
-        if not 0 <= factor < self.factors:
-            raise LayoutError(f"factor index {factor} out of range")
-        rest = self.factor_dims[:factor] + self.factor_dims[factor + 1 :]
-        if not rest:
-            rest = (1,)
-        return TensorLayout(rest)
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -88,26 +78,6 @@ class SpectralDecomposition:
         """Matrix function ``V diag(f(w)) V^dagger`` for a vectorized f."""
         v = self.eigenvectors
         return (v * f(self.eigenvalues)) @ v.conj().T
-
-
-def partial_trace(m: np.ndarray, layout: TensorLayout, traced_factor: int) -> np.ndarray:
-    """Trace out one tensor factor (0-based index).
-
-    Output dimension is the product of the remaining factor dimensions;
-    the total trace is preserved.
-    """
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise LayoutError("partial trace needs a square matrix")
-    layout.check_matches(m.shape[0])
-    n = layout.factors
-    if not 0 <= traced_factor < n:
-        raise LayoutError(f"traced factor {traced_factor} out of range for {n} factors")
-    dims = layout.factor_dims
-    t = m.reshape(dims + dims)
-    t = np.trace(t, axis1=traced_factor, axis2=n + traced_factor)
-    d_rest = layout.without(traced_factor).dim
-    return np.ascontiguousarray(t.reshape(d_rest, d_rest))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -171,17 +141,3 @@ def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise LayoutError(f"state dimensions differ: {a.shape} vs {b.shape}")
     return float(np.abs(np.vdot(a, b)) ** 2)
-
-
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a PSD matrix (tiny negatives clipped)."""
-    eig = hermitian_eig(m)
-    return eig.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
-
-
-def density_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2``."""
-    r = psd_sqrt(rho)
-    inner = r @ as_complex_matrix(sigma) @ r
-    w = np.linalg.eigvalsh(hermitian_part(inner))
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)

@@ -48,7 +48,7 @@ from .datasets import (
     load_points,
 )
 from .encodings import DensityMatrix, kernel_density, label_state, laplacian_density
-from .errors import ConfigurationError, NumericalError, ParameterError
+from .errors import ConfigurationError, LayoutError, NumericalError, ParameterError
 from .hhl import QPEConfig, hhl_solve, quantum_multiply
 from .linalg import TensorLayout, state_fidelity
 from .swap_test import classify
@@ -157,14 +157,12 @@ class RunConfig:
     laplacian_kind: str = "normalized"
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
+        for name in ("gamma", "sigma_thresh", "delta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ParameterError(f"{name} must be finite and positive, got {value}")
         if self.graph_path is None and self.knn_k < 1:
             raise ParameterError(f"knn_k must be >= 1, got {self.knn_k}")
-        if not self.sigma_thresh > 0:
-            raise ParameterError(f"sigma_thresh must be positive, got {self.sigma_thresh}")
-        if not self.delta > 0:
-            raise ParameterError(f"delta must be positive, got {self.delta}")
         if self.shots < 0:
             raise ParameterError(f"shots must be >= 0, got {self.shots}")
         if self.laplacian_kind not in ("normalized", "combinatorial"):
@@ -208,6 +206,17 @@ def _build_graph(cfg: RunConfig, training: TrainingSet) -> SampleGraph:
             )
         return g
     return build_knn_graph(training, cfg.knn_k)
+
+
+def _load_testset(testset: str | Path, training: TrainingSet) -> np.ndarray:
+    """Test points, with as many features as the training set."""
+    points = load_points(testset)
+    if points.shape[1] != training.feature_count:
+        raise LayoutError(
+            f"test points have {points.shape[1]} features, dataset has "
+            f"{training.feature_count}"
+        )
+    return points
 
 
 def _program_states(k_density: DensityMatrix, l_density: DensityMatrix) -> dict:
@@ -273,6 +282,9 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
         )
     stages = _Stages()
     training = stages.run("ingest", lambda: load_dataset(dataset))
+    points = training.features
+    if testset is not None:
+        points = stages.run("testset", lambda: _load_testset(testset, training))
     graph = stages.run("graph", lambda: _build_graph(cfg, training))
 
     k_density = stages.run("encode_kernel", lambda: kernel_density(training))
@@ -310,7 +322,6 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
     solution_fidelity = state_fidelity(hhl_result.solution_state.amplitudes, alpha_unit)
 
     def _classify():
-        points = training.features if testset is None else load_points(testset)
         # the solution state's global phase is unobservable; align it with
         # the classical reference before reading out labels
         amps = hhl_result.solution_state.amplitudes
@@ -382,6 +393,9 @@ def run_classical(cfg: RunConfig, dataset: str | Path, testset: str | Path | Non
     """Classical-only training run (any kernel, either Laplacian kind)."""
     stages = _Stages()
     training = stages.run("ingest", lambda: load_dataset(dataset))
+    points = None
+    if testset is not None:
+        points = stages.run("testset", lambda: _load_testset(testset, training))
     graph = stages.run("graph", lambda: _build_graph(cfg, training))
     lap = stages.run("laplacian", lambda: laplacian(graph, cfg.laplacian_kind))
 
@@ -411,8 +425,7 @@ def run_classical(cfg: RunConfig, dataset: str | Path, testset: str | Path | Non
         "residual": float(resid / max(rhs_norm, 1e-30)),
         "gradient_norm": float(np.linalg.norm(objective_gradient(sys, model.alpha))),
     }
-    if testset is not None:
-        points = load_points(testset)
+    if points is not None:
         scored = [predict(model, pt) for pt in points]
         report["predictions"] = {
             "scores": [float(s) for s, _ in scored],
@@ -430,8 +443,12 @@ def bench_lmr(
 ) -> dict:
     """Channel error-scaling report: per-term one-step slopes and
     trajectory errors at n and 2n steps (n = ceil(t^2/delta))."""
-    if len(dts) < 3:
-        raise ParameterError(f"dt sweep needs at least 3 points, got {len(dts)}")
+    if not all(math.isfinite(dt) and dt > 0 for dt in dts):
+        raise ParameterError(f"every dt must be finite and positive, got {list(dts)}")
+    if len(set(dts)) < 3:
+        raise ParameterError(f"dt sweep needs at least 3 distinct points, got {list(dts)}")
+    if not (math.isfinite(total_time) and total_time > 0):
+        raise ParameterError(f"total time must be finite and positive, got {total_time}")
     stages = _Stages()
     training = stages.run("ingest", lambda: load_dataset(dataset))
     graph = stages.run("graph", lambda: _build_graph(cfg, training))

@@ -1,4 +1,6 @@
-"""Shared fixtures and random-object helpers."""
+"""Shared fixtures, random-object helpers, and reference functions that
+only the tests use (Uhlmann fidelity, the maximally mixed state, the
+training objective)."""
 
 from pathlib import Path
 
@@ -6,9 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qsslsvm.datasets import SampleGraph, TrainingSet, build_knn_graph, load_dataset
+from qsslsvm.datasets import (
+    LaplacianMatrix,
+    SampleGraph,
+    TrainingSet,
+    build_knn_graph,
+    load_dataset,
+)
 from qsslsvm.encodings import DensityMatrix
-from qsslsvm.linalg import TensorLayout
+from qsslsvm.linalg import TensorLayout, as_complex_matrix, hermitian_eig, hermitian_part
 
 DATA = Path(__file__).parent / "data"
 
@@ -85,3 +93,41 @@ def random_training_set(rng: np.random.Generator, m: int, p: int) -> TrainingSet
     y = np.zeros(m)
     y[:labeled] = rng.choice([-1.0, 1.0], size=labeled)
     return TrainingSet(x, y, labeled)
+
+
+def maximally_mixed(dim: int) -> DensityMatrix:
+    """I/d on a single register."""
+    return DensityMatrix(np.eye(dim) / dim, TensorLayout((dim,)))
+
+
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Hermitian square root of a PSD matrix (tiny negatives clipped)."""
+    eig = hermitian_eig(m)
+    return eig.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
+
+
+def density_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2``."""
+    r = psd_sqrt(rho)
+    inner = r @ as_complex_matrix(sigma) @ r
+    w = np.linalg.eigvalsh(hermitian_part(inner))
+    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+
+
+def objective_value(
+    k: np.ndarray,
+    l: np.ndarray | LaplacianMatrix,
+    y: np.ndarray,
+    gamma: float,
+    alpha: np.ndarray,
+) -> float:
+    """Quadratic training objective whose gradient is A alpha - K y."""
+    lm = l.matrix if isinstance(l, LaplacianMatrix) else np.asarray(l, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    f = k @ alpha
+    return float(
+        -alpha @ (k @ y)
+        + 0.5 * f @ f
+        + 0.5 * alpha @ f / gamma
+        + 0.5 * f @ lm @ f / gamma
+    )

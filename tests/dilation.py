@@ -9,7 +9,10 @@ clock (x) system and flag (x) clock (x) system arrays of phase estimation,
 conditional rotation and uncomputation -- that the closed forms in
 ``qsslsvm.channels`` and ``qsslsvm.hhl`` reduce to d x d algebra.  A
 dilated channel step costs O(d^6), so these run only at the small
-dimensions the tests use.  The full data and incidence states with their
+dimensions the tests use.  The step-by-step trajectory and channel-backed
+phase estimation (``stepwise_*``, one closed-form step at a time) are the
+oracle for the loop-free channel powers, and ``partial_trace`` with its
+``without`` layout helper serves the dilations.  The full data and incidence states with their
 outer products and partial traces are the oracle for
 ``qsslsvm.encodings``, and the query and expansion states with the
 ancilla-interference readout the oracle for ``qsslsvm.swap_test``.
@@ -18,10 +21,18 @@ ancilla-interference readout the oracle for ``qsslsvm.swap_test``.
 import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
-from qsslsvm.channels import EvolutionResult, ProgramState, mix_program_states
+from qsslsvm.channels import (
+    _CHANNEL_TOLS,
+    EvolutionConfig,
+    EvolutionResult,
+    ProgramState,
+    _channel_step,
+    mix_program_states,
+)
 from qsslsvm.datasets import SampleGraph, TrainingSet, incidence_matrix
 from qsslsvm.encodings import DensityMatrix, StateVector, _row_norms
 from qsslsvm.errors import (
@@ -36,7 +47,6 @@ from qsslsvm.errors import (
 )
 from qsslsvm.hhl import (
     _MASS_TOL,
-    GlmrPhaseEstimate,
     HHLResult,
     QPEConfig,
     _as_hermitian,
@@ -46,9 +56,9 @@ from qsslsvm.hhl import (
 from qsslsvm.linalg import (
     SpectralDecomposition,
     TensorLayout,
+    as_complex_matrix,
     hermitian_eig,
     hermitian_part,
-    partial_trace,
 )
 from qsslsvm.swap_test import ClassificationResult
 
@@ -56,6 +66,36 @@ from qsslsvm.swap_test import ClassificationResult
 _TOLS = dict(hermitian_tol=1e-9, psd_tol=1e-8, trace_tol=1e-9)
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def without(layout: TensorLayout, factor: int) -> TensorLayout:
+    """Layout left after removing one factor."""
+    if not 0 <= factor < layout.factors:
+        raise LayoutError(f"factor index {factor} out of range")
+    rest = layout.factor_dims[:factor] + layout.factor_dims[factor + 1 :]
+    if not rest:
+        rest = (1,)
+    return TensorLayout(rest)
+
+
+def partial_trace(m: np.ndarray, layout: TensorLayout, traced_factor: int) -> np.ndarray:
+    """Trace out one tensor factor (0-based index).
+
+    Output dimension is the product of the remaining factor dimensions;
+    the total trace is preserved.
+    """
+    m = as_complex_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise LayoutError("partial trace needs a square matrix")
+    layout.check_matches(m.shape[0])
+    n = layout.factors
+    if not 0 <= traced_factor < n:
+        raise LayoutError(f"traced factor {traced_factor} out of range for {n} factors")
+    dims = layout.factor_dims
+    t = m.reshape(dims + dims)
+    t = np.trace(t, axis1=traced_factor, axis2=n + traced_factor)
+    d_rest = without(layout, traced_factor).dim
+    return np.ascontiguousarray(t.reshape(d_rest, d_rest))
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -208,6 +248,126 @@ def dense_simulate_evolution(sources, sigma0: DensityMatrix, cfg, rng=None) -> E
         state = _dense_apply(u, ps, state, d)
     return EvolutionResult(DensityMatrix(state, sigma0.layout, **_TOLS), generator,
                            mixture.scale, n, dt)
+
+
+def stepwise_simulate_evolution(
+    sources: Sequence[tuple[float, ProgramState]],
+    sigma0: DensityMatrix,
+    cfg: EvolutionConfig,
+    rng: np.random.Generator | None = None,
+) -> EvolutionResult:
+    """Repeated program-state steps under a weighted source mixture, one
+    closed-form step at a time (the oracle for ``simulate_evolution``).
+
+    By default each step consumes the deterministic mixture state; passing
+    ``rng`` switches to the sampled protocol in which each step draws one
+    source with probability proportional to its weight (equivalent in
+    expectation, useful for shot-noise experiments).
+    """
+    mixture = mix_program_states(sources)
+    d = mixture.system_dim
+    if sigma0.dim != d:
+        raise LayoutError(f"dimension mismatch: program {d}, target {sigma0.dim}")
+    n = cfg.resolved_steps()
+    generator = mixture.generator / mixture.scale
+    if n == 0:
+        return EvolutionResult(sigma0, generator, mixture.scale, 0, 0.0)
+    dt = cfg.total_time / n
+    weights = np.array([w for w, _ in sources], dtype=np.float64)
+    probs = weights / weights.sum()
+    mixture_ops = mixture.step_operators()
+    source_ops = [ps.step_operators() for _, ps in sources]
+    state = sigma0.matrix
+    for _ in range(n):
+        if rng is None:
+            b, r = mixture_ops
+        else:
+            b, r = source_ops[int(rng.choice(len(sources), p=probs))]
+        state = _channel_step(b, r, state, dt)
+    return EvolutionResult(
+        DensityMatrix(state, sigma0.layout, **_CHANNEL_TOLS),
+        generator,
+        mixture.scale,
+        n,
+        dt,
+    )
+
+
+@dataclass(frozen=True)
+class GlmrPhaseEstimate:
+    """Clock readout of the channel-backed density-matrix phase estimation."""
+
+    clock_probabilities: np.ndarray
+    state: DensityMatrix
+
+
+def stepwise_glmr_phase_estimation(
+    sources,
+    b,
+    cfg: QPEConfig,
+    steps_per_unit: int = 2000,
+) -> GlmrPhaseEstimate:
+    """Phase estimation with controlled evolutions realized by the
+    program-state channel, one controlled step at a time on the clock (x)
+    system density (the oracle for ``glmr_phase_estimation``).
+
+    Each controlled power of the evolution is decomposed into repeated
+    short channel steps, each consuming a fresh copy of the (mixed)
+    program state, conditioned on one clock qubit.  Accuracy improves with
+    ``steps_per_unit``; this path is a demonstration, the coherent solver
+    synthesizes its evolutions from the spectral decomposition.
+
+    Tracing out the control and the program copy leaves a closed form on
+    each clock block X = rho[y, y'] of the clock (x) system density.  With
+    c, s = cos dt, sin dt, B = rho'' - rho''' and R = rho'' + rho''', a
+    step controlled on one clock bit maps X to the full channel step
+    c^2 X + s^2 tr(X) R - i c s [B, X] when that bit is 1 in both y and
+    y', to c X - i s B X when it is 1 in y only, to c X + i s X B when it
+    is 1 in y' only, and leaves X unchanged otherwise.
+    """
+    if steps_per_unit < 1:
+        raise ParameterError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
+    if isinstance(sources, ProgramState):
+        mixture = sources
+    else:
+        mixture = mix_program_states(sources)
+    d = mixture.system_dim
+    vec = _as_unit_state(b, d)
+    t = cfg.clock_dim
+    generator = mixture.generator / mixture.scale
+    t0 = cfg.evolution_time
+    if t0 is None:
+        t0 = default_evolution_time(float(np.linalg.eigvalsh(generator)[-1]))
+
+    # clock (T) x system (d) density as blocks X[y, y'] = rho[y, :, y', :],
+    # starting from the Walsh-transformed clock |+...+> times |b>
+    clock_sys = np.tile(vec, (t, 1)) / math.sqrt(t)
+    rho = np.einsum("ya,zb->yazb", clock_sys, clock_sys.conj())
+    b_op, r_op = mixture.step_operators()
+    dt = -t0 / steps_per_unit
+    c, s = math.cos(dt), math.sin(dt)
+    for j in range(cfg.clock_qubits):
+        on = ((np.arange(t) >> j) & 1).astype(np.float64)
+        alpha = 1.0 + (c - 1.0) * on
+        coeff = np.outer(alpha, alpha)[:, None, :, None]
+        left = (-1j * s * np.outer(on, alpha))[:, None, :, None]
+        right = (1j * s * np.outer(alpha, on))[:, None, :, None]
+        refill = (s * s * np.outer(on, on))[:, :, None, None] * r_op
+        for _ in range(steps_per_unit * (2**j)):
+            bx = np.einsum("ab,ybzc->yazc", b_op, rho)
+            xb = np.einsum("yazb,bc->yazc", rho, b_op)
+            trace = np.einsum("yaza->yz", rho)
+            rho = (coeff * rho + left * bx + right * xb
+                   + np.einsum("yz,yzab->yazb", trace, refill))
+
+    # inverse QFT on the clock: F rho F^dagger with F the unitary DFT
+    rho = np.fft.ifft(np.fft.fft(rho, axis=0, norm="ortho"), axis=2, norm="ortho")
+    state = DensityMatrix(
+        rho.reshape(t * d, t * d), TensorLayout((t, d)),
+        hermitian_tol=1e-8, psd_tol=1e-7, trace_tol=1e-8,
+    )
+    probs = np.real(np.diag(partial_trace(state.matrix, state.layout, 1)))
+    return GlmrPhaseEstimate(probs, state)
 
 
 def dense_glmr_phase_estimation(
@@ -510,7 +670,7 @@ def overlap(a: StateVector, b: StateVector) -> complex:
 def reduced(rho: DensityMatrix, traced_factor: int, **tols) -> DensityMatrix:
     """Partial trace over one register."""
     out = partial_trace(rho.matrix, rho.layout, traced_factor)
-    return DensityMatrix(out, rho.layout.without(traced_factor), **tols)
+    return DensityMatrix(out, without(rho.layout, traced_factor), **tols)
 
 
 def data_state(x: TrainingSet) -> StateVector:

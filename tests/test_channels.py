@@ -4,8 +4,14 @@ circuit-level oracle in ``dilation.py`` they are checked against."""
 import numpy as np
 import pytest
 
-from conftest import random_density, random_pure_density
-from dilation import controlled_partial_swap_evolution, cyclic_permutation, lmr_step, swap_operator
+from conftest import density_fidelity, maximally_mixed, random_density, random_pure_density
+from dilation import (
+    controlled_partial_swap_evolution,
+    cyclic_permutation,
+    lmr_step,
+    stepwise_simulate_evolution,
+    swap_operator,
+)
 from qsslsvm.channels import (
     EvolutionConfig,
     exact_conjugation,
@@ -16,7 +22,7 @@ from qsslsvm.channels import (
     mix_program_states,
     simulate_evolution,
 )
-from qsslsvm.encodings import DensityMatrix, maximally_mixed
+from qsslsvm.encodings import DensityMatrix
 from qsslsvm.errors import LayoutError, ParameterError
 
 DT_SWEEP = (0.2, 0.1, 0.05, 0.025)
@@ -299,8 +305,6 @@ class TestSimulateEvolution:
         assert EvolutionConfig(2.0, 0.01).resolved_steps() == 400
 
     def test_joint_evolution_fidelity(self, rng):
-        from qsslsvm.linalg import density_fidelity
-
         m = 4
         k = random_density(rng, m, real=True)
         l = random_density(rng, m, real=True)
@@ -336,8 +340,8 @@ class TestSimulateEvolution:
         sources = [(1.0, make_program_state_k(k)), (1.0, make_program_state_klk(k, l))]
         sigma0 = random_density(rng, 2)
         cfg = EvolutionConfig(0.5, steps=50)
-        out1 = simulate_evolution(sources, sigma0, cfg, rng=np.random.default_rng(5))
-        out2 = simulate_evolution(sources, sigma0, cfg, rng=np.random.default_rng(5))
+        out1 = stepwise_simulate_evolution(sources, sigma0, cfg, rng=np.random.default_rng(5))
+        out2 = stepwise_simulate_evolution(sources, sigma0, cfg, rng=np.random.default_rng(5))
         assert np.array_equal(out1.state.matrix, out2.state.matrix)
         # sampled trajectory still lands near the mixture target
         exact = exact_conjugation(out1.generator, sigma0, 0.5)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import objective_value
 from qsslsvm.classical import (
     KernelSpec,
     ModelSolution,
     assemble_system,
     kernel_matrix,
     objective_gradient,
-    objective_value,
     predict,
     solve_classical,
     train_semi_supervised,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA
+from qsslsvm import pipeline
 from qsslsvm.cli import main
 
 DATASET8 = str(DATA / "two_cluster_8.csv")
@@ -56,6 +57,29 @@ def test_non_finite_test_point_is_input_error(tmp_path, capsys, command, value):
     assert err.startswith("error: ")
     assert f"line 3: non-finite field: '{value}'" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "simulate"])
+@pytest.mark.parametrize("content, code, message", [
+    ("f1,f2\n1.0,2.0\ninf,0.5\n", 2, "line 3: non-finite field: 'inf'"),
+    ("f1,f2,f3\n1.0,2.0,3.0\n", 2, "test points have 3 features, dataset has 2"),
+    (None, 4, "No such file"),
+], ids=["non_finite", "wrong_width", "missing"])
+def test_bad_testset_fails_before_training(tmp_path, capsys, monkeypatch, command,
+                                           content, code, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a training stage ran")
+
+    monkeypatch.setattr(pipeline, "solve_classical", no_training)
+    monkeypatch.setattr(pipeline, "build_knn_graph", no_training)
+    points = tmp_path / "pts.csv"
+    if content is not None:
+        points.write_text(content)
+    assert main([command, DATASET8, "--knn", "2", "--testset", str(points)]) == code
+    err = capsys.readouterr().err
+    assert "[testset] " in err
+    assert message in err
+    assert "Traceback" not in err
 
 
 class TestTrain:
@@ -151,6 +175,26 @@ class TestBench:
 
     def test_short_dt_list_is_input_error(self):
         assert main(["bench", DATASET4, "--knn", "1", "--dt", "0.2,0.1"]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--dt", "abc"],
+        ["--dt", "0.2,0.1,-0.05"],
+        ["--dt", "0.2,nan,0.05"],
+        ["--dt", "0.1,0.1,0.1"],
+        ["--time", "nan"],
+        ["--time", "inf"],
+        ["--time", "0"],
+        ["--delta", "inf"],
+        ["--gamma", "inf"],
+        ["--sigma-thresh", "inf"],
+    ], ids=lambda flags: "=".join(flags))
+    def test_bad_sweep_or_time_is_input_error_before_ingest(self, capsys, flags):
+        # the dataset does not exist: an ingest attempt would exit 4
+        assert main(["bench", "/no/such/file.csv", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "[ingest]" not in err
+        assert "Traceback" not in err
 
 
 class TestCostModel:

@@ -4,7 +4,7 @@ states, the readout against the query and expansion states), at <= 1e-12."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, random_density, random_training_set
@@ -22,14 +22,18 @@ from dilation import (
     incidence_state,
     lmr_step,
     reduced,
+    stepwise_glmr_phase_estimation,
+    stepwise_simulate_evolution,
 )
 from qsslsvm.channels import (
     EvolutionConfig,
     ProgramState,
+    exact_conjugation,
     glmr_step,
     make_program_state_k,
     make_program_state_kk,
     make_program_state_klk,
+    mix_program_states,
     simulate_evolution,
 )
 from qsslsvm.classical import KernelSpec, assemble_system, train_semi_supervised
@@ -62,6 +66,10 @@ def _random_program_state(rng: np.random.Generator, d: int) -> ProgramState:
     rho[:d, :d] = w * random_density(rng, d).matrix
     rho[d:, d:] = (1.0 - w) * random_density(rng, d).matrix
     return ProgramState(DensityMatrix(rho, TensorLayout((2, d))))
+
+
+def _random_sources(rng: np.random.Generator, d: int, count: int) -> list:
+    return [(float(rng.uniform(0.1, 2.0)), _random_program_state(rng, d)) for _ in range(count)]
 
 
 def _assert_solve_matches(a, b, sigma, cfg):
@@ -122,7 +130,7 @@ class TestAgainstDilation:
         closed = simulate_evolution(sources, sigma, cfg)
         dense = dense_simulate_evolution(sources, sigma, cfg)
         assert _gap(closed.state.matrix, dense.state.matrix) <= TOL
-        sampled = simulate_evolution(sources, sigma, cfg, rng=np.random.default_rng(3))
+        sampled = stepwise_simulate_evolution(sources, sigma, cfg, rng=np.random.default_rng(3))
         dense_sampled = dense_simulate_evolution(sources, sigma, cfg, rng=np.random.default_rng(3))
         assert _gap(sampled.state.matrix, dense_sampled.state.matrix) <= TOL
 
@@ -132,9 +140,10 @@ class TestAgainstDilation:
         b = np.array([0.6, 0.8j])
         cfg = QPEConfig(2)
         closed = glmr_phase_estimation(sources, b, cfg, steps_per_unit=100)
+        stepwise = stepwise_glmr_phase_estimation(sources, b, cfg, steps_per_unit=100)
         dense = dense_glmr_phase_estimation(sources, b, cfg, steps_per_unit=100)
-        assert _gap(closed.state.matrix, dense.state.matrix) <= TOL
-        assert _gap(closed.clock_probabilities, dense.clock_probabilities) <= TOL
+        assert _gap(stepwise.state.matrix, dense.state.matrix) <= TOL
+        assert _gap(closed, dense.clock_probabilities) <= TOL
 
     def test_encodings(self, rng):
         ts = random_training_set(rng, 7, 3)
@@ -142,6 +151,61 @@ class TestAgainstDilation:
         g = random_connected_graph(rng, 7)
         assert _gap(laplacian_density(g).matrix,
                     reduced(density(incidence_state(g)), 1).matrix) <= TOL
+
+
+class TestChannelPower:
+    """The loop-free trajectory and channel-backed phase estimation against
+    their step-by-step oracles at the edges of the closed form."""
+
+    def test_zero_time_with_steps_returns_input(self, rng):
+        sigma = random_density(rng, 3)
+        res = simulate_evolution(_random_sources(rng, 3, 2), sigma, EvolutionConfig(0.0, steps=5))
+        assert res.steps == 5
+        assert _gap(res.state.matrix, sigma.matrix) <= TOL
+
+    def test_half_turn_step(self, rng):
+        # dt = pi: sin dt is roundoff, so 1 - h is nearly 0 everywhere
+        sources, sigma = _random_sources(rng, 4, 3), random_density(rng, 4)
+        cfg = EvolutionConfig(np.pi, steps=1)
+        assert _gap(simulate_evolution(sources, sigma, cfg).state.matrix,
+                    stepwise_simulate_evolution(sources, sigma, cfg).state.matrix) <= TOL
+
+    def test_vanishing_step(self, rng):
+        # 1 - h underflows: the closed form takes its limit G = n
+        sources, sigma = _random_sources(rng, 3, 2), random_density(rng, 3)
+        for dt in (5e-324, 1e-310, 1e-160):
+            cfg = EvolutionConfig(7 * dt, steps=7)
+            assert _gap(simulate_evolution(sources, sigma, cfg).state.matrix,
+                        stepwise_simulate_evolution(sources, sigma, cfg).state.matrix) <= TOL
+
+    def test_ten_million_steps(self, rng):
+        sources, sigma = _random_sources(rng, 4, 3), random_density(rng, 4)
+        res = simulate_evolution(sources, sigma, EvolutionConfig(1.0, steps=10**7))
+        exact = exact_conjugation(res.generator, sigma, 1.0)
+        assert _gap(res.state.matrix, exact.matrix) <= 1e-6
+
+    def test_one_decomposition_each(self, rng, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        sources, sigma = _random_sources(rng, 3, 2), random_density(rng, 3)
+        mix_program_states(sources)  # validate the inputs before counting
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        simulate_evolution(sources, sigma, EvolutionConfig(1.0, steps=1000))
+        assert len(calls) == 1
+        glmr_phase_estimation(sources, np.ones(3), QPEConfig(4), steps_per_unit=100)
+        assert len(calls) == 2
+
+    def test_clock_distribution_sums_to_one(self, rng):
+        probs = glmr_phase_estimation(_random_sources(rng, 3, 3), rng.normal(size=3),
+                                      QPEConfig(6), steps_per_unit=7)
+        assert probs.shape == (64,)
+        assert abs(probs.sum() - 1.0) <= TOL
+        assert probs.min() >= -TOL
 
 
 def _assert_classify_matches(alpha, x, training, shots=0, seed=0):
@@ -291,6 +355,29 @@ class TestProperties:
         labels = np.zeros(m)
         labels[0] = 1.0
         _assert_classify_matches(alpha, query, TrainingSet(x, labels, 1), shots, shot_seed)
+
+    @settings(max_examples=30)
+    @given(d=dims, seed=seeds, count=st.integers(1, 3), dt=times, n=st.integers(1, 2000))
+    def test_trajectory(self, d, seed, count, dt, n):
+        """n closed-form steps against n stepwise ones, over a mixture of
+        one to three random program states with drawn weights."""
+        rng = np.random.default_rng(seed)
+        sources, sigma = _random_sources(rng, d, count), random_density(rng, d)
+        cfg = EvolutionConfig(dt * n, steps=n)
+        assert _gap(simulate_evolution(sources, sigma, cfg).state.matrix,
+                    stepwise_simulate_evolution(sources, sigma, cfg).state.matrix) <= TOL
+
+    @settings(max_examples=10)
+    @given(d=st.integers(1, 4), seed=seeds, clock=st.integers(2, 5),
+           steps_per_unit=st.integers(1, 50))
+    def test_glmr_phase_estimation(self, d, seed, clock, steps_per_unit):
+        rng = np.random.default_rng(seed)
+        sources = _random_sources(rng, d, int(rng.integers(1, 4)))
+        b = rng.normal(size=d) + 1j * rng.normal(size=d)
+        cfg = QPEConfig(clock)
+        closed = glmr_phase_estimation(sources, b, cfg, steps_per_unit)
+        stepwise = stepwise_glmr_phase_estimation(sources, b, cfg, steps_per_unit)
+        assert _gap(closed, stepwise.clock_probabilities) <= TOL
 
     @given(d=dims, seed=seeds, dt=times)
     def test_glmr_step(self, d, seed, dt):

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian
+from conftest import density_fidelity, random_density, random_hermitian
+from dilation import partial_trace, without
 from qsslsvm.errors import LayoutError, NumericalError, ParameterError, SymmetryError
 from qsslsvm.linalg import (
     TensorLayout,
-    density_fidelity,
     filtered_pseudo_inverse,
     hermitian_eig,
     hermitian_exp,
-    partial_trace,
     state_fidelity,
 )
 
@@ -27,8 +26,8 @@ class TestTensorLayout:
             layout.check_matches(23)
 
     def test_without(self):
-        assert TensorLayout((2, 3, 4)).without(1).factor_dims == (2, 4)
-        assert TensorLayout((5,)).without(0).factor_dims == (1,)
+        assert without(TensorLayout((2, 3, 4)), 1).factor_dims == (2, 4)
+        assert without(TensorLayout((5,)), 0).factor_dims == (1,)
 
     def test_invalid_dims(self):
         with pytest.raises(LayoutError):
