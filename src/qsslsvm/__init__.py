@@ -50,7 +50,6 @@ from .hhl import (
 )
 from .linalg import (
     SpectralDecomposition,
-    TensorLayout,
     filtered_pseudo_inverse,
     hermitian_eig,
     hermitian_exp,

@@ -17,9 +17,13 @@ Weighted mixtures of program states simulate weighted sums of generators,
 which is how the full training matrix gamma^-1 K + K K + gamma^-1 K L K
 is exponentiated.
 
-Every construction is evaluated in closed form on d x d matrices.  With
-S^2 = I, exp(-iS dt) = cos(dt) I - i sin(dt) S, and the partial traces of
-the dilated circuits reduce exactly to
+Every construction is evaluated in closed form on d x d matrices.  A
+``ProgramState`` holds only the two d x d control blocks rho'' and rho'''
+(float64 when the densities are real) and checks each block Hermitian and
+PSD, which for a block-diagonal state is the full density check; the
+2d x 2d matrix is never assembled.  With S^2 = I, exp(-iS dt) =
+cos(dt) I - i sin(dt) S, and the partial traces of the dilated circuits
+reduce exactly to
 
     step:   sigma -> c^2 sigma + s^2 tr(sigma) R - i c s [B, sigma]
             with c, s = cos dt, sin dt and R = rho'' + rho''',
@@ -50,9 +54,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .encodings import DensityMatrix
-from .errors import LayoutError, ParameterError
-from .linalg import TensorLayout, as_complex_matrix, hermitian_eig, hermitian_part
+from .encodings import DensityMatrix, hermitian_psd
+from .errors import EncodingError, LayoutError, ParameterError
+from .linalg import hermitian_eig, hermitian_exp, hermitian_part
 
 #: Tolerances for channel outputs; trajectories accumulate roundoff beyond
 #: the strict single-construction bounds.
@@ -61,65 +65,65 @@ _CHANNEL_TOLS = dict(hermitian_tol=1e-9, psd_tol=1e-8, trace_tol=1e-9)
 
 @dataclass(frozen=True)
 class ProgramState:
-    """Block-diagonal control (x) system state encoding a generator.
+    """The control blocks of a program state encoding a generator.
 
-    The two control blocks rho'' and rho''' satisfy tr(rho'' + rho''') = 1;
-    the intended Hermitian generator is ``scale * (rho'' - rho''')``.  For
-    the single-term constructions the scale is 1; mixtures record the total
-    weight there so consumers can undo the normalization.
+    ``rho0`` and ``rho1`` are the d x d blocks rho'' and rho''' of the
+    block-diagonal state |0><0| (x) rho'' + |1><1| (x) rho'''.  Each is
+    checked Hermitian and PSD, and tr(rho'' + rho''') = 1; a block-diagonal
+    matrix is PSD exactly when its blocks are, so this is the full density
+    check.  The intended Hermitian generator is ``scale * (rho'' - rho''')``.
+    For the single-term constructions the scale is 1; mixtures record the
+    total weight there so consumers can undo the normalization.
     """
 
-    rho_prime: DensityMatrix
+    rho0: np.ndarray
+    rho1: np.ndarray
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.rho_prime.layout.factors != 2 or self.rho_prime.layout.factor_dims[0] != 2:
-            raise LayoutError("program state needs layout (2, d)")
-        if self.scale <= 0:
-            raise ParameterError(f"scale must be positive, got {self.scale}")
-        d = self.system_dim
-        off = self.rho_prime.matrix[:d, d:]
-        if np.max(np.abs(off)) > 1e-12:
-            raise LayoutError("program state has off-diagonal control blocks")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ParameterError(f"scale must be finite and positive, got {self.scale}")
+        tols = _CHANNEL_TOLS
+        blocks = [hermitian_psd(b, tols["hermitian_tol"], tols["psd_tol"])
+                  for b in (self.rho0, self.rho1)]
+        if blocks[0].shape != blocks[1].shape:
+            raise LayoutError(
+                f"program-state blocks differ in shape: {blocks[0].shape} vs {blocks[1].shape}"
+            )
+        tr = float(np.trace(blocks[0]).real + np.trace(blocks[1]).real)
+        if abs(tr - 1.0) > tols["trace_tol"]:
+            raise EncodingError(
+                f"program-state trace {tr!r} deviates from 1 beyond {tols['trace_tol']}"
+            )
+        for name, block in zip(("rho0", "rho1"), blocks):
+            block.setflags(write=False)
+            object.__setattr__(self, name, block)
 
     @property
     def system_dim(self) -> int:
-        return self.rho_prime.layout.factor_dims[1]
-
-    def block(self, control: int) -> np.ndarray:
-        d = self.system_dim
-        return self.rho_prime.matrix[control * d : (control + 1) * d,
-                                     control * d : (control + 1) * d]
+        return self.rho0.shape[0]
 
     @property
     def generator(self) -> np.ndarray:
         """scale * (rho'' - rho''')."""
-        return self.scale * (self.block(0) - self.block(1))
+        return self.scale * (self.rho0 - self.rho1)
 
     def step_operators(self) -> tuple[np.ndarray, np.ndarray]:
         """(B, R) = (rho'' - rho''', rho'' + rho'''), the two matrices one
         channel step needs."""
-        return self.block(0) - self.block(1), self.block(0) + self.block(1)
-
-
-def _assemble_program_state(rho00: np.ndarray, rho11: np.ndarray, d: int) -> ProgramState:
-    rho = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    rho[:d, :d] = rho00
-    rho[d:, d:] = rho11
-    return ProgramState(DensityMatrix(rho, TensorLayout((2, d)), **_CHANNEL_TOLS))
+        return self.rho0 - self.rho1, self.rho0 + self.rho1
 
 
 def _two_copy_program_state(k: DensityMatrix, g: np.ndarray) -> ProgramState:
     """rho'' = (K + G) / 2 and rho''' = (K - G) / 2, generator G."""
     g = hermitian_part(g)
-    return _assemble_program_state((k.matrix + g) / 2.0, (k.matrix - g) / 2.0, k.dim)
+    return ProgramState((k.matrix + g) / 2.0, (k.matrix - g) / 2.0)
 
 
 def make_program_state_k(k: DensityMatrix) -> ProgramState:
     """Plain density-exponentiation term in program-state form:
     rho'' = k, rho''' = 0, so the generator is exactly k."""
-    d = k.dim
-    return _assemble_program_state(k.matrix, np.zeros((d, d)), d)
+    return ProgramState(k.matrix, np.zeros_like(k.matrix))
 
 
 def make_program_state_kk(k: DensityMatrix) -> ProgramState:
@@ -165,10 +169,10 @@ def mix_program_states(sources: Sequence[tuple[float, ProgramState]]) -> Program
     if any(ps.scale != 1.0 for _, ps in sources):
         raise ParameterError("only unit-scale program states can be mixed")
     total = float(weights.sum())
-    rho = sum(w * ps.rho_prime.matrix for w, ps in sources) / total
-    d = dims.pop()
     return ProgramState(
-        DensityMatrix(rho, TensorLayout((2, d)), **_CHANNEL_TOLS), scale=total
+        sum(w * ps.rho0 for w, ps in sources) / total,
+        sum(w * ps.rho1 for w, ps in sources) / total,
+        scale=total,
     )
 
 
@@ -187,7 +191,7 @@ def glmr_step(ps: ProgramState, sigma: DensityMatrix, dt: float) -> DensityMatri
     if sigma.dim != d:
         raise LayoutError(f"dimension mismatch: program {d}, target {sigma.dim}")
     b, r = ps.step_operators()
-    return DensityMatrix(_channel_step(b, r, sigma.matrix, dt), sigma.layout, **_CHANNEL_TOLS)
+    return DensityMatrix(_channel_step(b, r, sigma.matrix, dt), **_CHANNEL_TOLS)
 
 
 @dataclass(frozen=True)
@@ -203,17 +207,26 @@ class EvolutionConfig:
     steps: int | None = None
 
     def __post_init__(self):
-        if not self.error_budget > 0:
-            raise ParameterError(f"error budget must be positive, got {self.error_budget}")
+        if not math.isfinite(self.total_time):
+            raise ParameterError(f"total time must be finite, got {self.total_time}")
+        if not (math.isfinite(self.error_budget) and self.error_budget > 0):
+            raise ParameterError(
+                f"error budget must be finite and positive, got {self.error_budget}"
+            )
         if self.steps is not None and self.steps < 1:
             raise ParameterError(f"step count must be >= 1, got {self.steps}")
+        if self.steps is None and not math.isfinite(self._step_bound()):
+            raise ParameterError(
+                f"t^2 / delta overflows for time {self.total_time} and budget {self.error_budget}"
+            )
+
+    def _step_bound(self) -> float:
+        return self.total_time * self.total_time / self.error_budget
 
     def resolved_steps(self) -> int:
         if self.steps is not None:
             return int(self.steps)
-        if self.total_time == 0.0:
-            return 0
-        return int(math.ceil(self.total_time**2 / self.error_budget))
+        return int(math.ceil(self._step_bound()))
 
 
 @dataclass(frozen=True)
@@ -292,7 +305,7 @@ def simulate_evolution(
     dt = cfg.total_time / n
     state = _channel_power(*mixture.step_operators(), sigma0.matrix, dt, n)
     return EvolutionResult(
-        DensityMatrix(state, sigma0.layout, **_CHANNEL_TOLS),
+        DensityMatrix(state, **_CHANNEL_TOLS),
         generator,
         mixture.scale,
         n,
@@ -302,7 +315,5 @@ def simulate_evolution(
 
 def exact_conjugation(generator: np.ndarray, sigma: DensityMatrix, t: float) -> DensityMatrix:
     """Reference evolution exp(-i G t) sigma exp(i G t) for comparisons."""
-    from .linalg import hermitian_exp
-
-    u = hermitian_exp(as_complex_matrix(generator), t)
-    return DensityMatrix(u @ sigma.matrix @ u.conj().T, sigma.layout, **_CHANNEL_TOLS)
+    u = hermitian_exp(generator, t)
+    return DensityMatrix(u @ sigma.matrix @ u.conj().T, **_CHANNEL_TOLS)

@@ -158,7 +158,7 @@ def solve_classical(
         raise DegenerateSystemError(
             f"all eigenvalues fall below the filter threshold {sigma_eff:.3e}"
         )
-    alpha = np.real(pinv) @ (sys.rhs / sys.trace_a)
+    alpha = pinv @ (sys.rhs / sys.trace_a)
     features = (
         np.zeros((m, 0)) if training_features is None
         else np.ascontiguousarray(training_features, dtype=np.float64)

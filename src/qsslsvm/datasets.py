@@ -250,7 +250,9 @@ def build_knn_graph(x: TrainingSet, k: int) -> SampleGraph:
     """Symmetric (union) k-nearest-neighbor graph under Euclidean distance.
 
     Distance ties are broken by the lower vertex index, so the result is
-    deterministic for a fixed input.
+    deterministic for a fixed input: each row's self-distance is set below
+    every distance, a stable sort ranks the rest, and columns 1..k are
+    kept.  ``SampleGraph`` merges the pairs found from both ends.
     """
     m = x.sample_count
     if not 1 <= k < m:
@@ -258,12 +260,10 @@ def build_knn_graph(x: TrainingSet, k: int) -> SampleGraph:
     pts = x.features
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
-    edges = set()
-    for i in range(m):
-        order = sorted((dist[i, j], j) for j in range(m) if j != i)
-        for _, j in order[:k]:
-            edges.add((min(i, j), max(i, j)))
-    return SampleGraph(m, tuple(sorted(edges)))
+    np.fill_diagonal(dist, -1.0)
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, 1 : k + 1]
+    rows = np.repeat(np.arange(m), k)
+    return SampleGraph(m, tuple(zip(rows.tolist(), nearest.reshape(-1).tolist())))
 
 
 def incidence_matrix(g: SampleGraph) -> np.ndarray:

@@ -53,10 +53,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .linalg import SpectralDecomposition, TensorLayout, as_complex_matrix, hermitian_eig
-
-#: Clock-mass threshold below which a grid eigenvalue is not reported.
-_MASS_TOL = 1e-12
+from .linalg import SpectralDecomposition, as_matrix, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,12 @@ class QPEConfig:
 
 @dataclass(frozen=True)
 class HHLResult:
-    """Postselected solution state with diagnostics."""
+    """Postselected solution state with diagnostics.
+
+    ``retained_eigenvalues`` has one entry per eigenvalue lambda_i >= sigma
+    of the matrix: the clock estimate at the peak of its phase-estimation
+    weights w[:, i], in descending order.
+    """
 
     solution_state: StateVector
     success_probability: float
@@ -104,7 +106,7 @@ def default_evolution_time(lam_max: float) -> float:
 def _as_hermitian(a) -> np.ndarray:
     if isinstance(a, DensityMatrix):
         return a.matrix
-    return as_complex_matrix(a)
+    return as_matrix(a)
 
 
 def _as_unit_state(b, dim: int) -> np.ndarray:
@@ -160,7 +162,7 @@ def _postselected(
     norm = np.linalg.norm(solution)
     if p_success <= 1e-24 or norm <= 1e-12:
         raise DegenerateSystemError(failure)
-    return StateVector(solution / norm, TensorLayout((solution.shape[0],))), p_success
+    return StateVector(solution / norm), p_success
 
 
 def hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:
@@ -194,9 +196,8 @@ def hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:
     state, p_success = _postselected(
         eig, coeff, weights, gain, "no eigenvalue mass survived the filter threshold"
     )
-    mass = weights @ np.abs(coeff) ** 2
-    keep = (mass > _MASS_TOL) & retained
-    return HHLResult(state, p_success, tuple(float(v) for v in lam_hat[keep][::-1]))
+    peaks = lam_hat[np.argmax(weights[:, lam >= sigma_thresh], axis=0)]
+    return HHLResult(state, p_success, tuple(float(v) for v in np.sort(peaks)[::-1]))
 
 
 def quantum_multiply(k, y, cfg: QPEConfig) -> StateVector:

@@ -1,9 +1,10 @@
-"""Dense complex linear algebra with tensor-product structure.
+"""Dense linear algebra on Hermitian matrices.
 
 Everything downstream (density encodings, channel simulation, phase
-estimation) is built from the primitives here: tensor layouts and
-spectral operations on Hermitian matrices (eigendecomposition, unitary
-exponentials, eigenvalue-filtered pseudo-inverses).
+estimation) is built from the spectral operations here: eigendecomposition,
+unitary exponentials and eigenvalue-filtered pseudo-inverses.  Real
+symmetric input stays float64 and is decomposed by a real ``eigh``; only
+complex input (a state, a channel output) is handled in complex128.
 
 All functions are pure; returned arrays are fresh and never alias their
 inputs.
@@ -21,9 +22,11 @@ from .errors import LayoutError, NumericalError, ParameterError, SymmetryError
 HERMITIAN_TOL = 1e-10
 
 
-def as_complex_matrix(m: np.ndarray) -> np.ndarray:
-    """Return ``m`` as a finite, 2-d, C-ordered complex128 array."""
-    a = np.ascontiguousarray(m, dtype=np.complex128)
+def as_matrix(m: np.ndarray) -> np.ndarray:
+    """Return ``m`` as a finite, 2-d, C-ordered array: complex128 when
+    ``m`` is complex, float64 otherwise."""
+    a = np.asarray(m)
+    a = np.ascontiguousarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise LayoutError(f"expected a 2-d matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -32,47 +35,15 @@ def as_complex_matrix(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TensorLayout:
-    """Ordered subsystem dimensions of a tensor-product space."""
-
-    factor_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise LayoutError(f"factor dimensions must be >= 1, got {dims}")
-        object.__setattr__(self, "factor_dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.factor_dims))
-
-    @property
-    def factors(self) -> int:
-        return len(self.factor_dims)
-
-    def check_matches(self, dim: int) -> None:
-        if self.dim != dim:
-            raise LayoutError(
-                f"layout {self.factor_dims} has dimension {self.dim}, "
-                f"matrix has {dim}"
-            )
-
-
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues in descending order with matching orthonormal columns.
 
-    Ordering inside a degenerate eigenspace is arbitrary; only the
-    reconstruction ``V diag(w) V^dagger`` is contractual.
+    Ordering inside a degenerate eigenspace is arbitrary; only matrix
+    functions ``V diag(f(w)) V^dagger`` are contractual.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
     def apply(self, f) -> np.ndarray:
         """Matrix function ``V diag(f(w)) V^dagger`` for a vectorized f."""
@@ -82,13 +53,13 @@ class SpectralDecomposition:
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m^dagger) / 2."""
-    m = as_complex_matrix(m)
+    m = as_matrix(m)
     return (m + m.conj().T) / 2
 
 
 def hermitian_deviation(m: np.ndarray) -> float:
     """Largest entrywise deviation from Hermitian symmetry."""
-    m = as_complex_matrix(m)
+    m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise LayoutError("hermiticity is defined for square matrices only")
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
@@ -100,7 +71,7 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> SpectralDecompos
     Inputs within ``tol`` of Hermitian are symmetrized first; anything
     further away raises ``SymmetryError``.
     """
-    m = as_complex_matrix(m)
+    m = as_matrix(m)
     dev = hermitian_deviation(m)
     if dev > tol:
         raise SymmetryError(f"matrix is not Hermitian (max deviation {dev:.3e})")

@@ -50,10 +50,10 @@ from .datasets import (
 from .encodings import DensityMatrix, kernel_density, label_state, laplacian_density
 from .errors import ConfigurationError, LayoutError, NumericalError, ParameterError
 from .hhl import QPEConfig, hhl_solve, quantum_multiply
-from .linalg import TensorLayout, state_fidelity
+from .linalg import state_fidelity
 from .swap_test import classify
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Largest entrywise deviation allowed between the matrix the program-state
 #: mixture simulates and the classical A/tr(A); both are built from the same
@@ -235,7 +235,7 @@ def _a_hat_deviation(states: dict, gamma: float, a_hat: np.ndarray) -> float:
     weights = {"k": 1.0 / gamma, "kk": 1.0, "klk": 1.0 / gamma}
     mixture = mix_program_states([(weights[name], ps) for name, ps in states.items()])
     generator = mixture.generator
-    deviation = float(np.max(np.abs(generator / np.trace(generator).real - a_hat)))
+    deviation = float(np.max(np.abs(generator / np.trace(generator) - a_hat)))
     if deviation > _A_HAT_TOL:
         raise NumericalError(
             f"the program-state mixture simulates a matrix {deviation:.3e} away from "
@@ -253,7 +253,7 @@ def _one_step_slopes(
     d = next(iter(states.values())).system_dim
     vec = rng.normal(size=d) + 1j * rng.normal(size=d)
     vec /= np.linalg.norm(vec)
-    probe = DensityMatrix(np.outer(vec, vec.conj()), TensorLayout((d,)))
+    probe = DensityMatrix(np.outer(vec, vec.conj()))
     slopes, errors = {}, {}
     for name, ps in states.items():
         errs = []
@@ -292,9 +292,7 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
     y_state = stages.run("encode_labels", lambda: label_state(training.labels))
 
     def _classical():
-        sysq = assemble_system(
-            k_density.matrix.real, l_density.matrix.real, training.labels, cfg.gamma
-        )
+        sysq = assemble_system(k_density.matrix, l_density.matrix, training.labels, cfg.gamma)
         model = solve_classical(
             sysq, cfg.sigma_thresh, kernel=cfg.kernel, training_features=training.features
         )
@@ -311,7 +309,7 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
 
     qpe_cfg = QPEConfig(clock_qubits=cfg.clock_qubits)
     ky_state = stages.run("multiply", lambda: quantum_multiply(k_density, y_state, qpe_cfg))
-    ky_exact = k_density.matrix.real @ training.labels
+    ky_exact = k_density.matrix @ training.labels
     multiply_fidelity = state_fidelity(ky_state.amplitudes, ky_exact / np.linalg.norm(ky_exact))
 
     hhl_result = stages.run(
@@ -325,7 +323,7 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
         # the solution state's global phase is unobservable; align it with
         # the classical reference before reading out labels
         amps = hhl_result.solution_state.amplitudes
-        phase = np.vdot(amps, alpha_unit.astype(np.complex128))
+        phase = np.vdot(amps, alpha_unit)
         alpha_quantum = np.real(amps * np.exp(1j * np.angle(phase)))
         classical_labels, quantum_labels, p_estimates, ambiguous = [], [], [], 0
         for i, point in enumerate(points):

@@ -16,7 +16,7 @@ from qsslsvm.datasets import (
     load_dataset,
 )
 from qsslsvm.encodings import DensityMatrix
-from qsslsvm.linalg import TensorLayout, as_complex_matrix, hermitian_eig, hermitian_part
+from qsslsvm.linalg import as_matrix, hermitian_eig, hermitian_part
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,13 +61,13 @@ def random_density(rng: np.random.Generator, d: int, real: bool = False) -> Dens
     if not real:
         a = a + 1j * rng.normal(size=(d, d))
     m = a @ a.conj().T
-    return DensityMatrix(m / np.trace(m).real, TensorLayout((d,)))
+    return DensityMatrix(m / np.trace(m).real)
 
 
 def random_pure_density(rng: np.random.Generator, d: int) -> DensityMatrix:
     vec = rng.normal(size=d) + 1j * rng.normal(size=d)
     vec /= np.linalg.norm(vec)
-    return DensityMatrix(np.outer(vec, vec.conj()), TensorLayout((d,)))
+    return DensityMatrix(np.outer(vec, vec.conj()))
 
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -95,9 +95,24 @@ def random_training_set(rng: np.random.Generator, m: int, p: int) -> TrainingSet
     return TrainingSet(x, y, labeled)
 
 
+def knn_edges_by_sort(x: np.ndarray, k: int) -> tuple[tuple[int, int], ...]:
+    """Union k-nearest-neighbor edges by a per-row Python sort of (distance,
+    index) pairs, so ties go to the lower index (oracle for the vectorized
+    ``build_knn_graph``)."""
+    m = x.shape[0]
+    diff = x[:, None, :] - x[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    edges = set()
+    for i in range(m):
+        order = sorted((dist[i, j], j) for j in range(m) if j != i)
+        for _, j in order[:k]:
+            edges.add((min(i, j), max(i, j)))
+    return tuple(sorted(edges))
+
+
 def maximally_mixed(dim: int) -> DensityMatrix:
     """I/d on a single register."""
-    return DensityMatrix(np.eye(dim) / dim, TensorLayout((dim,)))
+    return DensityMatrix(np.eye(dim) / dim)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -109,7 +124,7 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 def density_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2``."""
     r = psd_sqrt(rho)
-    inner = r @ as_complex_matrix(sigma) @ r
+    inner = r @ as_matrix(sigma) @ r
     w = np.linalg.eigvalsh(hermitian_part(inner))
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
 

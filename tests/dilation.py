@@ -11,9 +11,12 @@ conditional rotation and uncomputation -- that the closed forms in
 dilated channel step costs O(d^6), so these run only at the small
 dimensions the tests use.  The step-by-step trajectory and channel-backed
 phase estimation (``stepwise_*``, one closed-form step at a time) are the
-oracle for the loop-free channel powers, and ``partial_trace`` with its
-``without`` layout helper serves the dilations.  The full data and incidence states with their
-outer products and partial traces are the oracle for
+oracle for the loop-free channel powers, and ``partial_trace`` over a
+tuple of register dimensions serves the dilations.  The program state's
+2d x 2d control (x) system density arises only here: the circuits build
+it, check that its off-diagonal control blocks vanish and hand its two
+blocks to ``ProgramState``.  The full data and incidence states with
+their outer products and partial traces are the oracle for
 ``qsslsvm.encodings``, and the query and expansion states with the
 ancilla-interference readout the oracle for ``qsslsvm.swap_test``.
 """
@@ -46,20 +49,13 @@ from qsslsvm.errors import (
     ParameterError,
 )
 from qsslsvm.hhl import (
-    _MASS_TOL,
     HHLResult,
     QPEConfig,
     _as_hermitian,
     _as_unit_state,
     default_evolution_time,
 )
-from qsslsvm.linalg import (
-    SpectralDecomposition,
-    TensorLayout,
-    as_complex_matrix,
-    hermitian_eig,
-    hermitian_part,
-)
+from qsslsvm.linalg import SpectralDecomposition, as_matrix, hermitian_eig, hermitian_part
 from qsslsvm.swap_test import ClassificationResult
 
 #: Same validation tolerances the production channels use.
@@ -68,34 +64,44 @@ _TOLS = dict(hermitian_tol=1e-9, psd_tol=1e-8, trace_tol=1e-9)
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
-def without(layout: TensorLayout, factor: int) -> TensorLayout:
-    """Layout left after removing one factor."""
-    if not 0 <= factor < layout.factors:
-        raise LayoutError(f"factor index {factor} out of range")
-    rest = layout.factor_dims[:factor] + layout.factor_dims[factor + 1 :]
-    if not rest:
-        rest = (1,)
-    return TensorLayout(rest)
-
-
-def partial_trace(m: np.ndarray, layout: TensorLayout, traced_factor: int) -> np.ndarray:
-    """Trace out one tensor factor (0-based index).
+def partial_trace(m: np.ndarray, dims: tuple[int, ...], traced_factor: int) -> np.ndarray:
+    """Trace out one tensor factor (0-based index) of a matrix on registers
+    of dimensions ``dims``.
 
     Output dimension is the product of the remaining factor dimensions;
     the total trace is preserved.
     """
-    m = as_complex_matrix(m)
+    m = as_matrix(m)
+    dims = tuple(int(d) for d in dims)
     if m.shape[0] != m.shape[1]:
         raise LayoutError("partial trace needs a square matrix")
-    layout.check_matches(m.shape[0])
-    n = layout.factors
+    if math.prod(dims) != m.shape[0]:
+        raise LayoutError(
+            f"registers {dims} have dimension {math.prod(dims)}, matrix has {m.shape[0]}"
+        )
+    n = len(dims)
     if not 0 <= traced_factor < n:
         raise LayoutError(f"traced factor {traced_factor} out of range for {n} factors")
-    dims = layout.factor_dims
     t = m.reshape(dims + dims)
     t = np.trace(t, axis1=traced_factor, axis2=n + traced_factor)
-    d_rest = without(layout, traced_factor).dim
+    d_rest = math.prod(dims) // dims[traced_factor]
     return np.ascontiguousarray(t.reshape(d_rest, d_rest))
+
+
+def program_state_matrix(ps: ProgramState) -> np.ndarray:
+    """The 2d x 2d density |0><0| (x) ps.rho0 + |1><1| (x) ps.rho1."""
+    zero = np.zeros_like(ps.rho0)
+    return np.block([[ps.rho0, zero], [zero, ps.rho1]])
+
+
+def program_state_blocks(rho: np.ndarray) -> ProgramState:
+    """``ProgramState`` from a 2d x 2d control (x) system density whose
+    off-diagonal control blocks vanish; ``LayoutError`` if they do not."""
+    d = rho.shape[0] // 2
+    off = max(np.max(np.abs(rho[:d, d:])), np.max(np.abs(rho[d:, :d])))
+    if off > 1e-12:
+        raise LayoutError(f"program state has off-diagonal control blocks ({off:.3e})")
+    return ProgramState(rho[:d, :d], rho[d:, d:])
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -145,8 +151,8 @@ def lmr_step(k: DensityMatrix, sigma: DensityMatrix, dt: float) -> DensityMatrix
     d = k.dim
     u = _partial_swap_unitary(d, dt)
     joint = u @ np.kron(k.matrix, sigma.matrix) @ u.conj().T
-    out = partial_trace(joint, TensorLayout((d, d)), 0)
-    return DensityMatrix(hermitian_part(out), sigma.layout, **_TOLS)
+    out = partial_trace(joint, (d, d), 0)
+    return DensityMatrix(hermitian_part(out), **_TOLS)
 
 
 def _finish_two_block(m00, m01, m10, m11, d: int) -> ProgramState:
@@ -161,7 +167,7 @@ def _finish_two_block(m00, m01, m10, m11, d: int) -> ProgramState:
     rho = h @ rho @ h
     rho[:d, d:] = 0.0
     rho[d:, :d] = 0.0
-    return ProgramState(DensityMatrix(hermitian_part(rho), TensorLayout((2, d)), **_TOLS))
+    return program_state_blocks(hermitian_part(rho))
 
 
 def dense_program_state_kk(k: DensityMatrix) -> ProgramState:
@@ -171,12 +177,12 @@ def dense_program_state_kk(k: DensityMatrix) -> ProgramState:
     d = k.dim
     t = np.kron(k.matrix, k.matrix)
     perm = _swap_perm(d)
-    layout = TensorLayout((d, d))
+    dims = (d, d)
     # control blocks after the controlled swap: T, T S, S T, S T S
-    m00 = partial_trace(t, layout, 1)
-    m01 = partial_trace(t[:, perm], layout, 1)
-    m10 = partial_trace(t[perm, :], layout, 1)
-    m11 = partial_trace(t[np.ix_(perm, perm)], layout, 1)
+    m00 = partial_trace(t, dims, 1)
+    m01 = partial_trace(t[:, perm], dims, 1)
+    m10 = partial_trace(t[perm, :], dims, 1)
+    m11 = partial_trace(t[np.ix_(perm, perm)], dims, 1)
     return _finish_two_block(m00, m01, m10, m11, d)
 
 
@@ -188,10 +194,9 @@ def dense_program_state_klk(k: DensityMatrix, l: DensityMatrix) -> ProgramState:
     d = k.dim
     t = np.kron(np.kron(k.matrix, l.matrix), k.matrix)
     q = _cyclic_perm_inverse(d)
-    layout3 = TensorLayout((d, d, d))
 
     def tr23(m):
-        return partial_trace(partial_trace(m, layout3, 2), TensorLayout((d, d)), 1)
+        return partial_trace(partial_trace(m, (d, d, d), 2), (d, d), 1)
 
     # control blocks after the controlled permutation: T, T P^dag, P T, P T P^dag
     m00 = tr23(t)
@@ -215,9 +220,9 @@ def controlled_partial_swap_evolution(dt: float, d: int) -> np.ndarray:
 
 def _dense_apply(u: np.ndarray, ps: ProgramState, sigma_matrix: np.ndarray, d: int) -> np.ndarray:
     """Conjugate rho' (x) sigma by u, trace out control and program copy."""
-    joint = u @ np.kron(ps.rho_prime.matrix, sigma_matrix) @ u.conj().T
-    out = partial_trace(joint, TensorLayout((2, d, d)), 0)
-    out = partial_trace(out, TensorLayout((d, d)), 0)
+    joint = u @ np.kron(program_state_matrix(ps), sigma_matrix) @ u.conj().T
+    out = partial_trace(joint, (2, d, d), 0)
+    out = partial_trace(out, (d, d), 0)
     return hermitian_part(out)
 
 
@@ -227,7 +232,7 @@ def dense_glmr_step(ps: ProgramState, sigma: DensityMatrix, dt: float) -> Densit
     if sigma.dim != d:
         raise LayoutError(f"dimension mismatch: program {d}, target {sigma.dim}")
     u = controlled_partial_swap_evolution(dt, d)
-    return DensityMatrix(_dense_apply(u, ps, sigma.matrix, d), sigma.layout, **_TOLS)
+    return DensityMatrix(_dense_apply(u, ps, sigma.matrix, d), **_TOLS)
 
 
 def dense_simulate_evolution(sources, sigma0: DensityMatrix, cfg, rng=None) -> EvolutionResult:
@@ -246,7 +251,7 @@ def dense_simulate_evolution(sources, sigma0: DensityMatrix, cfg, rng=None) -> E
     for _ in range(n):
         ps = mixture if rng is None else sources[int(rng.choice(len(sources), p=probs))][1]
         state = _dense_apply(u, ps, state, d)
-    return EvolutionResult(DensityMatrix(state, sigma0.layout, **_TOLS), generator,
+    return EvolutionResult(DensityMatrix(state, **_TOLS), generator,
                            mixture.scale, n, dt)
 
 
@@ -285,7 +290,7 @@ def stepwise_simulate_evolution(
             b, r = source_ops[int(rng.choice(len(sources), p=probs))]
         state = _channel_step(b, r, state, dt)
     return EvolutionResult(
-        DensityMatrix(state, sigma0.layout, **_CHANNEL_TOLS),
+        DensityMatrix(state, **_CHANNEL_TOLS),
         generator,
         mixture.scale,
         n,
@@ -363,10 +368,9 @@ def stepwise_glmr_phase_estimation(
     # inverse QFT on the clock: F rho F^dagger with F the unitary DFT
     rho = np.fft.ifft(np.fft.fft(rho, axis=0, norm="ortho"), axis=2, norm="ortho")
     state = DensityMatrix(
-        rho.reshape(t * d, t * d), TensorLayout((t, d)),
-        hermitian_tol=1e-8, psd_tol=1e-7, trace_tol=1e-8,
+        rho.reshape(t * d, t * d), hermitian_tol=1e-8, psd_tol=1e-7, trace_tol=1e-8
     )
-    probs = np.real(np.diag(partial_trace(state.matrix, state.layout, 1)))
+    probs = np.real(np.diag(partial_trace(state.matrix, (t, d), 1)))
     return GlmrPhaseEstimate(probs, state)
 
 
@@ -392,8 +396,8 @@ def dense_glmr_phase_estimation(
     w_full = np.kron(walsh, np.eye(d))
     rho_big = w_full @ rho_big @ w_full.conj().T
 
-    layout_full = TensorLayout((2, d, t, d))
-    layout_after_ctl = TensorLayout((d, t * d))
+    dims_full = (2, d, t, d)
+    dims_after_ctl = (d, t * d)
     dt = -t0 / steps_per_unit
     base = controlled_partial_swap_evolution(dt, d)  # on (control, a, b)
     # embed (control, a, b) -> (control, a, clock, b): S commutes with the clock
@@ -405,23 +409,21 @@ def dense_glmr_phase_estimation(
         emb[np.ix_(rows, rows)] = base
     clock_bits = ((np.arange(t)[None, :] >> np.arange(cfg.clock_qubits)[:, None]) & 1).astype(bool)
 
-    rho_mix = mixture.rho_prime.matrix
+    rho_mix = program_state_matrix(mixture)
     for j in range(cfg.clock_qubits):
         p1 = np.repeat(np.tile(clock_bits[j], 2 * d), d).astype(np.float64)
         v = emb * p1[None, :] + np.diag(1.0 - p1)
         vh = v.conj().T
         for _ in range(steps_per_unit * (2**j)):
             joint = v @ np.kron(rho_mix, rho_big) @ vh
-            joint = partial_trace(joint, layout_full, 0)
-            rho_big = partial_trace(joint, layout_after_ctl, 0)
+            joint = partial_trace(joint, dims_full, 0)
+            rho_big = partial_trace(joint, dims_after_ctl, 0)
 
     dft = np.exp(-2j * np.pi * np.outer(np.arange(t), np.arange(t)) / t) / math.sqrt(t)
     q_full = np.kron(dft, np.eye(d))
     rho_big = q_full @ rho_big @ q_full.conj().T
-    state = DensityMatrix(
-        rho_big, TensorLayout((t, d)), hermitian_tol=1e-8, psd_tol=1e-7, trace_tol=1e-8
-    )
-    probs = np.real(np.diag(partial_trace(state.matrix, state.layout, 1)))
+    state = DensityMatrix(rho_big, hermitian_tol=1e-8, psd_tol=1e-7, trace_tol=1e-8)
+    probs = np.real(np.diag(partial_trace(state.matrix, (t, d), 1)))
     return GlmrPhaseEstimate(probs, state)
 
 
@@ -512,7 +514,7 @@ def phase_estimation(a_hat, b, cfg: QPEConfig) -> QPEState:
     arr = (amps @ eig.eigenvectors.T) / math.sqrt(t)
     arr = np.fft.fft(arr, axis=0) / math.sqrt(t)
     return QPEState(
-        StateVector(arr.reshape(-1), TensorLayout((t, a.shape[0]))), grid, eig
+        StateVector(arr.reshape(-1)), grid, eig
     )
 
 
@@ -565,7 +567,7 @@ def _apply_rotation(qpe: QPEState, gain: np.ndarray) -> FlaggedState:
     residue = np.sqrt(np.clip(1.0 - gain**2, 0.0, None))
     flagged = np.stack([arr * residue[:, None], arr * gain[:, None]])
     return FlaggedState(
-        StateVector(flagged.reshape(-1), TensorLayout((2, t, d))), qpe.grid, qpe.basis
+        StateVector(flagged.reshape(-1)), qpe.grid, qpe.basis
     )
 
 
@@ -623,12 +625,8 @@ def dense_hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:
         raise DegenerateSystemError(
             "no eigenvalue mass survived the filter threshold"
         )
-    retained = _retained_eigenvalues(qpe, sigma_thresh)
-    return HHLResult(
-        StateVector(solution / norm, TensorLayout((solution.shape[0],))),
-        p_success,
-        retained,
-    )
+    retained = _retained_eigenvalues(a, sigma_thresh, cfg)
+    return HHLResult(StateVector(solution / norm), p_success, retained)
 
 
 def dense_quantum_multiply(k, y, cfg: QPEConfig) -> StateVector:
@@ -643,21 +641,24 @@ def dense_quantum_multiply(k, y, cfg: QPEConfig) -> StateVector:
     norm = np.linalg.norm(solution)
     if p_success <= 1e-24 or norm <= 1e-12:
         raise DegenerateSystemError("matrix-vector product is zero")
-    return StateVector(solution / norm, TensorLayout((solution.shape[0],)))
+    return StateVector(solution / norm)
 
 
-def _retained_eigenvalues(qpe: QPEState, sigma_thresh: float) -> tuple[float, ...]:
-    mass = qpe.clock_distribution()
-    lam_hat = qpe.grid.eigenvalue(np.arange(qpe.clock_dim))
-    keep = (mass > _MASS_TOL) & (lam_hat >= sigma_thresh)
-    vals = sorted((float(v) for v in lam_hat[keep]), reverse=True)
-    return tuple(vals)
+def _retained_eigenvalues(a: np.ndarray, sigma_thresh: float, cfg: QPEConfig) -> tuple[float, ...]:
+    """Per eigenvalue >= sigma_thresh, the clock estimate that phase
+    estimation on its eigenvector reads most often; descending."""
+    eig = hermitian_eig(a)
+    peaks = []
+    for lam, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
+        if lam >= sigma_thresh:
+            qpe = phase_estimation(a, vec, cfg)
+            peaks.append(float(qpe.grid.eigenvalue(np.argmax(qpe.clock_distribution()))))
+    return tuple(sorted(peaks, reverse=True))
 
 
 def density(state: StateVector) -> DensityMatrix:
     """Rank-1 projector |psi><psi| as a density matrix."""
-    outer = np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityMatrix(outer, state.layout)
+    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
@@ -667,10 +668,9 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def reduced(rho: DensityMatrix, traced_factor: int, **tols) -> DensityMatrix:
-    """Partial trace over one register."""
-    out = partial_trace(rho.matrix, rho.layout, traced_factor)
-    return DensityMatrix(out, without(rho.layout, traced_factor), **tols)
+def reduced(rho: DensityMatrix, dims: tuple[int, ...], traced_factor: int, **tols) -> DensityMatrix:
+    """Partial trace over one of the registers of dimensions ``dims``."""
+    return DensityMatrix(partial_trace(rho.matrix, dims, traced_factor), **tols)
 
 
 def data_state(x: TrainingSet) -> StateVector:
@@ -680,9 +680,7 @@ def data_state(x: TrainingSet) -> StateVector:
     flattened feature matrix normalized to unit Frobenius norm.
     """
     _row_norms(x)
-    return StateVector.normalized(
-        x.features.reshape(-1), TensorLayout((x.sample_count, x.feature_count))
-    )
+    return StateVector.normalized(x.features.reshape(-1))
 
 
 def incidence_state(g: SampleGraph) -> StateVector:
@@ -690,9 +688,7 @@ def incidence_state(g: SampleGraph) -> StateVector:
     if np.any(g.degrees == 0):
         raise DegreeError("graph has an isolated vertex")
     gi = incidence_matrix(g)
-    return StateVector.normalized(
-        gi.reshape(-1), TensorLayout((g.vertex_count, g.edge_count))
-    )
+    return StateVector.normalized(gi.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -726,7 +722,7 @@ def query_state(x_new: np.ndarray, training: TrainingSet) -> StateVector:
         raise EncodingError("cannot encode a zero query point")
     m = training.sample_count
     blocks = np.tile(x_new, m)
-    return StateVector.normalized(blocks, TensorLayout((m, x_new.shape[0])))
+    return StateVector.normalized(blocks)
 
 
 def expansion_state(alpha: np.ndarray, training: TrainingSet) -> StateVector:
@@ -741,7 +737,7 @@ def expansion_state(alpha: np.ndarray, training: TrainingSet) -> StateVector:
     if np.any(norms == 0.0):
         raise EncodingError("training set has a zero-norm sample")
     blocks = (alpha[:, None] * training.features).reshape(-1)
-    return StateVector.normalized(blocks, TensorLayout((m, training.feature_count)))
+    return StateVector.normalized(blocks)
 
 
 def overlap_probability(

@@ -104,7 +104,7 @@ def test_criterion_3_program_state_identity():
             + k.matrix @ l.matrix @ k.matrix.conj().T
         )
         worst_gen = max(worst_gen, float(np.max(np.abs(ps.generator - target))))
-        worst_trace = max(worst_trace, abs(float(np.trace(ps.rho_prime.matrix).real) - 1.0))
+        worst_trace = max(worst_trace, abs(float(np.trace(ps.rho0 + ps.rho1).real) - 1.0))
     assert worst_gen <= 1e-10
     assert worst_trace <= 1e-10
     elapsed = budget.done()

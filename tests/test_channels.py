@@ -14,6 +14,7 @@ from dilation import (
 )
 from qsslsvm.channels import (
     EvolutionConfig,
+    ProgramState,
     exact_conjugation,
     glmr_step,
     make_program_state_k,
@@ -23,7 +24,7 @@ from qsslsvm.channels import (
     simulate_evolution,
 )
 from qsslsvm.encodings import DensityMatrix
-from qsslsvm.errors import LayoutError, ParameterError
+from qsslsvm.errors import EncodingError, LayoutError, ParameterError
 
 DT_SWEEP = (0.2, 0.1, 0.05, 0.025)
 
@@ -101,8 +102,8 @@ class TestLmrStep:
         assert np.allclose(out.matrix, sigma.matrix, atol=1e-14)
 
     def test_commuting_second_order_bound(self):
-        k = DensityMatrix(np.diag([0.7, 0.3]), (2,))
-        sigma = DensityMatrix(np.diag([0.2, 0.8]), (2,))
+        k = DensityMatrix(np.diag([0.7, 0.3]))
+        sigma = DensityMatrix(np.diag([0.2, 0.8]))
         for dt in DT_SWEEP:
             out = lmr_step(k, sigma, dt)
             bound = dt**2 * np.linalg.norm(k.matrix - sigma.matrix) * 1.01
@@ -130,6 +131,41 @@ class TestLmrStep:
             lmr_step(random_density(rng, 2), random_density(rng, 3), 0.1)
 
 
+class TestProgramStateValidation:
+    def test_valid_blocks_kept(self):
+        ps = ProgramState(np.diag([0.5, 0.25]), np.diag([0.0, 0.25]))
+        assert ps.system_dim == 2
+        assert np.array_equal(ps.generator, np.diag([0.5, 0.0]))
+
+    def test_non_psd_block(self):
+        with pytest.raises(EncodingError, match="PSD"):
+            ProgramState(np.diag([0.6, -0.1]), np.diag([0.25, 0.25]))
+
+    def test_non_hermitian_block(self):
+        with pytest.raises(EncodingError, match="Hermitian"):
+            ProgramState(np.array([[0.25, 0.1], [0.0, 0.25]]), np.diag([0.25, 0.25]))
+
+    def test_block_traces_must_sum_to_one(self):
+        with pytest.raises(EncodingError, match="trace"):
+            ProgramState(np.diag([0.5, 0.25]), np.diag([0.5, 0.25]))
+
+    def test_block_shapes_must_match(self):
+        with pytest.raises(LayoutError):
+            ProgramState(np.diag([0.5, 0.25]), np.array([[0.25]]))
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_scale_must_be_positive(self, scale):
+        with pytest.raises(ParameterError):
+            ProgramState(np.diag([0.5, 0.5]), np.zeros((2, 2)), scale=scale)
+
+    def test_real_densities_give_float64_blocks(self, rng):
+        k = random_density(rng, 3, real=True)
+        l = random_density(rng, 3, real=True)
+        states = [make_program_state_k(k), make_program_state_kk(k), make_program_state_klk(k, l)]
+        for ps in states + [mix_program_states([(1.0, ps) for ps in states])]:
+            assert ps.rho0.dtype == np.float64 and ps.rho1.dtype == np.float64
+
+
 class TestProgramStates:
     def test_klk_identity_kernel(self, rng):
         m = 3
@@ -139,8 +175,8 @@ class TestProgramStates:
         assert np.max(np.abs(ps.generator - l.matrix / m**2)) < 1e-12
 
     def test_klk_diagonal(self):
-        k = DensityMatrix(np.diag([0.75, 0.25]), (2,))
-        l = DensityMatrix(np.diag([0.4, 0.6]), (2,))
+        k = DensityMatrix(np.diag([0.75, 0.25]))
+        l = DensityMatrix(np.diag([0.4, 0.6]))
         ps = make_program_state_klk(k, l)
         expected = k.matrix @ l.matrix @ k.matrix
         assert np.max(np.abs(ps.generator - expected)) < 1e-12
@@ -155,7 +191,7 @@ class TestProgramStates:
                 + k.matrix @ l.matrix @ k.matrix.conj().T
             )
             assert np.max(np.abs(ps.generator - target)) < 1e-10
-            assert np.trace(ps.rho_prime.matrix).real == pytest.approx(1.0, abs=1e-10)
+            assert np.trace(ps.rho0 + ps.rho1).real == pytest.approx(1.0, abs=1e-10)
 
     def test_kk_identity_kernel(self):
         m = 4
@@ -163,7 +199,7 @@ class TestProgramStates:
         assert np.max(np.abs(ps.generator - np.eye(m) / m**2)) < 1e-12
 
     def test_kk_diagonal(self):
-        k = DensityMatrix(np.diag([0.75, 0.25]), (2,))
+        k = DensityMatrix(np.diag([0.75, 0.25]))
         ps = make_program_state_kk(k)
         assert np.allclose(ps.generator, np.diag([0.75**2, 0.25**2]), atol=1e-12)
 
@@ -175,9 +211,9 @@ class TestProgramStates:
     def test_k_embedding_blocks(self, rng):
         k = random_density(rng, 3)
         ps = make_program_state_k(k)
-        assert np.allclose(ps.block(0), k.matrix)
-        assert np.allclose(ps.block(1), 0.0)
-        assert np.trace(ps.rho_prime.matrix).real == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(ps.rho0, k.matrix)
+        assert np.allclose(ps.rho1, 0.0)
+        assert np.trace(ps.rho0 + ps.rho1).real == pytest.approx(1.0, abs=1e-12)
 
     def test_k_channel_equals_lmr(self, rng):
         k, sigma = random_density(rng, 3), random_density(rng, 3)
@@ -186,11 +222,6 @@ class TestProgramStates:
             assert np.max(np.abs(
                 glmr_step(ps, sigma, dt).matrix - lmr_step(k, sigma, dt).matrix
             )) < 1e-12
-
-    def test_block_diagonal_invariant(self, rng):
-        ps = make_program_state_klk(random_density(rng, 2), random_density(rng, 2))
-        d = ps.system_dim
-        assert np.max(np.abs(ps.rho_prime.matrix[:d, d:])) <= 1e-12
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(LayoutError):
@@ -220,9 +251,9 @@ class TestGlmrStep:
         assert np.allclose(glmr_step(ps, sigma, 0.0).matrix, sigma.matrix, atol=1e-14)
 
     def test_commuting_second_order(self):
-        k = DensityMatrix(np.diag([0.6, 0.4]), (2,))
-        l = DensityMatrix(np.diag([0.3, 0.7]), (2,))
-        sigma = DensityMatrix(np.diag([0.9, 0.1]), (2,))
+        k = DensityMatrix(np.diag([0.6, 0.4]))
+        l = DensityMatrix(np.diag([0.3, 0.7]))
+        sigma = DensityMatrix(np.diag([0.9, 0.1]))
         ps = make_program_state_klk(k, l)
         for dt in DT_SWEEP:
             err = np.linalg.norm(glmr_step(ps, sigma, dt).matrix - sigma.matrix)
@@ -298,6 +329,21 @@ class TestSimulateEvolution:
         for _ in range(8):
             manual = lmr_step(k, manual, 0.2 / 8)
         assert np.max(np.abs(res.state.matrix - manual.matrix)) < 1e-10
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(total_time=float("inf")),
+        dict(total_time=float("-inf")),
+        dict(total_time=float("nan")),
+        dict(total_time=float("nan"), steps=3),
+        dict(total_time=1.0, error_budget=float("inf")),
+        dict(total_time=1.0, error_budget=float("nan")),
+        dict(total_time=1e200, error_budget=1e-3),
+        dict(total_time=1.0, error_budget=5e-324),
+    ], ids=["inf_time", "neg_inf_time", "nan_time", "nan_time_with_steps", "inf_budget",
+            "nan_budget", "overflowing_step_count", "subnormal_budget"])
+    def test_non_finite_config_rejected(self, kwargs):
+        with pytest.raises(ParameterError):
+            EvolutionConfig(**kwargs)
 
     def test_auto_step_count(self):
         cfg = EvolutionConfig(total_time=1.0, error_budget=1e-3)

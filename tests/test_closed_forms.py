@@ -21,6 +21,7 @@ from dilation import (
     density,
     incidence_state,
     lmr_step,
+    program_state_matrix,
     reduced,
     stepwise_glmr_phase_estimation,
     stepwise_simulate_evolution,
@@ -45,7 +46,6 @@ from qsslsvm.encodings import (
     laplacian_density,
 )
 from qsslsvm.hhl import QPEConfig, glmr_phase_estimation, hhl_solve, quantum_multiply
-from qsslsvm.linalg import TensorLayout
 from qsslsvm.swap_test import classify
 
 TOL = 1e-12
@@ -62,10 +62,18 @@ def _gap(a: np.ndarray, b: np.ndarray) -> float:
 def _random_program_state(rng: np.random.Generator, d: int) -> ProgramState:
     """Two random PSD blocks with tr(rho'' + rho''') = 1."""
     w = float(rng.uniform(0.05, 0.95))
-    rho = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    rho[:d, :d] = w * random_density(rng, d).matrix
-    rho[d:, d:] = (1.0 - w) * random_density(rng, d).matrix
-    return ProgramState(DensityMatrix(rho, TensorLayout((2, d))))
+    return ProgramState(w * random_density(rng, d).matrix,
+                        (1.0 - w) * random_density(rng, d).matrix)
+
+
+def _reduced_data(ts: TrainingSet) -> np.ndarray:
+    """Tr_2 |X><X| from the full data state."""
+    return reduced(density(data_state(ts)), (ts.sample_count, ts.feature_count), 1).matrix
+
+
+def _reduced_incidence(g) -> np.ndarray:
+    """Tr_2 |G_I><G_I| from the full incidence state."""
+    return reduced(density(incidence_state(g)), (g.vertex_count, g.edge_count), 1).matrix
 
 
 def _random_sources(rng: np.random.Generator, d: int, count: int) -> list:
@@ -105,10 +113,10 @@ _DYADIC = [
 class TestAgainstDilation:
     def test_program_states(self, rng):
         k, l, sigma = (random_density(rng, 4) for _ in range(3))
-        assert _gap(make_program_state_kk(k).rho_prime.matrix,
-                    dense_program_state_kk(k).rho_prime.matrix) <= TOL
-        assert _gap(make_program_state_klk(k, l).rho_prime.matrix,
-                    dense_program_state_klk(k, l).rho_prime.matrix) <= TOL
+        assert _gap(program_state_matrix(make_program_state_kk(k)),
+                    program_state_matrix(dense_program_state_kk(k))) <= TOL
+        assert _gap(program_state_matrix(make_program_state_klk(k, l)),
+                    program_state_matrix(dense_program_state_klk(k, l))) <= TOL
         # the K program state's step is the plain density-exponentiation step
         for dt in (0.3, -0.7):
             assert _gap(glmr_step(make_program_state_k(k), sigma, dt).matrix,
@@ -147,10 +155,10 @@ class TestAgainstDilation:
 
     def test_encodings(self, rng):
         ts = random_training_set(rng, 7, 3)
-        assert _gap(kernel_density(ts).matrix, reduced(density(data_state(ts)), 1).matrix) <= TOL
+        assert _gap(kernel_density(ts).matrix, _reduced_data(ts)) <= TOL
         g = random_connected_graph(rng, 7)
         assert _gap(laplacian_density(g).matrix,
-                    reduced(density(incidence_state(g)), 1).matrix) <= TOL
+                    _reduced_incidence(g)) <= TOL
 
 
 class TestChannelPower:
@@ -392,18 +400,18 @@ class TestProperties:
         k, l, sigma = (random_density(rng, d) for _ in range(3))
         assert _gap(glmr_step(make_program_state_k(k), sigma, dt).matrix,
                     lmr_step(k, sigma, dt).matrix) <= TOL
-        assert _gap(make_program_state_kk(k).rho_prime.matrix,
-                    dense_program_state_kk(k).rho_prime.matrix) <= TOL
-        assert _gap(make_program_state_klk(k, l).rho_prime.matrix,
-                    dense_program_state_klk(k, l).rho_prime.matrix) <= TOL
+        assert _gap(program_state_matrix(make_program_state_kk(k)),
+                    program_state_matrix(dense_program_state_kk(k))) <= TOL
+        assert _gap(program_state_matrix(make_program_state_klk(k, l)),
+                    program_state_matrix(dense_program_state_klk(k, l))) <= TOL
 
     @given(m=dims, p=dims, seed=seeds)
     def test_kernel_density(self, m, p, seed):
         ts = random_training_set(np.random.default_rng(seed), m, p)
-        assert _gap(kernel_density(ts).matrix, reduced(density(data_state(ts)), 1).matrix) <= TOL
+        assert _gap(kernel_density(ts).matrix, _reduced_data(ts)) <= TOL
 
     @given(m=st.integers(2, 6), seed=seeds)
     def test_laplacian_density(self, m, seed):
         g = random_connected_graph(np.random.default_rng(seed), m)
         assert _gap(laplacian_density(g).matrix,
-                    reduced(density(incidence_state(g)), 1).matrix) <= TOL
+                    _reduced_incidence(g)) <= TOL

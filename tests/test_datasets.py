@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import DATA, random_connected_graph
+from conftest import DATA, knn_edges_by_sort, random_connected_graph
 from qsslsvm.datasets import (
     LaplacianMatrix,
     SampleGraph,
@@ -201,6 +201,26 @@ class TestKnnGraph:
                 expected.add((min(i, j), max(i, j)))
         assert set(g.edges) == expected
         assert np.all(g.degrees >= 2)
+
+    def test_matches_sort_oracle_on_ties(self):
+        # small integer coordinates give many equal distances and duplicate
+        # points; huge coordinates make distances overflow to inf
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            m = int(rng.integers(2, 13))
+            x = rng.integers(0, 3, size=(m, int(rng.integers(1, 4)))).astype(np.float64)
+            if trial % 10 == 0:
+                x[rng.integers(0, m)] = 1e200 * rng.choice([-1.0, 1.0], size=x.shape[1])
+            k = int(rng.integers(1, m))
+            ts = TrainingSet(x, np.r_[1.0, np.zeros(m - 1)], 1)
+            with np.errstate(over="ignore"):
+                assert build_knn_graph(ts, k).edges == knn_edges_by_sort(x, k)
+
+    def test_matches_sort_oracle_on_grid(self):
+        x = load_points(DATA / "grid_20.csv")
+        ts = TrainingSet(x, np.r_[1.0, np.zeros(len(x) - 1)], 1)
+        for k in (1, 2, 3, 5, 19):
+            assert build_knn_graph(ts, k).edges == knn_edges_by_sort(x, k)
 
     def test_deterministic(self, cluster8):
         assert build_knn_graph(cluster8, 2) == build_knn_graph(cluster8, 2)

@@ -14,45 +14,59 @@ from qsslsvm.encodings import (
     laplacian_density,
 )
 from qsslsvm.errors import EncodingError, LayoutError
-from qsslsvm.linalg import TensorLayout
 
 
 class TestStateVector:
     def test_norm_validation(self):
         with pytest.raises(EncodingError):
-            StateVector(np.array([1.0, 1.0]), TensorLayout((2,)))
+            StateVector(np.array([1.0, 1.0]))
 
     def test_normalized_constructor(self):
-        sv = StateVector.normalized(np.array([3.0, 4.0]), (2,))
+        sv = StateVector.normalized(np.array([3.0, 4.0]))
         assert np.allclose(sv.amplitudes, [0.6, 0.8])
         with pytest.raises(EncodingError):
-            StateVector.normalized(np.zeros(3), (3,))
+            StateVector.normalized(np.zeros(3))
 
     def test_overlap_dimension_check(self):
-        a = StateVector(np.array([1.0, 0.0]), (2,))
-        b = StateVector(np.array([1.0, 0.0, 0.0]), (3,))
+        a = StateVector(np.array([1.0, 0.0]))
+        b = StateVector(np.array([1.0, 0.0, 0.0]))
         with pytest.raises(LayoutError):
             overlap(a, b)
 
-    def test_layout_must_match(self):
-        with pytest.raises(LayoutError):
-            StateVector(np.array([1.0, 0.0]), (3,))
+    def test_positional_layout_rejected(self):
+        # the tolerance is keyword-only, so a stale layout argument fails loudly
+        with pytest.raises(TypeError):
+            StateVector(np.array([1.0, 0.0]), (2,))
 
 
 class TestDensityMatrix:
     def test_validation(self):
         with pytest.raises(EncodingError):
-            DensityMatrix(np.array([[0.5, 0.4], [0.1, 0.5]]), (2,))  # not Hermitian
+            DensityMatrix(np.array([[0.5, 0.4], [0.1, 0.5]]))  # not Hermitian
         with pytest.raises(EncodingError):
-            DensityMatrix(np.eye(2), (2,))  # trace 2
+            DensityMatrix(np.eye(2))  # trace 2
         with pytest.raises(EncodingError):
-            DensityMatrix(np.diag([1.5, -0.5]), (2,))  # negative eigenvalue
+            DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
     def test_from_state_and_reduced(self):
-        sv = StateVector.normalized(np.array([1.0, 0.0, 0.0, 1.0]), (2, 2))
+        sv = StateVector.normalized(np.array([1.0, 0.0, 0.0, 1.0]))
         rho = density(sv)
         assert np.trace(rho.matrix).real == pytest.approx(1.0)
-        assert np.allclose(reduced(rho, 1).matrix, np.eye(2) / 2)
+        assert np.allclose(reduced(rho, (2, 2), 1).matrix, np.eye(2) / 2)
+
+
+class TestRealDensities:
+    def test_kernel_and_laplacian_densities_are_float64(self, cluster8, cluster8_graph):
+        assert kernel_density(cluster8).matrix.dtype == np.float64
+        assert laplacian_density(cluster8_graph).matrix.dtype == np.float64
+
+    def test_complex_input_stays_complex(self):
+        rho = DensityMatrix(np.array([[0.5, 0.5j], [-0.5j, 0.5]]))
+        assert rho.matrix.dtype == np.complex128
+
+    def test_positional_tolerance_rejected(self):
+        with pytest.raises(TypeError):
+            DensityMatrix(np.eye(2) / 2, (2,))
 
 
 class TestDataState:
@@ -60,7 +74,7 @@ class TestDataState:
         ts = TrainingSet(np.array([[1.0, 0.0]]), np.array([1.0]), 1)
         sv = data_state(ts)
         assert np.allclose(sv.amplitudes, [1.0, 0.0])
-        assert sv.layout.factor_dims == (1, 2)
+        assert sv.dim == 2
 
     def test_two_orthonormal_samples(self):
         ts = TrainingSet(np.eye(2), np.array([1.0, -1.0]), 2)
@@ -139,7 +153,7 @@ class TestIncidenceState:
         g = SampleGraph(2, ((0, 1),))
         sv = incidence_state(g)
         assert np.allclose(sv.amplitudes, np.array([-1.0, 1.0]) / np.sqrt(2))
-        assert sv.layout.factor_dims == (2, 1)
+        assert sv.dim == 2
 
     def test_path_block_norms(self):
         g = SampleGraph(3, ((0, 1), (1, 2)))

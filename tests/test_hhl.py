@@ -157,7 +157,7 @@ class TestHhlSolve:
     def test_svm_fixture_matches_classical(self, cluster4, cluster4_graph):
         kd = kernel_density(cluster4)
         ld = laplacian_density(cluster4_graph)
-        sys = assemble_system(kd.matrix.real, ld.matrix.real, cluster4.labels, 1.0)
+        sys = assemble_system(kd.matrix, ld.matrix, cluster4.labels, 1.0)
         a_hat = sys.normalized_matrix()
         model = solve_classical(sys, 0.05, kernel=KernelSpec("linear"))
         ky = quantum_multiply(kd, label_state(cluster4.labels), QPEConfig(8))
@@ -214,6 +214,32 @@ class TestHhlSolve:
             hhl_solve(np.diag([0.5, -0.5]), np.array([1.0, 0.0]), 0.1, QPEConfig(3, 2 * np.pi))
 
 
+class TestRealAndComplexInput:
+    """A real matrix is decomposed by a real eigh; the same matrix cast to
+    complex128 takes the complex one.  Both must give the same states."""
+
+    def test_hhl_solve(self, cluster4, cluster4_graph):
+        kd = kernel_density(cluster4)
+        sys = assemble_system(kd.matrix, laplacian_density(cluster4_graph).matrix,
+                              cluster4.labels, 1.0)
+        a_hat = sys.normalized_matrix()
+        b = sys.rhs / np.linalg.norm(sys.rhs)
+        real = hhl_solve(a_hat, b, 0.05, QPEConfig(8))
+        cplx = hhl_solve(a_hat.astype(np.complex128), b, 0.05, QPEConfig(8))
+        gap = np.max(np.abs(real.solution_state.amplitudes - cplx.solution_state.amplitudes))
+        assert gap <= 1e-12
+        assert abs(real.success_probability - cplx.success_probability) <= 1e-12
+        assert np.max(np.abs(np.subtract(real.retained_eigenvalues,
+                                         cplx.retained_eigenvalues))) <= 1e-12
+
+    def test_quantum_multiply(self, cluster4):
+        k = kernel_density(cluster4).matrix
+        y = label_state(cluster4.labels)
+        real = quantum_multiply(k, y, QPEConfig(8)).amplitudes
+        cplx = quantum_multiply(k.astype(np.complex128), y, QPEConfig(8)).amplitudes
+        assert np.max(np.abs(real - cplx)) <= 1e-12
+
+
 class TestQuantumMultiply:
     def test_maximally_mixed_is_identity_action(self, rng):
         m = 4
@@ -230,7 +256,7 @@ class TestQuantumMultiply:
     def test_fixture_product_fidelity(self, cluster4):
         kd = kernel_density(cluster4)
         out = quantum_multiply(kd, label_state(cluster4.labels), QPEConfig(8))
-        target = kd.matrix.real @ cluster4.labels
+        target = kd.matrix @ cluster4.labels
         target /= np.linalg.norm(target)
         assert state_fidelity(out.amplitudes, target) >= 0.999
 
@@ -243,7 +269,7 @@ class TestQuantumMultiply:
 class TestGlmrBackend:
     def test_clock_distribution_matches_exact(self):
         # channel-backed density-matrix phase estimation (demonstration mode)
-        k = DensityMatrix(np.diag([2 / 3, 1 / 3]), (2,))
+        k = DensityMatrix(np.diag([2 / 3, 1 / 3]))
         b = np.array([1.0, 1.0]) / np.sqrt(2)
         cfg = QPEConfig(3, np.pi)
         exact = phase_estimation(k, b, cfg).clock_distribution()

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import density_fidelity, random_density, random_hermitian
-from dilation import partial_trace, without
+from dilation import partial_trace
 from qsslsvm.errors import LayoutError, NumericalError, ParameterError, SymmetryError
 from qsslsvm.linalg import (
-    TensorLayout,
     filtered_pseudo_inverse,
     hermitian_eig,
     hermitian_exp,
@@ -17,42 +16,25 @@ from qsslsvm.linalg import (
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-class TestTensorLayout:
-    def test_dimension_product(self):
-        layout = TensorLayout((2, 3, 4))
-        assert layout.dim == 24
-        layout.check_matches(24)
-        with pytest.raises(LayoutError):
-            layout.check_matches(23)
-
-    def test_without(self):
-        assert without(TensorLayout((2, 3, 4)), 1).factor_dims == (2, 4)
-        assert without(TensorLayout((5,)), 0).factor_dims == (1,)
-
-    def test_invalid_dims(self):
-        with pytest.raises(LayoutError):
-            TensorLayout((2, 0))
-
-
 class TestPartialTrace:
     def test_product_state_factorizes(self, rng):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        out = partial_trace(np.kron(a, b), TensorLayout((2, 2)), 1)
+        out = partial_trace(np.kron(a, b), (2, 2), 1)
         assert np.allclose(out, np.trace(b) * a)
-        out0 = partial_trace(np.kron(a, b), TensorLayout((2, 2)), 0)
+        out0 = partial_trace(np.kron(a, b), (2, 2), 0)
         assert np.allclose(out0, np.trace(a) * b)
 
     def test_bell_state_reduction(self):
         bell = np.zeros(4)
         bell[0] = bell[3] = 1 / np.sqrt(2)
         rho = np.outer(bell, bell)
-        out = partial_trace(rho, TensorLayout((2, 2)), 1)
+        out = partial_trace(rho, (2, 2), 1)
         assert np.allclose(out, np.eye(2) / 2)
 
     def test_three_factor_index_sum_oracle(self, rng):
         rho = random_density(rng, 8).matrix
-        layout = TensorLayout((2, 2, 2))
+        layout = (2, 2, 2)
         out = partial_trace(rho, layout, 2)
         # direct summation over the traced index
         t = rho.reshape(2, 2, 2, 2, 2, 2)
@@ -69,7 +51,7 @@ class TestPartialTrace:
     def test_trace_and_psd_preserved(self, rng):
         for _ in range(20):
             rho = random_density(rng, 6).matrix
-            layout = TensorLayout((2, 3))
+            layout = (2, 3)
             for factor in (0, 1):
                 out = partial_trace(rho, layout, factor)
                 assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
@@ -77,9 +59,9 @@ class TestPartialTrace:
 
     def test_layout_mismatch(self, rng):
         with pytest.raises(LayoutError):
-            partial_trace(np.eye(6), TensorLayout((2, 2)), 0)
+            partial_trace(np.eye(6), (2, 2), 0)
         with pytest.raises(LayoutError):
-            partial_trace(np.eye(4), TensorLayout((2, 2)), 2)
+            partial_trace(np.eye(4), (2, 2), 2)
 
 
 class TestHermitianEig:
@@ -95,7 +77,7 @@ class TestHermitianEig:
         h = random_hermitian(rng, 4)
         eig = hermitian_eig(h)
         scale = max(np.linalg.norm(h), 1.0)
-        assert np.linalg.norm(eig.reconstruct() - h) / scale < 1e-10
+        assert np.linalg.norm(eig.apply(lambda w: w) - h) / scale < 1e-10
         v = eig.eigenvectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-10
 

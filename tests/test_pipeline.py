@@ -5,11 +5,14 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 
 from conftest import DATA
 from qsslsvm import pipeline
-from qsslsvm.classical import KernelSpec
+from qsslsvm.classical import KernelSpec, assemble_system
+from qsslsvm.datasets import build_knn_graph, load_dataset
+from qsslsvm.encodings import kernel_density, laplacian_density
 from qsslsvm.errors import (
     ConfigurationError,
     DegreeError,
@@ -72,6 +75,40 @@ class TestRunPipeline:
     def test_identical_matrix_checksums(self, cluster8_report):
         # the program-state mixture simulates the classical A/tr(A)
         assert 0.0 <= cluster8_report["quantum"]["a_hat_deviation"] <= 1e-12
+
+    @pytest.mark.parametrize("clock_qubits", [4, 8, 10])
+    def test_retained_eigenvalues_one_per_retained_eigenvalue(self, clock_qubits):
+        # A/tr(A) of this fixture has eigenvalues 0.984 and 0.016, so q = 1 at
+        # sigma = 0.05; the field once listed every clock bin above sigma
+        cfg = RunConfig(knn_k=2, clock_qubits=clock_qubits)
+        report = run_pipeline(cfg, DATA / "two_cluster_8.csv")
+        training = load_dataset(DATA / "two_cluster_8.csv")
+        a_hat = assemble_system(
+            kernel_density(training).matrix,
+            laplacian_density(build_knn_graph(training, 2)).matrix,
+            training.labels, cfg.gamma,
+        ).normalized_matrix()
+        lam = np.sort(np.linalg.eigvalsh(a_hat))[::-1]
+        kept = lam[lam >= cfg.sigma_thresh]
+        retained = report["quantum"]["retained_eigenvalues"]
+        assert len(retained) == len(kept) == 1
+        assert all(v <= 1.0 for v in retained)
+        # each estimate is within one clock bin (2 lam_max / T at t0 = pi / lam_max)
+        assert np.max(np.abs(np.asarray(retained) - kept)) <= 2 * lam[0] / 2**clock_qubits
+
+    def test_no_complex_eigh(self, monkeypatch):
+        # K, L, A/tr(A), the program-state blocks and the generators are real
+        eigh = np.linalg.eigh
+        complex_calls = []
+
+        def spy(a, *args, **kwargs):
+            complex_calls.append(np.iscomplexobj(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        run_pipeline(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
+        run_classical(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
+        assert complex_calls and not any(complex_calls)
 
     def test_perturbed_classical_system_is_numerical_error(self, monkeypatch):
         assemble = pipeline.assemble_system

@@ -14,12 +14,11 @@ from qsslsvm.errors import (
     LayoutError,
     ParameterError,
 )
-from qsslsvm.linalg import TensorLayout
 from qsslsvm.swap_test import classify
 
 
 def _state(vec) -> StateVector:
-    return StateVector.normalized(np.asarray(vec, dtype=float), (len(vec),))
+    return StateVector.normalized(np.asarray(vec, dtype=float))
 
 
 class TestQueryState:
@@ -86,7 +85,7 @@ class TestOverlapProbability:
 
     def test_negated_state(self):
         psi = _state([1.0, 0.0])
-        phi = StateVector(np.array([-1.0, 0.0]), TensorLayout((2,)))
+        phi = StateVector(np.array([-1.0, 0.0]))
         est = overlap_probability(psi, phi)
         assert est.probability == pytest.approx(1.0)
         assert est.exact_overlap == pytest.approx(-1.0)
