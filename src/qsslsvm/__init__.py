@@ -28,7 +28,6 @@ from .datasets import (
     TrainingSet,
     build_knn_graph,
     combinatorial_laplacian,
-    incidence_matrix,
     load_dataset,
     load_graph,
     load_points,
@@ -50,9 +49,7 @@ from .hhl import (
 )
 from .linalg import (
     SpectralDecomposition,
-    filtered_pseudo_inverse,
     hermitian_eig,
-    hermitian_exp,
     state_fidelity,
 )
 from .pipeline import (

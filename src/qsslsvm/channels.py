@@ -56,7 +56,7 @@ import numpy as np
 
 from .encodings import DensityMatrix, hermitian_psd
 from .errors import EncodingError, LayoutError, ParameterError
-from .linalg import hermitian_eig, hermitian_exp, hermitian_part
+from .linalg import SpectralDecomposition, hermitian_eig, hermitian_part
 
 #: Tolerances for channel outputs; trajectories accumulate roundoff beyond
 #: the strict single-construction bounds.
@@ -313,7 +313,8 @@ def simulate_evolution(
     )
 
 
-def exact_conjugation(generator: np.ndarray, sigma: DensityMatrix, t: float) -> DensityMatrix:
-    """Reference evolution exp(-i G t) sigma exp(i G t) for comparisons."""
-    u = hermitian_exp(generator, t)
+def exact_conjugation(eig: SpectralDecomposition, sigma: DensityMatrix, t: float) -> DensityMatrix:
+    """Reference evolution exp(-i G t) sigma exp(i G t) for comparisons,
+    from the decomposition ``eig`` of G, which serves every t."""
+    u = eig.apply(lambda w: np.exp(-1j * w * t))
     return DensityMatrix(u @ sigma.matrix @ u.conj().T, **_CHANNEL_TOLS)

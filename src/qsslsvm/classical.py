@@ -7,19 +7,22 @@ and a graph-smoothness term, which reduces to the linear system
 
 The solver works on the trace-normalized matrix A/tr(A) with eigenvalue
 filtering, so the classical solution and the quantum-simulated one invert
-the identical matrix.  This module is the ground-truth oracle for the
-quantum pipeline.
+the identical matrix.  An ``AssembledSystem`` decomposes A/tr(A) once
+(``spectrum``); the classical solve, the phase-estimation solve and the
+pipeline's residual projection all read that one decomposition.  This
+module is the ground-truth oracle for the quantum pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .datasets import LaplacianMatrix, TrainingSet
-from .errors import DegenerateSystemError, LayoutError, ParameterError
-from .linalg import filtered_pseudo_inverse
+from .errors import DegenerateSystemError, LayoutError, NumericalError, ParameterError
+from .linalg import SpectralDecomposition, hermitian_eig
 
 _EPS = np.finfo(np.float64).eps
 
@@ -98,6 +101,11 @@ class AssembledSystem:
             raise DegenerateSystemError("system matrix has non-positive trace")
         return self.a_matrix / self.trace_a
 
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        """A/tr(A) decomposed on first use, shared by every consumer."""
+        return hermitian_eig(self.normalized_matrix())
+
 
 def assemble_system(
     k: np.ndarray,
@@ -140,25 +148,26 @@ def solve_classical(
 ) -> ModelSolution:
     """Solve the assembled system by filtered pseudo-inversion of A/tr(A).
 
-    Eigenvalues of the normalized matrix below ``sigma_filter`` are
-    dropped; ``sigma_filter = 0`` selects a machine-level threshold that
-    only removes numerical zeros.  ``kernel`` and ``training_features``
+    From A/tr(A) = V diag(lambda) V^T (``sys.spectrum``), alpha =
+    V_keep ((V_keep^T rhs / tr(A)) / lambda_keep) over lambda >=
+    ``sigma_filter``; ``sigma_filter = 0`` selects a machine-level threshold
+    that only removes numerical zeros.  ``kernel`` and ``training_features``
     are carried into the model for later prediction.
     """
     if sigma_filter < 0:
         raise ParameterError(f"sigma_filter must be >= 0, got {sigma_filter}")
-    a_hat = sys.normalized_matrix()
-    m = a_hat.shape[0]
-    sigma_eff = sigma_filter
-    if sigma_eff == 0.0:
-        lam_max = float(np.linalg.eigvalsh(a_hat)[-1])
-        sigma_eff = max(lam_max, _EPS) * m * _EPS * 100
-    pinv = filtered_pseudo_inverse(a_hat, sigma_eff)
-    if not np.any(np.abs(pinv) > 0):
+    lam = sys.spectrum.eigenvalues
+    m = lam.shape[0]
+    if lam[-1] < -1e-8 * max(1.0, abs(lam[0])):
+        raise NumericalError(f"matrix is not PSD (min eigenvalue {lam[-1]:.3e})")
+    sigma_eff = sigma_filter or max(float(lam[0]), _EPS) * m * _EPS * 100
+    keep = lam >= sigma_eff
+    if not np.any(keep):
         raise DegenerateSystemError(
             f"all eigenvalues fall below the filter threshold {sigma_eff:.3e}"
         )
-    alpha = pinv @ (sys.rhs / sys.trace_a)
+    v = sys.spectrum.eigenvectors[:, keep]
+    alpha = v @ ((v.T @ (sys.rhs / sys.trace_a)) / lam[keep])
     features = (
         np.zeros((m, 0)) if training_features is None
         else np.ascontiguousarray(training_features, dtype=np.float64)

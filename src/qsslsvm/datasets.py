@@ -3,8 +3,8 @@
 A training set holds ``m`` samples of dimension ``p`` with the labeled
 samples (+-1) grouped before the unlabeled ones (label 0).  A sample graph
 connects the ``m`` samples with unweighted, undirected edges; its
-incidence matrix and Laplacians feed both the classical solver and the
-quantum-state encodings.
+Laplacians feed both the classical solver and the quantum-state
+encodings.
 """
 
 from __future__ import annotations
@@ -86,8 +86,9 @@ def _read_table(
 
     A header ending in ``label`` marks the last column as labels, which
     ``label_required`` makes mandatory and restricts to -1, 0 and +1;
-    otherwise every column is a feature.  Feature values must be finite.
-    Errors carry the line they were found on.
+    otherwise every column is a feature.  Feature values must be finite,
+    and so must each row's sum of squared features in float64.  Errors
+    carry the line they were found on.
     """
     rows = _read_lines(source)
     if not rows:
@@ -121,6 +122,8 @@ def _read_table(
         bad = [f for f, v in zip(fields, values[:p]) if not math.isfinite(v)]
         if bad:
             raise ParseError(f"non-finite field: {bad[0]!r}", lineno)
+        if not math.isfinite(sum(v * v for v in values[:p])):
+            raise ParseError("sum of squared features overflows float64", lineno)
         if label_required and values[-1] not in (-1.0, 0.0, 1.0):
             raise ParseError(f"label must be -1, 0 or +1, got {values[-1]}", lineno)
         feats.append(values[:p])
@@ -149,7 +152,8 @@ def load_points(source: str | Path | IO[str]) -> np.ndarray:
     """Parse a test-point table in the dataset format; labels are ignored.
 
     A trailing ``label`` column is optional; every other column is a
-    feature.  Feature values must be finite.
+    feature.  Feature values, and each row's sum of their squares, must be
+    finite.
     """
     return _read_table(source, label_required=False)[0]
 
@@ -266,21 +270,6 @@ def build_knn_graph(x: TrainingSet, k: int) -> SampleGraph:
     return SampleGraph(m, tuple(zip(rows.tolist(), nearest.reshape(-1).tolist())))
 
 
-def incidence_matrix(g: SampleGraph) -> np.ndarray:
-    """Degree-normalized vertex-by-edge incidence matrix.
-
-    For edge e = (i, j) with i < j the column holds -1/sqrt(d_i) at row i
-    and +1/sqrt(d_j) at row j, so every row is a unit vector and
-    ``G_I @ G_I.T`` equals the degree-normalized Laplacian.
-    """
-    m, n = g.vertex_count, g.edge_count
-    out = np.zeros((m, n))
-    for e, (i, j) in enumerate(g.edges):
-        out[i, e] = -1.0 / np.sqrt(g.degrees[i])
-        out[j, e] = +1.0 / np.sqrt(g.degrees[j])
-    return out
-
-
 @dataclass(frozen=True)
 class LaplacianMatrix:
     """Symmetric PSD Laplacian, either combinatorial or degree-normalized."""
@@ -321,15 +310,20 @@ def combinatorial_laplacian(g: SampleGraph) -> LaplacianMatrix:
     return LaplacianMatrix(lap, "combinatorial")
 
 
-def normalized_laplacian(g: SampleGraph) -> LaplacianMatrix:
-    """Unit diagonal with off-diagonal entries -1/sqrt(d_i d_j) on edges."""
-    m = g.vertex_count
-    lap = np.eye(m)
+def _normalized_laplacian_array(g: SampleGraph) -> np.ndarray:
+    """The normalized Laplacian, unvalidated: each of its two wrappers
+    validates it once."""
+    lap = np.eye(g.vertex_count)
     for i, j in g.edges:
         v = -1.0 / np.sqrt(float(g.degrees[i] * g.degrees[j]))
         lap[i, j] = v
         lap[j, i] = v
-    return LaplacianMatrix(lap, "normalized")
+    return lap
+
+
+def normalized_laplacian(g: SampleGraph) -> LaplacianMatrix:
+    """Unit diagonal with off-diagonal entries -1/sqrt(d_i d_j) on edges."""
+    return LaplacianMatrix(_normalized_laplacian_array(g), "normalized")
 
 
 def laplacian(g: SampleGraph, kind: str) -> LaplacianMatrix:

@@ -4,9 +4,10 @@ Oracle and QRAM access are emulated classically.  The training route
 consumes the label state |y> and the reduced densities of the data
 superposition |X> and the incidence-row superposition |G_I>; those are the
 partial traces Tr_2 |X><X| and Tr_2 |G_I><G_I|, evaluated in closed form as
-X X^T / ||X||_F^2 and G_I G_I^T / m without building either full state or
-its (m p)^2 or (m E)^2 outer product.  Both densities are real symmetric
-and stay float64; a density's dimension is its matrix's.  The full states
+X X^T / ||X||_F^2 and L / m (G_I G_I^T is the degree-normalized Laplacian
+L) without building either full state, its (m p)^2 or (m E)^2 outer
+product, or the m x E incidence matrix G_I.  Both densities are real
+symmetric and stay float64; a density's dimension is its matrix's.  The full states
 and their partial traces are the test oracle in ``tests/dilation.py``.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datasets import SampleGraph, TrainingSet, incidence_matrix
+from .datasets import SampleGraph, TrainingSet, _normalized_laplacian_array
 from .errors import EncodingError, LayoutError
 from .linalg import as_matrix, hermitian_deviation, hermitian_part
 
@@ -122,5 +123,4 @@ def label_state(y: np.ndarray) -> StateVector:
 def laplacian_density(g: SampleGraph) -> DensityMatrix:
     """Tr_2 |G_I><G_I| = G_I G_I^T / m: the degree-normalized Laplacian
     divided by m (every row of G_I is a unit vector)."""
-    gi = incidence_matrix(g)
-    return DensityMatrix(gi @ gi.T / g.vertex_count)
+    return DensityMatrix(_normalized_laplacian_array(g) / g.vertex_count)

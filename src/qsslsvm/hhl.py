@@ -8,8 +8,9 @@ filtered pseudo-inverse applied to the input.  The multiplication variant
 writes lambda instead of c/lambda and yields A|b>/||A|b>||.
 
 Both run in closed form from one spectral decomposition A = sum_i lambda_i
-v_i v_i^dagger.  With c_i = <v_i|b>, clock size T and evolution time t0,
-phase estimation reads clock y on eigenvector i with probability
+v_i v_i^dagger, passed in or made from the matrix.  With c_i = <v_i|b>,
+clock size T and evolution time t0, phase estimation reads clock y on
+eigenvector i with probability
 w[y, i] = |a[y, i]|^2, a = fft(exp(i t0 outer(arange(T), lambda)), axis=0)
 / T (a Fejer kernel).  A rotation with per-clock gain g_y followed by
 uncomputation and postselection leaves sum_i c_i (sum_y g_y w[y, i]) v_i
@@ -53,7 +54,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .linalg import SpectralDecomposition, as_matrix, hermitian_eig
+from .linalg import SpectralDecomposition, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -103,10 +104,11 @@ def default_evolution_time(lam_max: float) -> float:
     return math.pi / lam_max
 
 
-def _as_hermitian(a) -> np.ndarray:
-    if isinstance(a, DensityMatrix):
-        return a.matrix
-    return as_matrix(a)
+def _spectrum(a) -> SpectralDecomposition:
+    """``a`` if already decomposed, else the decomposition of its matrix."""
+    if isinstance(a, SpectralDecomposition):
+        return a
+    return hermitian_eig(a.matrix if isinstance(a, DensityMatrix) else a)
 
 
 def _as_unit_state(b, dim: int) -> np.ndarray:
@@ -167,7 +169,8 @@ def _postselected(
 
 def hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:
     """Produce a state proportional to the eigenvalue-filtered inverse of
-    ``a_hat`` applied to ``b``.
+    ``a_hat`` (a matrix, a ``DensityMatrix`` or its ``SpectralDecomposition``)
+    applied to ``b``.
 
     The rotation gain is sigma/lambda_hat on clock estimates lambda_hat >=
     sigma and 0 below.  Exact (fidelity 1 up to roundoff) whenever every
@@ -176,7 +179,7 @@ def hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:
     """
     if sigma_thresh <= 0:
         raise ParameterError(f"sigma_thresh must be positive, got {sigma_thresh}")
-    eig = hermitian_eig(_as_hermitian(a_hat))
+    eig = _spectrum(a_hat)
     lam = eig.eigenvalues
     if lam[-1] < -1e-8:
         raise NumericalError(f"matrix must be PSD, min eigenvalue {lam[-1]:.3e}")
@@ -202,22 +205,25 @@ def hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:
 
 def quantum_multiply(k, y, cfg: QPEConfig) -> StateVector:
     """State proportional to K y via phase estimation and an eigenvalue
-    (not inverse-eigenvalue) conditional rotation.
+    (not inverse-eigenvalue) conditional rotation; ``k`` as for ``hhl_solve``.
 
     The rotation gain is lambda_hat, and 0 on estimates above 1, which
-    cannot be written as amplitudes; the true spectrum must lie in [0, 1].
-    The default evolution time here is pi, putting eigenvalue 1 at phase
-    1/2, so dyadic spectra of trace-normalized kernels are exact.
+    cannot be written as amplitudes; the true spectrum must lie in [0, 1]
+    (``NumericalError`` below, ``AmplitudeOverflowError`` above).  The
+    default evolution time here is pi, putting eigenvalue 1 at phase 1/2,
+    so dyadic spectra of trace-normalized kernels are exact.
     """
-    eig = hermitian_eig(_as_hermitian(k))
-    vec = _as_unit_state(y, eig.eigenvalues.shape[0])
+    eig = _spectrum(k)
+    lam = eig.eigenvalues
+    if lam[-1] < -1e-8:
+        raise NumericalError(f"matrix must be PSD, min eigenvalue {lam[-1]:.3e}")
+    if lam[0] > 1.0 + 1e-9:
+        raise AmplitudeOverflowError(
+            f"eigenvalue {lam[0]:.6g} exceeds the unit multiplication range"
+        )
+    vec = _as_unit_state(y, lam.shape[0])
     t0 = math.pi if cfg.evolution_time is None else cfg.evolution_time
     lam_hat, weights = _clock_weights(eig, t0, cfg.clock_dim)
-    lam_max = float(eig.eigenvalues[0])
-    if lam_max > 1.0 + 1e-9:
-        raise AmplitudeOverflowError(
-            f"eigenvalue {lam_max:.6g} exceeds the unit multiplication range"
-        )
     gain = np.where(lam_hat <= 1.0 + 1e-12, np.minimum(lam_hat, 1.0), 0.0)
     coeff = eig.eigenvectors.conj().T @ vec
     return _postselected(eig, coeff, weights, gain, "matrix-vector product is zero")[0]

@@ -1,8 +1,10 @@
 """Dense linear algebra on Hermitian matrices.
 
-Everything downstream (density encodings, channel simulation, phase
-estimation) is built from the spectral operations here: eigendecomposition,
-unitary exponentials and eigenvalue-filtered pseudo-inverses.  Real
+Everything downstream (the classical filtered solve, channel simulation,
+phase estimation) is built from one ``SpectralDecomposition`` per matrix:
+a consumer takes the decomposition, not the matrix, and evaluates its
+matrix function (an exponential, a filtered inverse, a Fejer weight) from
+it, so a matrix that several stages read is decomposed once per run.  Real
 symmetric input stays float64 and is decomposed by a real ``eigh``; only
 complex input (a state, a channel output) is handled in complex128.
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayoutError, NumericalError, ParameterError, SymmetryError
+from .errors import LayoutError, NumericalError, SymmetryError
 
 #: Max-entry deviation under which a matrix is accepted as Hermitian.
 HERMITIAN_TOL = 1e-10
@@ -65,44 +67,19 @@ def hermitian_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
+def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending.
 
-    Inputs within ``tol`` of Hermitian are symmetrized first; anything
-    further away raises ``SymmetryError``.
+    Inputs within ``HERMITIAN_TOL`` of Hermitian are symmetrized first;
+    anything further away raises ``SymmetryError``.
     """
     m = as_matrix(m)
     dev = hermitian_deviation(m)
-    if dev > tol:
+    if dev > HERMITIAN_TOL:
         raise SymmetryError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     w, v = np.linalg.eigh(hermitian_part(m))
     order = np.argsort(w, kind="stable")[::-1]
     return SpectralDecomposition(np.ascontiguousarray(w[order]), np.ascontiguousarray(v[:, order]))
-
-
-def hermitian_exp(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary ``exp(-i h t)`` for Hermitian ``h``."""
-    eig = hermitian_eig(h)
-    return eig.apply(lambda w: np.exp(-1j * w * t))
-
-
-def filtered_pseudo_inverse(m: np.ndarray, sigma: float) -> np.ndarray:
-    """Pseudo-inverse that inverts eigenvalues >= sigma and zeroes the rest.
-
-    ``m`` must be Hermitian PSD and ``sigma`` strictly positive; the output
-    is Hermitian.
-    """
-    if sigma <= 0:
-        raise ParameterError(f"filter threshold must be positive, got {sigma}")
-    eig = hermitian_eig(m)
-    lam_max = float(eig.eigenvalues[0]) if eig.eigenvalues.size else 0.0
-    if eig.eigenvalues.size and float(eig.eigenvalues[-1]) < -1e-8 * max(1.0, abs(lam_max)):
-        raise NumericalError(
-            f"matrix is not PSD (min eigenvalue {eig.eigenvalues[-1]:.3e})"
-        )
-    w = eig.eigenvalues
-    inv = np.where(w >= sigma, 1.0 / np.where(w >= sigma, w, 1.0), 0.0)
-    return eig.apply(lambda _: inv)
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:

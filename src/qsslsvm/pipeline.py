@@ -50,7 +50,7 @@ from .datasets import (
 from .encodings import DensityMatrix, kernel_density, label_state, laplacian_density
 from .errors import ConfigurationError, LayoutError, NumericalError, ParameterError
 from .hhl import QPEConfig, hhl_solve, quantum_multiply
-from .linalg import state_fidelity
+from .linalg import SpectralDecomposition, hermitian_eig, state_fidelity
 from .swap_test import classify
 
 SCHEMA_VERSION = 3
@@ -244,26 +244,23 @@ def _a_hat_deviation(states: dict, gamma: float, a_hat: np.ndarray) -> float:
     return deviation
 
 
-def _one_step_slopes(
-    states: dict[str, ProgramState], seed: int, dts: tuple[float, ...]
-) -> tuple[DensityMatrix, dict, dict]:
-    """Seeded pure probe state, then per program state the one-step errors
-    against exact conjugation over ``dts`` and their log-log slope."""
+def _probe_state(d: int, seed: int) -> DensityMatrix:
+    """Seeded random pure state, the target of the channel diagnostics."""
     rng = np.random.default_rng(seed)
-    d = next(iter(states.values())).system_dim
     vec = rng.normal(size=d) + 1j * rng.normal(size=d)
     vec /= np.linalg.norm(vec)
-    probe = DensityMatrix(np.outer(vec, vec.conj()))
-    slopes, errors = {}, {}
-    for name, ps in states.items():
-        errs = []
-        for dt in dts:
-            approx = glmr_step(ps, probe, dt)
-            exact = exact_conjugation(ps.generator, probe, dt)
-            errs.append(float(np.linalg.norm(approx.matrix - exact.matrix)))
-        slopes[name] = float(np.polyfit(np.log(np.asarray(dts)), np.log(errs), 1)[0])
-        errors[name] = errs
-    return probe, slopes, errors
+    return DensityMatrix(np.outer(vec, vec.conj()))
+
+
+def _one_step_errors(
+    ps: ProgramState, eig: SpectralDecomposition, probe: DensityMatrix, dts: tuple[float, ...]
+) -> tuple[list[float], float]:
+    """One-step errors of ``ps`` on ``probe`` over ``dts`` against exact
+    conjugation under its generator's decomposition ``eig``, and their
+    log-log slope."""
+    errs = [float(np.linalg.norm(glmr_step(ps, probe, dt).matrix
+                                 - exact_conjugation(eig, probe, dt).matrix)) for dt in dts]
+    return errs, float(np.polyfit(np.log(np.asarray(dts)), np.log(errs), 1)[0])
 
 
 def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None = None) -> dict:
@@ -299,21 +296,22 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
         return sysq, model
 
     sysq, model = stages.run("classical", _classical)
-    a_hat = sysq.normalized_matrix()
 
     def _quantum_matrix():
         states = _program_states(k_density, l_density)
-        return states, _a_hat_deviation(states, cfg.gamma, a_hat)
+        spectra = {name: hermitian_eig(ps.generator) for name, ps in states.items()}
+        return states, spectra, _a_hat_deviation(states, cfg.gamma, sysq.normalized_matrix())
 
-    states, a_hat_deviation = stages.run("program_states", _quantum_matrix)
+    states, spectra, a_hat_deviation = stages.run("program_states", _quantum_matrix)
 
     qpe_cfg = QPEConfig(clock_qubits=cfg.clock_qubits)
-    ky_state = stages.run("multiply", lambda: quantum_multiply(k_density, y_state, qpe_cfg))
+    # the k program state's generator is K itself (rho0 = K, rho1 = 0)
+    ky_state = stages.run("multiply", lambda: quantum_multiply(spectra["k"], y_state, qpe_cfg))
     ky_exact = k_density.matrix @ training.labels
     multiply_fidelity = state_fidelity(ky_state.amplitudes, ky_exact / np.linalg.norm(ky_exact))
 
     hhl_result = stages.run(
-        "invert", lambda: hhl_solve(a_hat, ky_state, cfg.sigma_thresh, qpe_cfg)
+        "invert", lambda: hhl_solve(sysq.spectrum, ky_state, cfg.sigma_thresh, qpe_cfg)
     )
     alpha_classical = model.alpha
     alpha_unit = alpha_classical / np.linalg.norm(alpha_classical)
@@ -347,11 +345,16 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
         }
 
     classification = stages.run("classify", _classify)
-    slopes = stages.run("bench", lambda: _one_step_slopes(states, cfg.seed, _DT_SWEEP)[1])
+
+    def _bench():
+        probe = _probe_state(training.sample_count, cfg.seed)
+        return {name: _one_step_errors(ps, spectra[name], probe, _DT_SWEEP)[1]
+                for name, ps in states.items()}
+
+    slopes = stages.run("bench", _bench)
 
     # residual restricted to the retained eigenspace of A/tr(A)
-    eigw, eigv = np.linalg.eigh(a_hat)
-    keep = eigv[:, eigw >= cfg.sigma_thresh]
+    keep = sysq.spectrum.eigenvectors[:, sysq.spectrum.eigenvalues >= cfg.sigma_thresh]
     resid_vec = sysq.a_matrix @ alpha_classical - sysq.rhs
     rhs_proj = keep.T @ sysq.rhs
     residual_retained = float(
@@ -447,15 +450,19 @@ def bench_lmr(
         raise ParameterError(f"dt sweep needs at least 3 distinct points, got {list(dts)}")
     if not (math.isfinite(total_time) and total_time > 0):
         raise ParameterError(f"total time must be finite and positive, got {total_time}")
+    n = EvolutionConfig(total_time, cfg.delta).resolved_steps()
     stages = _Stages()
     training = stages.run("ingest", lambda: load_dataset(dataset))
     graph = stages.run("graph", lambda: _build_graph(cfg, training))
     states = _program_states(kernel_density(training), laplacian_density(graph))
-    sigma0, slopes, sweeps = _one_step_slopes(states, cfg.seed, dts)
-    trajectory = {}
+    sigma0 = _probe_state(training.sample_count, cfg.seed)
+    sweeps, slopes, trajectory = {}, {}, {}
     for name, ps in states.items():
-        n = int(math.ceil(total_time**2 / cfg.delta))
-        exact_final = exact_conjugation(ps.generator, sigma0, total_time)
+        # one decomposition serves the dt sweep and the exact final state
+        eig = hermitian_eig(ps.generator)
+        sweeps[name], slopes[name] = _one_step_errors(ps, eig, sigma0, dts)
+        exact_final = exact_conjugation(eig, sigma0, total_time)
+        del eig  # not held through the trajectories, which set the peak memory
         errors = {}
         for steps in (n, 2 * n):
             run = simulate_evolution(

@@ -55,6 +55,22 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240911)
 
 
+@pytest.fixture
+def eig_calls(monkeypatch) -> list[tuple[str, np.ndarray]]:
+    """(name, copy of the input) for every ``numpy.linalg.eigh`` and
+    ``eigvalsh`` call made while the test runs."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            calls.append((_name, np.array(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def random_density(rng: np.random.Generator, d: int, real: bool = False) -> DensityMatrix:
     """Random full-rank density matrix (Wishart normalized to unit trace)."""
     a = rng.normal(size=(d, d))

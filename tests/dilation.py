@@ -16,8 +16,8 @@ tuple of register dimensions serves the dilations.  The program state's
 2d x 2d control (x) system density arises only here: the circuits build
 it, check that its off-diagonal control blocks vanish and hand its two
 blocks to ``ProgramState``.  The full data and incidence states with
-their outer products and partial traces are the oracle for
-``qsslsvm.encodings``, and the query and expansion states with the
+their outer products and partial traces, and the incidence matrix G_I
+the latter is built from, are the oracle for ``qsslsvm.encodings``, and the query and expansion states with the
 ancilla-interference readout the oracle for ``qsslsvm.swap_test``.
 """
 
@@ -36,7 +36,7 @@ from qsslsvm.channels import (
     _channel_step,
     mix_program_states,
 )
-from qsslsvm.datasets import SampleGraph, TrainingSet, incidence_matrix
+from qsslsvm.datasets import SampleGraph, TrainingSet
 from qsslsvm.encodings import DensityMatrix, StateVector, _row_norms
 from qsslsvm.errors import (
     AmplitudeOverflowError,
@@ -51,7 +51,6 @@ from qsslsvm.errors import (
 from qsslsvm.hhl import (
     HHLResult,
     QPEConfig,
-    _as_hermitian,
     _as_unit_state,
     default_evolution_time,
 )
@@ -486,6 +485,11 @@ class FlaggedState:
         return self.array()[1]
 
 
+def _as_hermitian(a) -> np.ndarray:
+    """The matrix of ``a``, a matrix or a ``DensityMatrix``."""
+    return a.matrix if isinstance(a, DensityMatrix) else as_matrix(a)
+
+
 def phase_estimation(a_hat, b, cfg: QPEConfig) -> QPEState:
     """Entangle a clock register with the eigencomponents of ``b``.
 
@@ -631,8 +635,17 @@ def dense_hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:
 
 def dense_quantum_multiply(k, y, cfg: QPEConfig) -> StateVector:
     """``quantum_multiply`` through the same circuit with the eigenvalue
-    (not inverse-eigenvalue) rotation."""
+    (not inverse-eigenvalue) rotation, after the same spectrum-range
+    checks: a negative eigenvalue is a ``NumericalError`` and one above 1 an
+    ``AmplitudeOverflowError``, before any phase-range check."""
     a = _as_hermitian(k)
+    spectrum = np.linalg.eigvalsh((a + a.conj().T) / 2)
+    if spectrum[0] < -1e-8:
+        raise NumericalError(f"matrix must be PSD, min eigenvalue {spectrum[0]:.3e}")
+    if spectrum[-1] > 1.0 + 1e-9:
+        raise AmplitudeOverflowError(
+            f"eigenvalue {spectrum[-1]:.6g} exceeds the unit multiplication range"
+        )
     if cfg.evolution_time is None:
         cfg = QPEConfig(cfg.clock_qubits, math.pi)
     qpe = phase_estimation(a, y, cfg)
@@ -681,6 +694,21 @@ def data_state(x: TrainingSet) -> StateVector:
     """
     _row_norms(x)
     return StateVector.normalized(x.features.reshape(-1))
+
+
+def incidence_matrix(g: SampleGraph) -> np.ndarray:
+    """Degree-normalized vertex-by-edge incidence matrix G_I.
+
+    For edge e = (i, j) with i < j the column holds -1/sqrt(d_i) at row i
+    and +1/sqrt(d_j) at row j, so every row is a unit vector and
+    ``G_I @ G_I.T`` equals the degree-normalized Laplacian.
+    """
+    m, n = g.vertex_count, g.edge_count
+    out = np.zeros((m, n))
+    for e, (i, j) in enumerate(g.edges):
+        out[i, e] = -1.0 / np.sqrt(g.degrees[i])
+        out[j, e] = +1.0 / np.sqrt(g.degrees[j])
+    return out
 
 
 def incidence_state(g: SampleGraph) -> StateVector:

@@ -33,7 +33,7 @@ from qsslsvm.classical import KernelSpec, kernel_matrix, solve_classical, assemb
 from qsslsvm.datasets import TrainingSet, build_knn_graph, load_dataset, normalized_laplacian
 from qsslsvm.encodings import kernel_density, label_state, laplacian_density
 from qsslsvm.hhl import QPEConfig, hhl_solve, quantum_multiply
-from qsslsvm.linalg import state_fidelity
+from qsslsvm.linalg import hermitian_eig, state_fidelity
 from qsslsvm.pipeline import CostModelParams, RunConfig, cost_model, run_pipeline
 from qsslsvm.swap_test import classify
 
@@ -125,10 +125,10 @@ def test_criterion_4_channel_error_order():
     slopes, traj_errors = {}, {}
     t_total, delta = 1.0, 1e-3
     for name, ps in channels.items():
+        eig = hermitian_eig(ps.generator)
         errs = [
             np.linalg.norm(
-                dense_glmr_step(ps, sigma, dt).matrix
-                - exact_conjugation(ps.generator, sigma, dt).matrix
+                dense_glmr_step(ps, sigma, dt).matrix - exact_conjugation(eig, sigma, dt).matrix
             )
             for dt in DT_SWEEP
         ]
@@ -139,7 +139,7 @@ def test_criterion_4_channel_error_order():
         steps = int(math.ceil(t_total**2 / delta))
         run = dense_simulate_evolution([(1.0, ps)], sigma, EvolutionConfig(t_total, delta, steps))
         err = float(np.linalg.norm(
-            run.state.matrix - exact_conjugation(ps.generator, sigma, t_total).matrix
+            run.state.matrix - exact_conjugation(eig, sigma, t_total).matrix
         ))
         assert err <= 10.0 * delta, f"{name} trajectory error {err}"
         traj_errors[name] = err

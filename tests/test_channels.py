@@ -25,6 +25,7 @@ from qsslsvm.channels import (
 )
 from qsslsvm.encodings import DensityMatrix
 from qsslsvm.errors import EncodingError, LayoutError, ParameterError
+from qsslsvm.linalg import hermitian_eig
 
 DT_SWEEP = (0.2, 0.1, 0.05, 0.025)
 
@@ -118,10 +119,9 @@ class TestLmrStep:
 
     def test_second_order_slope(self, rng):
         k, sigma = random_density(rng, 2), random_density(rng, 2)
+        eig = hermitian_eig(k.matrix)
         errs = [
-            np.linalg.norm(
-                lmr_step(k, sigma, dt).matrix - exact_conjugation(k.matrix, sigma, dt).matrix
-            )
+            np.linalg.norm(lmr_step(k, sigma, dt).matrix - exact_conjugation(eig, sigma, dt).matrix)
             for dt in DT_SWEEP
         ]
         assert 1.8 <= _slope(errs) <= 2.2
@@ -262,10 +262,10 @@ class TestGlmrStep:
     def test_klk_second_order_slope(self, rng):
         ps = make_program_state_klk(random_density(rng, 2), random_density(rng, 2))
         sigma = random_density(rng, 2)
+        eig = hermitian_eig(ps.generator)
         errs = [
             np.linalg.norm(
-                glmr_step(ps, sigma, dt).matrix
-                - exact_conjugation(ps.generator, sigma, dt).matrix
+                glmr_step(ps, sigma, dt).matrix - exact_conjugation(eig, sigma, dt).matrix
             )
             for dt in DT_SWEEP
         ]
@@ -367,13 +367,13 @@ class TestSimulateEvolution:
         ) / (1 / gamma + 1.0 + 1 / gamma)
         assert np.max(np.abs(res.generator - expected_gen)) < 1e-10
         assert res.weight_total == pytest.approx(3.0)
-        exact = exact_conjugation(res.generator, sigma0, 1.0)
+        exact = exact_conjugation(hermitian_eig(res.generator), sigma0, 1.0)
         assert density_fidelity(res.state.matrix, exact.matrix) >= 0.999
 
     def test_doubling_steps_halves_error(self, rng):
         ps = make_program_state_kk(random_density(rng, 3))
         sigma0 = random_pure_density(rng, 3)
-        exact = exact_conjugation(ps.generator, sigma0, 1.0)
+        exact = exact_conjugation(hermitian_eig(ps.generator), sigma0, 1.0)
         errs = {}
         for n in (200, 400):
             res = simulate_evolution([(1.0, ps)], sigma0, EvolutionConfig(1.0, steps=n))
@@ -390,7 +390,7 @@ class TestSimulateEvolution:
         out2 = stepwise_simulate_evolution(sources, sigma0, cfg, rng=np.random.default_rng(5))
         assert np.array_equal(out1.state.matrix, out2.state.matrix)
         # sampled trajectory still lands near the mixture target
-        exact = exact_conjugation(out1.generator, sigma0, 0.5)
+        exact = exact_conjugation(hermitian_eig(out1.generator), sigma0, 0.5)
         assert np.linalg.norm(out1.state.matrix - exact.matrix) < 0.2
 
     def test_empty_sources(self, rng):

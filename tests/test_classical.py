@@ -20,6 +20,7 @@ from qsslsvm.datasets import (
     combinatorial_laplacian,
     normalized_laplacian,
 )
+from qsslsvm.encodings import kernel_density, laplacian_density
 from qsslsvm.errors import DegenerateSystemError, LayoutError, ParameterError
 
 
@@ -156,6 +157,18 @@ class TestSolveClassical:
         sys = assemble_system(np.eye(2), np.zeros((2, 2)), np.array([1.0, -1.0]), 1.0)
         with pytest.raises(ParameterError):
             solve_classical(sys, -0.5)
+
+    def test_one_decomposition_per_system(self, cluster8, cluster8_graph, eig_calls):
+        # the machine threshold of sigma_filter = 0 reads the same spectrum,
+        # and a second solve of the same system decomposes nothing
+        k = kernel_density(cluster8).matrix
+        l = laplacian_density(cluster8_graph).matrix
+        for first, second in ((0.05, 0.0), (0.0, 0.05)):
+            sys = assemble_system(k, l, cluster8.labels, 1.0)
+            eig_calls.clear()
+            solve_classical(sys, first)
+            solve_classical(sys, second)
+            assert [name for name, _ in eig_calls] == ["eigh"]
 
 
 class TestPredict:

@@ -1,6 +1,8 @@
 """Command-line interface tests (exit codes and report output)."""
 
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +35,37 @@ def test_binary_dataset_is_input_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: [ingest] ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "simulate"])
+def test_feature_squares_overflow_is_input_error(tmp_path, capsys, command):
+    # 1e200 is finite, its square is not: rejected at ingest before any
+    # distance, kernel or density computation can warn
+    data = tmp_path / "big.csv"
+    data.write_text("f1,f2,label\n1e200,1,1\n0,1,-1\n1,0,0\n2,1,0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, str(data), "--knn", "1"]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err == "error: [ingest] line 2: sum of squared features overflows float64\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", DATASET4, "--knn", "1", "--delta", "1e-2"],
+    ["simulate", DATASET8, "--knn", "2"],
+], ids=lambda argv: argv[0])
+def test_run_leaves_no_cyclic_garbage(capsys, argv):
+    # cyclic garbage waits for the collector, so a run that leaves some has
+    # a memory peak that depends on when the collector happens to run
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("m", ["1e400", "1e300"])
@@ -194,6 +227,18 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "[ingest]" not in err
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--time", "1e200"],
+        ["--time", "1e5", "--delta", "1e-300"],
+    ], ids=lambda flags: "=".join(flags))
+    def test_step_count_overflow_is_input_error(self, capsys, flags):
+        # t^2 / delta is not finite in float64, so no step count exists
+        assert main(["bench", DATASET8, "--knn", "2", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: t^2 / delta overflows")
         assert "Traceback" not in err
 
 

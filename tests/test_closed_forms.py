@@ -46,6 +46,7 @@ from qsslsvm.encodings import (
     laplacian_density,
 )
 from qsslsvm.hhl import QPEConfig, glmr_phase_estimation, hhl_solve, quantum_multiply
+from qsslsvm.linalg import hermitian_eig
 from qsslsvm.swap_test import classify
 
 TOL = 1e-12
@@ -189,24 +190,17 @@ class TestChannelPower:
     def test_ten_million_steps(self, rng):
         sources, sigma = _random_sources(rng, 4, 3), random_density(rng, 4)
         res = simulate_evolution(sources, sigma, EvolutionConfig(1.0, steps=10**7))
-        exact = exact_conjugation(res.generator, sigma, 1.0)
+        exact = exact_conjugation(hermitian_eig(res.generator), sigma, 1.0)
         assert _gap(res.state.matrix, exact.matrix) <= 1e-6
 
-    def test_one_decomposition_each(self, rng, monkeypatch):
-        calls = []
-        original = np.linalg.eigh
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
+    def test_one_decomposition_each(self, rng, eig_calls):
         sources, sigma = _random_sources(rng, 3, 2), random_density(rng, 3)
         mix_program_states(sources)  # validate the inputs before counting
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        eig_calls.clear()
         simulate_evolution(sources, sigma, EvolutionConfig(1.0, steps=1000))
-        assert len(calls) == 1
+        assert sum(name == "eigh" for name, _ in eig_calls) == 1
         glmr_phase_estimation(sources, np.ones(3), QPEConfig(4), steps_per_unit=100)
-        assert len(calls) == 2
+        assert sum(name == "eigh" for name, _ in eig_calls) == 2
 
     def test_clock_distribution_sums_to_one(self, rng):
         probs = glmr_phase_estimation(_random_sources(rng, 3, 3), rng.normal(size=3),

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import DATA, knn_edges_by_sort, random_connected_graph
+from dilation import incidence_matrix
 from qsslsvm.datasets import (
     LaplacianMatrix,
     SampleGraph,
     TrainingSet,
     build_knn_graph,
     combinatorial_laplacian,
-    incidence_matrix,
     load_dataset,
     load_graph,
     load_points,
@@ -79,6 +79,15 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="line 3: non-finite field"):
             load_dataset(io.StringIO(f"f1,f2,label\n1.0,2.0,1\n{value},2.0,0\n"))
 
+    @pytest.mark.parametrize("row", ["1e200,1.0,0", "1e154,1e154,0"])
+    def test_overflowing_squared_norm_reports_line(self, row):
+        with pytest.raises(ParseError, match="line 3: sum of squared features overflows"):
+            load_dataset(io.StringIO(f"f1,f2,label\n1.0,2.0,1\n{row}\n"))
+
+    def test_largest_finite_squared_norm_accepted(self):
+        ts = load_dataset(io.StringIO("f1,f2,label\n1e154,1e153,1\n"))
+        assert ts.features[0, 0] == 1e154
+
     @pytest.mark.parametrize("delim", [";", "\t", " "])
     def test_other_delimiters(self, delim):
         text = delim.join(["f1", "f2", "label"]) + "\n" + delim.join(["1.0", "2.0", "1"]) + "\n"
@@ -101,6 +110,10 @@ class TestLoadPoints:
     def test_non_finite_feature_reports_line(self, value):
         with pytest.raises(ParseError, match="line 2: non-finite field"):
             load_points(io.StringIO(f"f1,f2,label\n{value},2.0,1\n"))
+
+    def test_overflowing_squared_norm_reports_line(self):
+        with pytest.raises(ParseError, match="line 3: sum of squared features overflows"):
+            load_points(io.StringIO("f1,f2\n1.0,2.0\n-1e200,2.0\n"))
 
     def test_label_column_ignored(self):
         pts = load_points(io.StringIO("f1,label\n1.0,nan\n"))
@@ -233,6 +246,9 @@ class TestKnnGraph:
 
 
 class TestIncidenceMatrix:
+    """The oracle's G_I, whose Gram matrix ``laplacian_density`` replaces by
+    the normalized Laplacian."""
+
     def test_single_edge(self):
         g = SampleGraph(2, ((0, 1),))
         gi = incidence_matrix(g)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph, random_training_set
-from dilation import data_state, density, incidence_state, overlap, reduced
-from qsslsvm.datasets import SampleGraph, TrainingSet, incidence_matrix, normalized_laplacian
+from dilation import data_state, density, incidence_matrix, incidence_state, overlap, reduced
+from qsslsvm.datasets import SampleGraph, TrainingSet, normalized_laplacian
 from qsslsvm.encodings import (
     DensityMatrix,
     StateVector,

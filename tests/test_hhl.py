@@ -16,10 +16,11 @@ from qsslsvm.errors import (
     AmplitudeOverflowError,
     ConfigurationError,
     DegenerateSystemError,
+    NumericalError,
     ParameterError,
 )
 from qsslsvm.hhl import QPEConfig, glmr_phase_estimation, hhl_solve, quantum_multiply
-from qsslsvm.linalg import filtered_pseudo_inverse, state_fidelity
+from qsslsvm.linalg import state_fidelity
 
 
 class TestQPEConfig:
@@ -170,8 +171,7 @@ class TestHhlSolve:
         a = np.diag([0.9, 0.5, 0.22])
         b = np.array([0.5, 1.0, 0.7])
         b /= np.linalg.norm(b)
-        x = filtered_pseudo_inverse(a, 0.05) @ b
-        x = np.real(x)
+        x = b / np.diag(a)  # every eigenvalue is above the 0.05 filter
         x /= np.linalg.norm(x)
         fids = [
             state_fidelity(hhl_solve(a, b, 0.05, QPEConfig(cq)).solution_state.amplitudes, x)
@@ -190,20 +190,25 @@ class TestHhlSolve:
         p = float(np.sum(np.abs(flagged.success_block()) ** 2))
         assert res.success_probability == pytest.approx(p, abs=1e-12)
 
-    def test_one_eigendecomposition(self, monkeypatch, rng):
+    def test_one_eigendecomposition(self, eig_calls, rng):
         # the PSD, filter and phase-range checks share the response's decomposition
         a = random_density(rng, 5).matrix
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        eig_calls.clear()
         hhl_solve(a, rng.normal(size=5), 0.05, QPEConfig(6))
-        assert calls == ["eigh"]
+        assert [name for name, _ in eig_calls] == ["eigh"]
+
+    def test_shared_spectrum_is_not_decomposed_again(self, cluster8, cluster8_graph,
+                                                     eig_calls):
+        sys = assemble_system(kernel_density(cluster8).matrix,
+                              laplacian_density(cluster8_graph).matrix, cluster8.labels, 1.0)
+        b = sys.rhs / np.linalg.norm(sys.rhs)
+        spectrum = sys.spectrum
+        eig_calls.clear()
+        shared = hhl_solve(spectrum, b, 0.05, QPEConfig(8))
+        assert eig_calls == []
+        fresh = hhl_solve(sys.normalized_matrix(), b, 0.05, QPEConfig(8))
+        assert np.array_equal(shared.solution_state.amplitudes, fresh.solution_state.amplitudes)
+        assert shared.success_probability == fresh.success_probability
 
     def test_degenerate_when_all_filtered(self):
         with pytest.raises(DegenerateSystemError):
@@ -259,6 +264,16 @@ class TestQuantumMultiply:
         target = kd.matrix @ cluster4.labels
         target /= np.linalg.norm(target)
         assert state_fidelity(out.amplitudes, target) >= 0.999
+
+    def test_eigenvalue_above_one_overflows(self):
+        # at the default t0 = pi eigenvalue 3 is also outside the phase range;
+        # the spectrum check comes first
+        with pytest.raises(AmplitudeOverflowError):
+            quantum_multiply(np.diag([3.0, 0.5]), np.array([1.0, 0.0]), QPEConfig(4))
+
+    def test_negative_eigenvalue_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="must be PSD"):
+            quantum_multiply(np.diag([0.5, -0.25]), np.array([1.0, 0.0]), QPEConfig(4))
 
     def test_zero_product_degenerate(self):
         k = np.diag([1.0, 0.0])

@@ -5,13 +5,10 @@ import pytest
 
 from conftest import density_fidelity, random_density, random_hermitian
 from dilation import partial_trace
+from qsslsvm.channels import exact_conjugation
+from qsslsvm.classical import AssembledSystem, solve_classical
 from qsslsvm.errors import LayoutError, NumericalError, ParameterError, SymmetryError
-from qsslsvm.linalg import (
-    filtered_pseudo_inverse,
-    hermitian_eig,
-    hermitian_exp,
-    state_fidelity,
-)
+from qsslsvm.linalg import hermitian_eig, state_fidelity
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -103,65 +100,96 @@ def _taylor_exp(h: np.ndarray, t: float, terms: int = 40, squarings: int = 10) -
     return out
 
 
+def _exp(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) as a matrix function of h's decomposition."""
+    return hermitian_eig(h).apply(lambda w: np.exp(-1j * w * t))
+
+
 class TestHermitianExp:
+    """exp(-i h t) through ``hermitian_eig(h).apply`` and
+    ``exact_conjugation``, which share one decomposition over every t."""
+
     def test_zero_generator(self):
-        assert np.allclose(hermitian_exp(np.zeros((3, 3)), 2.7), np.eye(3))
+        assert np.allclose(_exp(np.zeros((3, 3)), 2.7), np.eye(3))
 
     def test_diagonal_phase(self):
-        out = hermitian_exp(np.diag([1.0, -1.0]), np.pi)
+        out = _exp(np.diag([1.0, -1.0]), np.pi)
         assert np.allclose(out, -np.eye(2), atol=1e-12)
 
     def test_taylor_oracle(self, rng):
         h = random_hermitian(rng, 3)
-        out = hermitian_exp(h, 0.37)
+        out = _exp(h, 0.37)
         assert np.max(np.abs(out - _taylor_exp(h, 0.37))) < 1e-8
+        sigma = random_density(rng, 3)
+        u = _taylor_exp(h, 0.37)
+        exact = exact_conjugation(hermitian_eig(h), sigma, 0.37)
+        assert np.max(np.abs(exact.matrix - u @ sigma.matrix @ u.conj().T)) < 1e-8
 
     def test_unitary_and_inverse(self, rng):
         h = random_hermitian(rng, 4)
-        u = hermitian_exp(h, 1.3)
+        u = _exp(h, 1.3)
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-10
-        assert np.max(np.abs(u @ hermitian_exp(h, -1.3) - np.eye(4))) < 1e-10
+        assert np.max(np.abs(u @ _exp(h, -1.3) - np.eye(4))) < 1e-10
         assert np.allclose(np.abs(np.linalg.eigvals(u)), 1.0)
+        sigma = random_density(rng, 4)
+        eig = hermitian_eig(h)
+        there = exact_conjugation(eig, sigma, 1.3)
+        back = exact_conjugation(eig, there, -1.3)
+        assert np.max(np.abs(back.matrix - sigma.matrix)) < 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(SymmetryError):
-            hermitian_exp(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
+            _exp(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
+
+
+def _filtered_inverse(m: np.ndarray, sigma: float) -> np.ndarray:
+    """The filtered pseudo-inverse ``solve_classical`` applies, column by
+    column: a system whose recorded trace is 1 solves alpha = pinv(A) rhs
+    over the eigenvalues of A at or above ``sigma``."""
+    m = np.asarray(m, dtype=np.float64)
+    return np.column_stack([
+        solve_classical(AssembledSystem(m, e, 1.0, 1.0), sigma).alpha for e in np.eye(len(m))
+    ])
 
 
 class TestFilteredPseudoInverse:
+    """The eigenvalue-filtered pseudo-inverse of A/tr(A) that
+    ``solve_classical`` applies from the system's one decomposition."""
+
     def test_identity(self):
-        assert np.allclose(filtered_pseudo_inverse(np.eye(3), 0.5), np.eye(3))
+        assert np.allclose(_filtered_inverse(np.eye(3), 0.5), np.eye(3))
 
     def test_drops_small_eigenvalue(self):
-        out = filtered_pseudo_inverse(np.diag([1.0, 0.1]), 0.5)
+        out = _filtered_inverse(np.diag([1.0, 0.1]), 0.5)
         assert np.allclose(out, np.diag([1.0, 0.0]))
 
     def test_moore_penrose_identity(self, rng):
         w = np.array([2.0, 1.0, 0.5, 0.25])
         q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
         m = (q * w) @ q.T
-        out = filtered_pseudo_inverse(m, 0.1)
+        out = _filtered_inverse(m, 0.1)
         assert np.max(np.abs(m @ out @ m - m)) < 1e-9
 
     def test_small_sigma_matches_inverse(self, rng):
-        m = random_density(rng, 4).matrix + 0.5 * np.eye(4)
-        out = filtered_pseudo_inverse(m, 1e-12)
+        m = random_density(rng, 4, real=True).matrix + 0.5 * np.eye(4)
+        out = _filtered_inverse(m, 1e-12)
         assert np.max(np.abs(out - np.linalg.inv(m))) < 1e-8
 
     def test_output_hermitian(self, rng):
-        m = random_density(rng, 5).matrix
-        out = filtered_pseudo_inverse(m, 0.01)
-        assert np.max(np.abs(out - out.conj().T)) < 1e-12
+        m = random_density(rng, 5, real=True).matrix
+        out = _filtered_inverse(m, 0.01)
+        assert np.max(np.abs(out - out.T)) < 1e-12
 
     def test_rejects_bad_sigma(self):
+        # a negative threshold is rejected; zero selects the machine-level
+        # threshold, which keeps every nonzero eigenvalue
         with pytest.raises(ParameterError):
-            filtered_pseudo_inverse(np.eye(2), 0.0)
-        with pytest.raises(ParameterError):
-            filtered_pseudo_inverse(np.eye(2), -0.1)
+            _filtered_inverse(np.eye(2), -0.1)
+        assert np.allclose(_filtered_inverse(np.diag([1.0, 1e-6]), 0.0), np.diag([1.0, 1e6]))
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NumericalError):
-            filtered_pseudo_inverse(np.diag([1.0, -1.0]), 0.1)
+        with pytest.raises(NumericalError, match="not PSD"):
+            _filtered_inverse(np.diag([1.0, -1.0]), 0.1)
 
 
 class TestFidelities:

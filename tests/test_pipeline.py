@@ -96,19 +96,22 @@ class TestRunPipeline:
         # each estimate is within one clock bin (2 lam_max / T at t0 = pi / lam_max)
         assert np.max(np.abs(np.asarray(retained) - kept)) <= 2 * lam[0] / 2**clock_qubits
 
-    def test_no_complex_eigh(self, monkeypatch):
+    def test_no_complex_eigh(self, eig_calls):
         # K, L, A/tr(A), the program-state blocks and the generators are real
-        eigh = np.linalg.eigh
-        complex_calls = []
-
-        def spy(a, *args, **kwargs):
-            complex_calls.append(np.iscomplexobj(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", spy)
         run_pipeline(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
         run_classical(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
+        complex_calls = [np.iscomplexobj(a) for name, a in eig_calls if name == "eigh"]
         assert complex_calls and not any(complex_calls)
+
+    def test_one_decomposition_per_matrix(self, eig_calls):
+        # A/tr(A) serves the classical solve, the inversion and the residual
+        # projection; the generators K (also the multiply's matrix), K K and
+        # K L K each serve every dt of the slope diagnostic
+        run_pipeline(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
+        inputs = [a for name, a in eig_calls if name == "eigh"]
+        assert len(inputs) == 4
+        for i, a in enumerate(inputs):
+            assert not any(a.shape == b.shape and np.array_equal(a, b) for b in inputs[:i])
 
     def test_perturbed_classical_system_is_numerical_error(self, monkeypatch):
         assemble = pipeline.assemble_system
@@ -193,6 +196,12 @@ class TestBenchLmr:
         cfg = RunConfig(knn_k=1)
         with pytest.raises(ParameterError):
             bench_lmr(cfg, DATA / "two_cluster_4.csv", dts=(0.2, 0.1))
+
+    def test_one_decomposition_per_generator(self, eig_calls):
+        # 3 generators, each serving its dt sweep and its exact final state,
+        # and one per trajectory (n and 2n steps per term) in simulate_evolution
+        bench_lmr(RunConfig(knn_k=2), DATA / "two_cluster_8.csv")
+        assert sum(name == "eigh" for name, _ in eig_calls) == 9
 
 
 class TestCostModel:
