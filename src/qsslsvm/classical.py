@@ -22,7 +22,7 @@ import numpy as np
 
 from .datasets import LaplacianMatrix, TrainingSet
 from .errors import DegenerateSystemError, LayoutError, NumericalError, ParameterError
-from .linalg import SpectralDecomposition, hermitian_eig
+from .linalg import SpectralDecomposition, hermitian_eig, overflow_guard
 
 _EPS = np.finfo(np.float64).eps
 
@@ -74,9 +74,11 @@ class KernelSpec:
         if self.kind == "poly":
             return (inner + self.offset) ** self.degree
         sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2 * inner
-        return np.exp(-np.clip(sq, 0.0, None) / (2.0 * self.width**2))
+        with np.errstate(over="ignore"):  # an exponent overflowing to -inf gives 0
+            return np.exp(-np.clip(sq, 0.0, None) / (2.0 * self.width**2))
 
 
+@overflow_guard("the kernel matrix")
 def kernel_matrix(x: TrainingSet, spec: KernelSpec) -> np.ndarray:
     """Symmetric PSD m x m kernel matrix over the training samples.
 
@@ -107,6 +109,7 @@ class AssembledSystem:
         return hermitian_eig(self.normalized_matrix())
 
 
+@overflow_guard("the system matrix")
 def assemble_system(
     k: np.ndarray,
     l: np.ndarray | LaplacianMatrix,
@@ -175,20 +178,20 @@ def solve_classical(
     return ModelSolution(alpha, sys.gamma, kernel or KernelSpec("linear"), sigma_filter, features)
 
 
-def predict(model: ModelSolution, x_new: np.ndarray) -> tuple[float, int]:
-    """Score sum_j alpha_j K(x_j, x_new) and its sign label.
+@overflow_guard("the kernel scores")
+def predict(model: ModelSolution, x_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores sum_j alpha_j K(x_j, x) and their sign labels for one point
+    ``(p,)`` or a block ``(n, p)``, each of shape ``x_new.shape[:-1]``.
 
-    A score of exactly zero maps to +1 (documented tie rule).
+    The m x n kernel block is formed once; a score of exactly zero maps to
+    +1 (documented tie rule).
     """
-    x_new = np.asarray(x_new, dtype=np.float64).reshape(-1)
-    if model.training_features.shape[1] != x_new.shape[0]:
-        raise LayoutError(
-            f"point has {x_new.shape[0]} features, model expects "
-            f"{model.training_features.shape[1]}"
-        )
-    kvec = model.kernel.gram(model.training_features, x_new[None, :]).reshape(-1)
-    score = float(model.alpha @ kvec)
-    return score, (1 if score >= 0 else -1)
+    x = np.atleast_1d(np.asarray(x_new, dtype=np.float64))
+    p = model.training_features.shape[1]
+    if x.shape[-1] != p:
+        raise LayoutError(f"point has {x.shape[-1]} features, model expects {p}")
+    scores = (model.alpha @ model.kernel.gram(model.training_features, x)).reshape(x.shape[:-1])
+    return scores, 2 * (scores >= 0) - 1
 
 
 def objective_gradient(sys: AssembledSystem, alpha: np.ndarray) -> np.ndarray:

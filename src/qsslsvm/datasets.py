@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import IO
 
@@ -65,6 +66,13 @@ class TrainingSet:
     @property
     def feature_count(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """Euclidean norm of each sample row, computed on first use."""
+        norms = np.linalg.norm(self.features, axis=1)
+        norms.setflags(write=False)
+        return norms
 
 
 def _detect_delimiter(header: str) -> str:
@@ -262,8 +270,9 @@ def build_knn_graph(x: TrainingSet, k: int) -> SampleGraph:
     if not 1 <= k < m:
         raise ParameterError(f"k must be in [1, {m - 1}], got {k}")
     pts = x.features
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    with np.errstate(over="ignore"):  # a distance past float64 is inf, a tie
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
     np.fill_diagonal(dist, -1.0)
     nearest = np.argsort(dist, axis=1, kind="stable")[:, 1 : k + 1]
     rows = np.repeat(np.arange(m), k)
@@ -302,11 +311,9 @@ class LaplacianMatrix:
 
 def combinatorial_laplacian(g: SampleGraph) -> LaplacianMatrix:
     """L[i, i] = d_i and L[i, j] = -1 for each edge (i, j)."""
-    m = g.vertex_count
     lap = np.diag(g.degrees.astype(np.float64))
-    for i, j in g.edges:
-        lap[i, j] = -1.0
-        lap[j, i] = -1.0
+    i, j = np.array(g.edges).T
+    lap[i, j] = lap[j, i] = -1.0
     return LaplacianMatrix(lap, "combinatorial")
 
 
@@ -314,10 +321,8 @@ def _normalized_laplacian_array(g: SampleGraph) -> np.ndarray:
     """The normalized Laplacian, unvalidated: each of its two wrappers
     validates it once."""
     lap = np.eye(g.vertex_count)
-    for i, j in g.edges:
-        v = -1.0 / np.sqrt(float(g.degrees[i] * g.degrees[j]))
-        lap[i, j] = v
-        lap[j, i] = v
+    i, j = np.array(g.edges).T
+    lap[i, j] = lap[j, i] = -1.0 / np.sqrt(g.degrees[i] * g.degrees[j])
     return lap
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import SampleGraph, TrainingSet, _normalized_laplacian_array
 from .errors import EncodingError, LayoutError
-from .linalg import as_matrix, hermitian_deviation, hermitian_part
+from .linalg import as_matrix, hermitian_deviation, hermitian_part, overflow_guard
 
 #: Default validation tolerances for quantum objects.
 STATE_NORM_TOL = 1e-12
@@ -100,13 +100,14 @@ class DensityMatrix:
 
 
 def _row_norms(x: TrainingSet) -> np.ndarray:
-    norms = np.linalg.norm(x.features, axis=1)
+    norms = x.row_norms
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise EncodingError(f"sample {bad} has zero norm and cannot be encoded")
     return norms
 
 
+@overflow_guard("the kernel density")
 def kernel_density(x: TrainingSet) -> DensityMatrix:
     """Trace-normalized linear-kernel density: Tr_2 |X><X| = X X^T / ||X||_F^2."""
     _row_norms(x)

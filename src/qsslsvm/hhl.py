@@ -134,16 +134,18 @@ def _clock_weights(
     The clock amplitude on eigenvector i is the DFT of its controlled
     evolution phases, a[y, i] = (1/T) sum_k exp(i t0 k lambda_i)
     exp(-2 pi i y k / T), so w = |a|^2 is the Fejer kernel centred on
-    lambda_i t0 T / (2 pi).  All eigenphases must lie in [0, 1).
+    lambda_i t0 T / (2 pi).  Eigenvalues in [-1e-8, 0), which both callers
+    accept as PSD, are read as 0 (clock 0, gain 0); all phases must be < 1.
     """
-    phases = eig.eigenvalues * t0 / (2.0 * np.pi)
-    if np.any(phases < -1e-12) or np.any(phases >= 1.0 - 1e-12):
+    lam = np.maximum(eig.eigenvalues, 0.0)
+    phases = lam * t0 / (2.0 * np.pi)
+    if np.any(phases >= 1.0 - 1e-12):
         raise ConfigurationError(
             f"eigenphases must lie in [0, 1); got range "
             f"[{phases.min():.4g}, {phases.max():.4g}] -- rescale t0"
         )
     ks = np.arange(clock_dim)
-    amps = np.fft.fft(np.exp(1j * t0 * np.outer(ks, eig.eigenvalues)), axis=0) / clock_dim
+    amps = np.fft.fft(np.exp(1j * t0 * np.outer(ks, lam)), axis=0) / clock_dim
     return 2.0 * np.pi * ks / (clock_dim * t0), np.abs(amps) ** 2
 
 

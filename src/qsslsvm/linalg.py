@@ -14,6 +14,7 @@ inputs.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,17 @@ def as_matrix(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NumericalError("matrix contains NaN or Inf entries")
     return a
+
+
+@contextmanager
+def overflow_guard(what: str):
+    """Context (or decorator) in which a float64 overflow, or the inf - inf
+    it leads to, raises ``NumericalError`` naming ``what``, not a warning."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError:
+            raise NumericalError(f"float64 overflow in {what}") from None
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,10 @@ from .channels import (
 from .classical import (
     KernelSpec,
     assemble_system,
-    kernel_matrix,
     objective_gradient,
     predict,
     solve_classical,
+    train_semi_supervised,
 )
 from .datasets import (
     SampleGraph,
@@ -196,27 +196,50 @@ class _Stages:
         return result
 
 
-def _build_graph(cfg: RunConfig, training: TrainingSet) -> SampleGraph:
-    if cfg.graph_path is not None:
+def _front_end(
+    stages: _Stages, cfg: RunConfig, dataset: str | Path, testset: str | Path | None = None
+) -> tuple[TrainingSet, np.ndarray, SampleGraph]:
+    """The ``ingest``, optional ``testset`` and ``graph`` stages of every run:
+    training set, test points (default: the training points) and graph."""
+    training = stages.run("ingest", lambda: load_dataset(dataset))
+
+    def _test_points():
+        points = load_points(testset)
+        if points.shape[1] != training.feature_count:
+            raise LayoutError(f"test points have {points.shape[1]} features, "
+                              f"dataset has {training.feature_count}")
+        return points
+
+    def _graph():
+        if cfg.graph_path is None:
+            return build_knn_graph(training, cfg.knn_k)
         g = load_graph(cfg.graph_path)
         if g.vertex_count != training.sample_count:
-            raise ParameterError(
-                f"graph has {g.vertex_count} vertices, dataset has "
-                f"{training.sample_count} samples"
-            )
+            raise ParameterError(f"graph has {g.vertex_count} vertices, "
+                                 f"dataset has {training.sample_count} samples")
         return g
-    return build_knn_graph(training, cfg.knn_k)
+
+    points = training.features if testset is None else stages.run("testset", _test_points)
+    return training, points, stages.run("graph", _graph)
 
 
-def _load_testset(testset: str | Path, training: TrainingSet) -> np.ndarray:
-    """Test points, with as many features as the training set."""
-    points = load_points(testset)
-    if points.shape[1] != training.feature_count:
-        raise LayoutError(
-            f"test points have {points.shape[1]} features, dataset has "
-            f"{training.feature_count}"
-        )
-    return points
+def _report_header(
+    kind: str, cfg: RunConfig, dataset: str | Path, testset: str | Path | None,
+    training: TrainingSet, graph: SampleGraph,
+) -> dict:
+    """The ``schema_version``, ``kind``, ``config`` and ``dataset`` report head."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "config": {**asdict(cfg), "dataset": str(dataset),
+                   "testset": None if testset is None else str(testset)},
+        "dataset": {
+            "m": training.sample_count,
+            "p": training.feature_count,
+            "labeled": training.labeled_count,
+            "edges": graph.edge_count,
+        },
+    }
 
 
 def _program_states(k_density: DensityMatrix, l_density: DensityMatrix) -> dict:
@@ -278,11 +301,7 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
             "Laplacian; the combinatorial kind is classical-only"
         )
     stages = _Stages()
-    training = stages.run("ingest", lambda: load_dataset(dataset))
-    points = training.features
-    if testset is not None:
-        points = stages.run("testset", lambda: _load_testset(testset, training))
-    graph = stages.run("graph", lambda: _build_graph(cfg, training))
+    training, points, graph = _front_end(stages, cfg, dataset, testset)
 
     k_density = stages.run("encode_kernel", lambda: kernel_density(training))
     l_density = stages.run("encode_laplacian", lambda: laplacian_density(graph))
@@ -323,25 +342,16 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
         amps = hhl_result.solution_state.amplitudes
         phase = np.vdot(amps, alpha_unit)
         alpha_quantum = np.real(amps * np.exp(1j * np.angle(phase)))
-        classical_labels, quantum_labels, p_estimates, ambiguous = [], [], [], 0
-        for i, point in enumerate(points):
-            classical_labels.append(predict(model, point)[1])
-            result = classify(
-                alpha_quantum, point, training, shots=cfg.shots, seed=cfg.seed + i
-            )
-            quantum_labels.append(result.label)
-            p_estimates.append(result.p_estimate)
-            ambiguous += int(result.ambiguous)
-        agreement = float(
-            np.mean([c == q for c, q in zip(classical_labels, quantum_labels)])
-        )
+        classical_labels = predict(model, points)[1]
+        # row i of a sampled readout draws from seed cfg.seed + i
+        result = classify(alpha_quantum, points, training, shots=cfg.shots, seed=cfg.seed)
         return {
-            "agreement": agreement,
+            "agreement": float(np.mean(classical_labels == result.label)),
             "test_point_count": len(points),
-            "classical_labels": classical_labels,
-            "quantum_labels": quantum_labels,
-            "p_estimates": p_estimates,
-            "ambiguous_count": ambiguous,
+            "classical_labels": classical_labels.tolist(),
+            "quantum_labels": result.label.tolist(),
+            "p_estimates": result.p_estimate.tolist(),
+            "ambiguous_count": int(np.count_nonzero(result.ambiguous)),
         }
 
     classification = stages.run("classify", _classify)
@@ -355,27 +365,18 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
 
     # residual restricted to the retained eigenspace of A/tr(A)
     keep = sysq.spectrum.eigenvectors[:, sysq.spectrum.eigenvalues >= cfg.sigma_thresh]
-    resid_vec = sysq.a_matrix @ alpha_classical - sysq.rhs
+    resid_vec = objective_gradient(sysq, alpha_classical)
     rhs_proj = keep.T @ sysq.rhs
     residual_retained = float(
         np.linalg.norm(keep.T @ resid_vec) / max(np.linalg.norm(rhs_proj), 1e-30)
     )
 
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "simulate",
-        "config": {**asdict(cfg), "dataset": str(dataset),
-                   "testset": None if testset is None else str(testset)},
-        "dataset": {
-            "m": training.sample_count,
-            "p": training.feature_count,
-            "labeled": training.labeled_count,
-            "edges": graph.edge_count,
-        },
+        **_report_header("simulate", cfg, dataset, testset, training, graph),
         "classical": {
             "alpha": [float(a) for a in alpha_classical],
             "residual_retained": residual_retained,
-            "gradient_norm": float(np.linalg.norm(objective_gradient(sysq, alpha_classical))),
+            "gradient_norm": float(np.linalg.norm(resid_vec)),
         },
         "quantum": {
             "solution_fidelity": float(solution_fidelity),
@@ -393,45 +394,20 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
 def run_classical(cfg: RunConfig, dataset: str | Path, testset: str | Path | None = None) -> dict:
     """Classical-only training run (any kernel, either Laplacian kind)."""
     stages = _Stages()
-    training = stages.run("ingest", lambda: load_dataset(dataset))
-    points = None
-    if testset is not None:
-        points = stages.run("testset", lambda: _load_testset(testset, training))
-    graph = stages.run("graph", lambda: _build_graph(cfg, training))
+    training, points, graph = _front_end(stages, cfg, dataset, testset)
     lap = stages.run("laplacian", lambda: laplacian(graph, cfg.laplacian_kind))
-
-    def _train():
-        k = kernel_matrix(training, cfg.kernel)
-        sys = assemble_system(k, lap, training.labels, cfg.gamma)
-        model = solve_classical(
-            sys, cfg.sigma_thresh, kernel=cfg.kernel, training_features=training.features
-        )
-        return sys, model
-
-    sys, model = stages.run("train", _train)
-    resid = np.linalg.norm(sys.a_matrix @ model.alpha - sys.rhs)
-    rhs_norm = np.linalg.norm(sys.rhs)
+    model, sys = stages.run("train", lambda: train_semi_supervised(
+        training, lap, cfg.kernel, cfg.gamma, cfg.sigma_thresh))
+    resid = np.linalg.norm(objective_gradient(sys, model.alpha))
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "train",
-        "config": {**asdict(cfg), "dataset": str(dataset),
-                   "testset": None if testset is None else str(testset)},
-        "dataset": {
-            "m": training.sample_count,
-            "p": training.feature_count,
-            "labeled": training.labeled_count,
-            "edges": graph.edge_count,
-        },
+        **_report_header("train", cfg, dataset, testset, training, graph),
         "alpha": [float(a) for a in model.alpha],
-        "residual": float(resid / max(rhs_norm, 1e-30)),
-        "gradient_norm": float(np.linalg.norm(objective_gradient(sys, model.alpha))),
+        "residual": float(resid / max(np.linalg.norm(sys.rhs), 1e-30)),
+        "gradient_norm": float(resid),
     }
-    if points is not None:
-        scored = [predict(model, pt) for pt in points]
-        report["predictions"] = {
-            "scores": [float(s) for s, _ in scored],
-            "labels": [int(l) for _, l in scored],
-        }
+    if testset is not None:
+        scores, labels = predict(model, points)
+        report["predictions"] = {"scores": scores.tolist(), "labels": labels.tolist()}
     report["timings"] = stages.timings
     return report
 
@@ -452,8 +428,7 @@ def bench_lmr(
         raise ParameterError(f"total time must be finite and positive, got {total_time}")
     n = EvolutionConfig(total_time, cfg.delta).resolved_steps()
     stages = _Stages()
-    training = stages.run("ingest", lambda: load_dataset(dataset))
-    graph = stages.run("graph", lambda: _build_graph(cfg, training))
+    training, _, graph = _front_end(stages, cfg, dataset)
     states = _program_states(kernel_density(training), laplacian_density(graph))
     sigma0 = _probe_state(training.sample_count, cfg.seed)
     sweeps, slopes, trajectory = {}, {}, {}
@@ -563,8 +538,3 @@ def emit_report(report: dict, path: str | Path) -> Path:
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
     return path
-
-
-def load_report(path: str | Path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

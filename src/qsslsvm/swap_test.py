@@ -8,11 +8,13 @@ unit-normalized, so their overlap is the identity
 
     Re<q|s> = x . (X^T alpha) / (sqrt(m) ||x|| ||diag(alpha) X||_F)
 
-for training rows X (m x p), and ``classify`` evaluates P from it in
-O(m p) without building either state.  P < 1/2 means positive overlap and
-a positive predicted label; for the linear kernel the overlap sign equals
-the sign of the classical decision score.  The state construction and the
-ancilla circuit are kept as the test oracle in ``tests/dilation.py``.
+for training rows X (m x p).  ``classify`` evaluates P from it for a
+block of points without building either state: X^T alpha and
+||diag(alpha) X||_F once per call, then O(p) per point.  P < 1/2 means
+positive overlap and a positive predicted label; for the linear kernel
+the overlap sign equals the sign of the classical decision score.  The
+state construction and the ancilla circuit are the test oracle in
+``tests/dilation.py``.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ _AMBIGUITY_SIGMAS = 3.0
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    label: int
-    p_estimate: float
-    ambiguous: bool
+    """Labels, P estimates and ambiguity flags, each of shape ``x.shape[:-1]``."""
+
+    label: np.ndarray
+    p_estimate: np.ndarray
+    ambiguous: np.ndarray
 
 
 def classify(
@@ -43,35 +47,36 @@ def classify(
     shots: int = 0,
     seed: int = 0,
 ) -> ClassificationResult:
-    """Predict the label of ``x_new`` from the overlap of the query and
-    expansion states.
+    """Predict the labels of ``x_new``, one point ``(p,)`` or a block
+    ``(n, p)``, from the overlap of the query and expansion states.
 
     P < 1/2 means positive overlap and label +1; exactly 1/2 maps to +1,
     the same tie rule as the classical predictor's sign(0).  ``shots == 0``
-    returns P itself; otherwise P is estimated from ``shots`` seeded
-    Bernoulli draws, and an estimate within three binomial standard
-    deviations of 1/2 is flagged as ambiguous (the label is still
-    returned).  Errors are raised in the order the construction would meet
-    them: the query point, then the coefficients and training rows, then
-    ``shots``.
+    returns P itself; otherwise P is estimated from ``shots`` Bernoulli
+    draws, seeded with ``seed + i`` for row i, and an estimate within
+    three binomial standard deviations of 1/2 is flagged as ambiguous (the
+    label is still returned).  Errors are raised in the order the
+    construction would meet them: the query points, then the coefficients
+    and training rows, then ``shots``; a bad row anywhere in a block
+    raises the error a one-point call on it would.
     """
     m, p = training.sample_count, training.feature_count
-    x = np.asarray(x_new, dtype=np.float64).reshape(-1)
-    if x.shape[0] != p:
-        raise LayoutError(f"query point has {x.shape[0]} features, training set has {p}")
-    q_norm = np.sqrt(m) * np.linalg.norm(x)
-    if q_norm == 0.0:
+    x = np.atleast_1d(np.asarray(x_new, dtype=np.float64))
+    if x.shape[-1] != p:
+        raise LayoutError(f"query point has {x.shape[-1]} features, training set has {p}")
+    q_norm = np.sqrt(m) * np.linalg.norm(x, axis=-1)
+    if (q_norm == 0.0).any():
         raise EncodingError("cannot encode a zero query point")
-    if not np.isfinite(q_norm):
+    if not np.isfinite(q_norm).all():
         raise EncodingError("cannot encode a non-finite query point")
 
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
     if alpha.shape[0] != m:
         raise LayoutError(f"alpha has {alpha.shape[0]} entries, expected {m}")
-    if not np.any(alpha):
+    if not alpha.any():
         raise DegenerateSystemError("model coefficients are all zero")
-    row_norms = np.linalg.norm(training.features, axis=1)
-    if np.any(row_norms == 0.0):
+    row_norms = training.row_norms
+    if (row_norms == 0.0).any():
         raise EncodingError("training set has a zero-norm sample")
     s_norm = np.linalg.norm(alpha * row_norms)
     if s_norm == 0.0 or not np.isfinite(s_norm):
@@ -79,12 +84,13 @@ def classify(
 
     if shots < 0:
         raise ParameterError(f"shots must be >= 0, got {shots}")
-    overlap = float(x @ (training.features.T @ alpha)) / (q_norm * s_norm)
-    prob = float(np.clip((1.0 - overlap) / 2.0, 0.0, 1.0))
-    ambiguous = False
+    overlap = (x @ (training.features.T @ alpha)) / (q_norm * s_norm)
+    prob = ((1.0 - overlap) / 2.0).clip(0.0, 1.0)
+    ambiguous = np.zeros(prob.shape, dtype=bool)
     if shots > 0:
-        prob = int(np.random.default_rng(seed).binomial(shots, prob)) / shots
-        std = float(np.sqrt(prob * (1.0 - prob) / shots))
+        hits = [np.random.default_rng(seed + i).binomial(shots, pi)
+                for i, pi in enumerate(prob.reshape(-1))]
+        prob = np.reshape(hits, prob.shape) / shots
+        std = np.sqrt(prob * (1.0 - prob) / shots)
         ambiguous = abs(prob - 0.5) < _AMBIGUITY_SIGMAS * std
-    label = 1 if prob <= 0.5 else -1
-    return ClassificationResult(label, prob, ambiguous)
+    return ClassificationResult(2 * (prob <= 0.5) - 1, prob, ambiguous)

@@ -1,7 +1,8 @@
 """Shared fixtures, random-object helpers, and reference functions that
 only the tests use (Uhlmann fidelity, the maximally mixed state, the
-training objective)."""
+training objective, reading a report back)."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -162,3 +163,9 @@ def objective_value(
         + 0.5 * alpha @ f / gamma
         + 0.5 * f @ lm @ f / gamma
     )
+
+
+def load_report(path: str | Path) -> dict:
+    """A JSON report written by ``emit_report``, read back."""
+    with open(path) as fh:
+        return json.load(fh)

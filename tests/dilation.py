@@ -495,10 +495,15 @@ def phase_estimation(a_hat, b, cfg: QPEConfig) -> QPEState:
 
     The clock distribution peaks at the dyadic approximations of
     lambda_i t0 / (2 pi); exactly representable eigenvalues give a sharp
-    clock.  All eigenphases must lie in [0, 1).
+    clock.  All eigenphases must lie in [0, 1).  Eigenvalues in [-1e-8, 0),
+    which the solvers accept as PSD, are read as 0: the controlled
+    evolutions run under the matrix with those eigenvalues set to 0.
     """
     a = _as_hermitian(a_hat)
     eig = hermitian_eig(a)
+    lam = eig.eigenvalues
+    eig = SpectralDecomposition(np.where(lam >= -1e-8, np.maximum(lam, 0.0), lam),
+                                eig.eigenvectors)
     vec = _as_unit_state(b, a.shape[0])
     t0 = cfg.evolution_time
     if t0 is None:
@@ -636,8 +641,8 @@ def dense_hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:
 def dense_quantum_multiply(k, y, cfg: QPEConfig) -> StateVector:
     """``quantum_multiply`` through the same circuit with the eigenvalue
     (not inverse-eigenvalue) rotation, after the same spectrum-range
-    checks: a negative eigenvalue is a ``NumericalError`` and one above 1 an
-    ``AmplitudeOverflowError``, before any phase-range check."""
+    checks: an eigenvalue below -1e-8 is a ``NumericalError`` and one above
+    1 an ``AmplitudeOverflowError``, before any phase-range check."""
     a = _as_hermitian(k)
     spectrum = np.linalg.eigvalsh((a + a.conj().T) / 2)
     if spectrum[0] < -1e-8:

@@ -18,10 +18,11 @@ from qsslsvm.datasets import (
     SampleGraph,
     TrainingSet,
     combinatorial_laplacian,
+    load_points,
     normalized_laplacian,
 )
 from qsslsvm.encodings import kernel_density, laplacian_density
-from qsslsvm.errors import DegenerateSystemError, LayoutError, ParameterError
+from qsslsvm.errors import DegenerateSystemError, LayoutError, NumericalError, ParameterError
 
 
 class TestKernelSpec:
@@ -64,6 +65,20 @@ class TestKernelMatrix:
         ts = TrainingSet(x, np.array([1.0, -1.0, 0.0, 0.0]), 2)
         k = kernel_matrix(ts, KernelSpec("poly", degree=2, offset=1.0))
         assert np.linalg.eigvalsh(k)[0] >= -1e-9
+
+    def test_rbf_exponent_past_float64_is_zero(self):
+        # the squared distance is finite, its ratio to 2 width^2 is not
+        ts = TrainingSet(np.array([[0.0, 1.0], [1e5, 1.0]]), np.array([1.0, -1.0]), 2)
+        assert np.array_equal(kernel_matrix(ts, KernelSpec("rbf", width=1e-150)), np.eye(2))
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("poly", 2, 1.0),
+                                        KernelSpec("rbf", width=1.0)], ids=lambda k: k.kind)
+    def test_overflow_is_numerical_error(self, kernel):
+        # each row's squared norm is finite; sums, differences and powers
+        # of the entries are not (a warning would fail the test)
+        ts = TrainingSet(np.array([[1e154, 0.0], [-1e154, 0.0]]), np.array([1.0, -1.0]), 2)
+        with pytest.raises(NumericalError, match="^float64 overflow in the kernel matrix$"):
+            kernel_matrix(ts, kernel)
 
 
 class TestAssembleSystem:
@@ -109,6 +124,11 @@ class TestAssembleSystem:
     def test_dimension_mismatch(self):
         with pytest.raises(LayoutError):
             assemble_system(np.eye(2), np.zeros((3, 3)), np.array([1.0, -1.0]), 1.0)
+
+    def test_overflow_is_numerical_error(self):
+        k = np.full((2, 2), 1e200)
+        with pytest.raises(NumericalError, match="^float64 overflow in the system matrix$"):
+            assemble_system(k, np.zeros((2, 2)), np.array([1.0, -1.0]), 1.0)
 
 
 class TestSolveClassical:
@@ -193,6 +213,19 @@ class TestPredict:
         assert score == 0.0
         assert label == 1
 
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("poly", 2, 1.0),
+                                        KernelSpec("rbf", width=2.0)], ids=lambda k: k.kind)
+    def test_block_matches_one_point_calls(self, cluster8, data_dir, rng, kernel):
+        model = ModelSolution(rng.normal(size=8), 1.0, kernel, 0.0, cluster8.features)
+        points = load_points(data_dir / "grid_20.csv")
+        scores, labels = predict(model, points)
+        assert scores.shape == labels.shape == (20,)
+        tol = 1e-12 * np.max(np.abs(scores))
+        for i, point in enumerate(points):
+            score, label = predict(model, point)
+            assert abs(scores[i] - score) <= tol
+            assert labels[i] == label
 
 class TestSolverProperties:
     def test_zero_laplacian_matches_plain_ls_svm(self, rng):

@@ -51,6 +51,30 @@ def test_feature_squares_overflow_is_input_error(tmp_path, capsys, command):
     assert err == "error: [ingest] line 2: sum of squared features overflows float64\n"
 
 
+@pytest.mark.parametrize("big, argv, message", [
+    # every row's squared norm is finite, so ingest accepts the file; the
+    # pairwise distances, the kernel entries' sums and the density's
+    # normalization are not
+    ("1e154", ["train", "--knn", "1"], "[train] float64 overflow in the kernel matrix"),
+    ("1e154", ["train", "--graph"], "[train] float64 overflow in the kernel matrix"),
+    ("1e154", ["simulate", "--graph"], "[encode_kernel] float64 overflow in the kernel density"),
+    ("1e154", ["simulate", "--knn", "1"], "[encode_kernel] float64 overflow in the kernel density"),
+    # the kernel entries are finite, the products K K and K L K are not
+    ("1e100", ["train", "--knn", "1"], "[train] float64 overflow in the system matrix"),
+], ids=["train-knn", "train-graph", "simulate-graph", "simulate-knn", "train-system"])
+def test_overflow_is_one_numerical_error_line(tmp_path, capsys, big, argv, message):
+    data = tmp_path / "wide.csv"
+    data.write_text(f"f1,f2,label\n{big},0,1\n-{big},0,-1\n1,0,0\n2,1,0\n")
+    graph = tmp_path / "path.json"
+    graph.write_text('{"m": 4, "edges": [[0, 1], [1, 2], [2, 3]]}')
+    flags = argv[1:] + ([str(graph)] if argv[-1] == "--graph" else [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([argv[0], str(data), *flags]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"numerical error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["bench", DATASET4, "--knn", "1", "--delta", "1e-2"],
     ["simulate", DATASET8, "--knn", "2"],

@@ -211,18 +211,27 @@ class TestChannelPower:
 
 
 def _assert_classify_matches(alpha, x, training, shots=0, seed=0):
-    """Both routes raise the same exception type, or give P within 1e-12
-    (equal estimates when sampled), equal labels and ambiguity flags."""
+    """``classify`` on one point or a block against the circuit run on each
+    row i at seed ``seed + i``: the block raises the exception type of the
+    first row the circuit rejects, or each row has P within 1e-12 (equal
+    estimates when sampled), equal labels and ambiguity flags."""
     closed = _outcome(classify, alpha, x, training, shots=shots, seed=seed)
-    dense = _outcome(dense_classify, alpha, x, training, shots=shots, seed=seed)
-    if isinstance(dense, type):
-        assert closed is dense
+    rows = np.reshape(x, (-1, np.shape(x)[-1]))
+    dense = [_outcome(dense_classify, alpha, row, training, shots=shots, seed=seed + i)
+             for i, row in enumerate(rows)]
+    failed = [d for d in dense if isinstance(d, type)]
+    if failed:
+        assert closed is failed[0]
         return
-    if shots == 0:
-        assert abs(closed.p_estimate - dense.p_estimate) <= TOL
-    else:
-        assert closed.p_estimate == dense.p_estimate
-    assert (closed.label, closed.ambiguous) == (dense.label, dense.ambiguous)
+    assert np.shape(closed.label) == np.shape(x)[:-1]
+    p, labels, flags = (np.reshape(v, -1) for v in
+                        (closed.p_estimate, closed.label, closed.ambiguous))
+    for i, row in enumerate(dense):
+        if shots == 0:
+            assert abs(p[i] - row.p_estimate) <= TOL
+        else:
+            assert p[i] == row.p_estimate
+        assert (labels[i], flags[i]) == (row.label, row.ambiguous)
 
 
 class TestReadoutAgainstCircuit:
@@ -282,6 +291,14 @@ class TestSolverAgainstCircuit:
         b = np.array([0.5, 1.0, 0.7])
         for cq in (4, 6, 8):
             _assert_solve_matches(a, b, 0.05, QPEConfig(cq))
+
+    def test_roundoff_negative_eigenvalue(self, rng):
+        # an eigenvalue in [-1e-8, 0) is accepted as PSD and read as 0
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        a = (q * np.array([0.5, 0.25, -1e-10])) @ q.T
+        b = rng.normal(size=3)
+        _assert_solve_matches(a, b, 0.1, QPEConfig(4))
+        _assert_multiply_matches(a, b, QPEConfig(4))
 
     def test_svm_fixture(self, cluster4, cluster4_graph):
         kd = kernel_density(cluster4)
@@ -357,6 +374,30 @@ class TestProperties:
         labels = np.zeros(m)
         labels[0] = 1.0
         _assert_classify_matches(alpha, query, TrainingSet(x, labels, 1), shots, shot_seed)
+
+    @given(m=st.integers(1, 8), p=st.integers(1, 4), n=st.integers(1, 6), seed=seeds,
+           shots=st.just(0) | st.integers(1, 1000), shot_seed=seeds,
+           fault=st.sampled_from([None, None, "zero_row", "nan_row", "inf_row",
+                                  "alpha_zero", "shots"]))
+    def test_classify_block(self, m, p, n, seed, shots, shot_seed, fault):
+        """A block of n random queries, now and then with one faulty row or
+        a fault every row shares: the block raises the error type a
+        one-point call raises, or row i agrees with the circuit at
+        ``shot_seed + i``."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(m, p))
+        alpha = rng.normal(size=m)
+        queries = rng.normal(size=(n, p))
+        bad_row = {"zero_row": 0.0, "nan_row": np.nan, "inf_row": np.inf}.get(fault)
+        if bad_row is not None:
+            queries[rng.integers(n)] = bad_row
+        if fault == "alpha_zero":
+            alpha = np.zeros_like(alpha)
+        if fault == "shots":
+            shots = -shots - 1
+        labels = np.zeros(m)
+        labels[0] = 1.0
+        _assert_classify_matches(alpha, queries, TrainingSet(x, labels, 1), shots, shot_seed)
 
     @settings(max_examples=30)
     @given(d=dims, seed=seeds, count=st.integers(1, 3), dt=times, n=st.integers(1, 2000))

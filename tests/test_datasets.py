@@ -311,6 +311,18 @@ class TestLaplacians:
             for lap in (combinatorial_laplacian(g), normalized_laplacian(g)):
                 assert np.linalg.eigvalsh(lap.matrix)[0] >= -1e-10
 
+    @pytest.mark.parametrize("m", [8, 24, 128])
+    def test_bit_identical_to_per_edge_loops(self, rng, m):
+        g = build_knn_graph(TrainingSet(rng.normal(size=(m, 3)), np.r_[1.0, np.zeros(m - 1)], 1),
+                            min(5, m - 1))
+        comb = np.diag(g.degrees.astype(np.float64))
+        norm = np.eye(m)
+        for i, j in g.edges:
+            comb[i, j] = comb[j, i] = -1.0
+            norm[i, j] = norm[j, i] = -1.0 / np.sqrt(float(g.degrees[i] * g.degrees[j]))
+        assert np.array_equal(combinatorial_laplacian(g).matrix, comb)
+        assert np.array_equal(normalized_laplacian(g).matrix, norm)
+
     def test_kind_validation(self):
         with pytest.raises(ParameterError):
             LaplacianMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), "combinatorial")

@@ -214,6 +214,12 @@ class TestHhlSolve:
         with pytest.raises(DegenerateSystemError):
             hhl_solve(np.diag([0.1, 0.05]), np.array([1.0, 0.0]), 0.5, QPEConfig(4, 2 * np.pi))
 
+    def test_roundoff_negative_eigenvalue_read_as_zero(self):
+        # -1e-10 passes the -1e-8 PSD rule and is read as 0, below the filter
+        res = hhl_solve(np.diag([0.5, -1e-10]), np.array([1.0, 1.0]), 0.1, QPEConfig(4))
+        assert np.allclose(res.solution_state.amplitudes, [1.0, 0.0], atol=1e-12)
+        assert res.retained_eigenvalues == (0.5,)
+
     def test_rejects_indefinite_matrix(self):
         with pytest.raises((ConfigurationError, ArithmeticError)):
             hhl_solve(np.diag([0.5, -0.5]), np.array([1.0, 0.0]), 0.1, QPEConfig(3, 2 * np.pi))
@@ -274,6 +280,11 @@ class TestQuantumMultiply:
     def test_negative_eigenvalue_is_numerical_error(self):
         with pytest.raises(NumericalError, match="must be PSD"):
             quantum_multiply(np.diag([0.5, -0.25]), np.array([1.0, 0.0]), QPEConfig(4))
+
+    def test_roundoff_negative_eigenvalue_read_as_zero(self):
+        # -1e-10 passes the -1e-8 PSD rule and is read as 0: gain 0
+        out = quantum_multiply(np.diag([0.5, -1e-10]), np.array([1.0, 1.0]), QPEConfig(4))
+        assert np.allclose(out.amplitudes, [1.0, 0.0], atol=1e-12)
 
     def test_zero_product_degenerate(self):
         k = np.diag([1.0, 0.0])

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import DATA
+from conftest import DATA, load_report
 from qsslsvm import pipeline
 from qsslsvm.classical import KernelSpec, assemble_system
 from qsslsvm.datasets import build_knn_graph, load_dataset
@@ -27,7 +27,6 @@ from qsslsvm.pipeline import (
     bench_lmr,
     cost_model,
     emit_report,
-    load_report,
     run_classical,
     run_pipeline,
 )
@@ -37,6 +36,22 @@ from qsslsvm.pipeline import (
 def cluster8_report():
     cfg = RunConfig(knn_k=2)
     return run_pipeline(cfg, DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
+
+
+@pytest.fixture
+def readout_calls(monkeypatch) -> list[str]:
+    """Name of every ``classify`` and ``predict`` call the pipeline makes
+    while the test runs."""
+    calls = []
+    for name in ("classify", "predict"):
+        original = getattr(pipeline, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
 
 
 class TestRunConfig:
@@ -149,6 +164,11 @@ class TestRunPipeline:
         with pytest.raises(ConfigurationError):
             run_pipeline(cfg, DATA / "two_cluster_8.csv")
 
+    def test_one_readout_call_for_all_points(self, readout_calls):
+        run_pipeline(RunConfig(knn_k=2, shots=100), DATA / "two_cluster_8.csv",
+                     DATA / "grid_20.csv")
+        assert sorted(readout_calls) == ["classify", "predict"]
+
     def test_without_testset_uses_training_points(self):
         report = run_pipeline(RunConfig(knn_k=2), DATA / "two_cluster_8.csv")
         assert report["classification"]["test_point_count"] == 8
@@ -164,6 +184,10 @@ class TestRunClassical:
         assert report["gradient_norm"] <= 1e-6
         labels = report["predictions"]["labels"]
         assert labels == [-1] * 10 + [1] * 10
+
+    def test_one_predict_call_for_all_points(self, readout_calls):
+        run_classical(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
+        assert readout_calls == ["predict"]
 
     def test_combinatorial_laplacian_allowed(self):
         cfg = RunConfig(knn_k=2, sigma_thresh=1e-9, laplacian_kind="combinatorial")

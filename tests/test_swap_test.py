@@ -6,7 +6,7 @@ import pytest
 
 from dilation import expansion_state, overlap, overlap_probability, query_state
 from qsslsvm.classical import KernelSpec, predict
-from qsslsvm.datasets import TrainingSet
+from qsslsvm.datasets import TrainingSet, load_points
 from qsslsvm.encodings import StateVector
 from qsslsvm.errors import (
     DegenerateSystemError,
@@ -129,7 +129,7 @@ class TestClassify:
         ).label
 
     def test_matches_classical_predictor_on_fixture(self, cluster8, cluster8_graph, data_dir):
-        from qsslsvm.datasets import load_points, normalized_laplacian
+        from qsslsvm.datasets import normalized_laplacian
         from qsslsvm.classical import train_semi_supervised
 
         lap = normalized_laplacian(cluster8_graph)
@@ -140,6 +140,21 @@ class TestClassify:
             if abs(score) < 1e-12:
                 continue
             assert classify(model.alpha, pt, cluster8).label == classical_label
+
+    @pytest.mark.parametrize("shots", [0, 1, 1000])
+    def test_block_matches_one_point_calls(self, cluster8, data_dir, rng, shots):
+        # row i of a block is the one-point call at seed + i
+        alpha = rng.normal(size=8)
+        points = load_points(data_dir / "grid_20.csv")
+        block = classify(alpha, points, cluster8, shots=shots, seed=11)
+        assert block.label.shape == block.p_estimate.shape == block.ambiguous.shape == (20,)
+        for i, point in enumerate(points):
+            one = classify(alpha, point, cluster8, shots=shots, seed=11 + i)
+            assert (block.label[i], block.ambiguous[i]) == (one.label, one.ambiguous)
+            if shots:
+                assert block.p_estimate[i] == one.p_estimate
+            else:
+                assert abs(block.p_estimate[i] - one.p_estimate) <= 1e-15
 
     def test_sampled_mode_flags_ambiguous_near_half(self, cluster8):
         # orthogonal query/expansion: P = 1/2 exactly, every estimate is
