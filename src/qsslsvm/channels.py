@@ -62,6 +62,12 @@ from .linalg import SpectralDecomposition, hermitian_eig, hermitian_part
 #: the strict single-construction bounds.
 _CHANNEL_TOLS = dict(hermitian_tol=1e-9, psd_tol=1e-8, trace_tol=1e-9)
 
+#: Largest max|B V - V diag(lam)| and max|V^dagger V - I| accepted for a
+#: decomposition passed to ``simulate_evolution``.  A program state's step
+#: generator has spectral norm at most 1, where ``eigh`` leaves both near
+#: d * 1e-16.
+_DECOMPOSITION_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ProgramState:
@@ -247,9 +253,10 @@ class EvolutionResult:
 
 
 def _channel_power(
-    b: np.ndarray, r: np.ndarray, sigma: np.ndarray, dt: float, n: int
+    eig: SpectralDecomposition, r: np.ndarray, sigma: np.ndarray, dt: float, n: int
 ) -> np.ndarray:
-    """n program-state steps on a matrix (see :func:`simulate_evolution`).
+    """n program-state steps on a matrix, from the decomposition ``eig`` of
+    the step generator B (see :func:`simulate_evolution`).
 
     h^n and G = (1 - h^n) / (1 - h) come from log1p/expm1, with
     1 - h = s (s + i c (lam_a - lam_b)) computed directly.  Where |1 - h|
@@ -257,7 +264,6 @@ def _channel_power(
     error n |1 - h| / 2).
     """
     c, s = math.cos(dt), math.sin(dt)
-    eig = hermitian_eig(b)
     lam, v = eig.eigenvalues, eig.eigenvectors
     vh = v.conj().T
     gap = lam[:, None] - lam[None, :]
@@ -275,13 +281,45 @@ def _channel_power(
     return v @ state @ vh
 
 
+def _checked_decomposition(
+    b: np.ndarray, eig: SpectralDecomposition | None
+) -> SpectralDecomposition:
+    """``eig`` after checking that it decomposes ``b``: shapes (d,) and
+    (d, d), and max|B V - V diag(lam)| and max|V^dagger V - I| at most
+    ``_DECOMPOSITION_TOL``, else ``ParameterError``; a fresh decomposition
+    of ``b`` when ``eig`` is None."""
+    if eig is None:
+        return hermitian_eig(b)
+    lam, v = np.asarray(eig.eigenvalues), np.asarray(eig.eigenvectors)
+    d = b.shape[0]
+    if lam.shape != (d,) or v.shape != (d, d):
+        raise ParameterError(
+            f"decomposition shapes {lam.shape} and {v.shape} do not fit a {d} x {d} generator"
+        )
+    residual = float(np.max(np.abs(b @ v - v * lam)))
+    defect = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
+    if not max(residual, defect) <= _DECOMPOSITION_TOL:
+        raise ParameterError(
+            f"the decomposition does not fit the mixture generator: residual {residual:.3e}, "
+            f"orthonormality defect {defect:.3e} (tolerance {_DECOMPOSITION_TOL:g})"
+        )
+    return eig
+
+
 def simulate_evolution(
     sources: Sequence[tuple[float, ProgramState]],
     sigma0: DensityMatrix,
     cfg: EvolutionConfig,
+    eig: SpectralDecomposition | None = None,
 ) -> EvolutionResult:
     """n program-state steps under the deterministic source mixture, in
     closed form.
+
+    ``eig`` optionally gives the decomposition of the mixture's step
+    generator B = rho'' - rho''' (for a single source, its ``generator``),
+    so that a caller holding it saves the eigendecomposition; it is checked
+    against B, and a wrong shape or a fit worse than
+    ``_DECOMPOSITION_TOL`` raises ``ParameterError``.
 
     In the eigenbasis B = V diag(lam) V^dagger of the mixture generator,
     with X~ = V^dagger X V, one step maps sigma~_ab to
@@ -303,7 +341,10 @@ def simulate_evolution(
     if n == 0:
         return EvolutionResult(sigma0, generator, mixture.scale, 0, 0.0)
     dt = cfg.total_time / n
-    state = _channel_power(*mixture.step_operators(), sigma0.matrix, dt, n)
+    b, r = mixture.step_operators()
+    eig = _checked_decomposition(b, eig)
+    del b  # only its decomposition is used: not held through the trajectory
+    state = _channel_power(eig, r, sigma0.matrix, dt, n)
     return EvolutionResult(
         DensityMatrix(state, **_CHANNEL_TOLS),
         generator,

@@ -88,15 +88,16 @@ def _split(line: str, delim: str) -> list[str]:
 
 
 def _read_table(
-    source: str | Path | IO[str], label_required: bool
+    source: str | Path | IO[str], label_required: bool, nonzero: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix and last column of a delimited table with a header row.
 
     A header ending in ``label`` marks the last column as labels, which
     ``label_required`` makes mandatory and restricts to -1, 0 and +1;
     otherwise every column is a feature.  Feature values must be finite,
-    and so must each row's sum of squared features in float64.  Errors
-    carry the line they were found on.
+    and so must each row's sum of squared features in float64, which
+    ``nonzero`` also requires to be positive.  Errors carry the line they
+    were found on.
     """
     rows = _read_lines(source)
     if not rows:
@@ -130,8 +131,11 @@ def _read_table(
         bad = [f for f, v in zip(fields, values[:p]) if not math.isfinite(v)]
         if bad:
             raise ParseError(f"non-finite field: {bad[0]!r}", lineno)
-        if not math.isfinite(sum(v * v for v in values[:p])):
+        norm2 = sum(v * v for v in values[:p])
+        if not math.isfinite(norm2):
             raise ParseError("sum of squared features overflows float64", lineno)
+        if nonzero and norm2 == 0.0:
+            raise ParseError("point has zero norm and cannot be encoded as a state", lineno)
         if label_required and values[-1] not in (-1.0, 0.0, 1.0):
             raise ParseError(f"label must be -1, 0 or +1, got {values[-1]}", lineno)
         feats.append(values[:p])
@@ -156,14 +160,15 @@ def load_dataset(source: str | Path | IO[str]) -> TrainingSet:
     return TrainingSet(x, y, labeled)
 
 
-def load_points(source: str | Path | IO[str]) -> np.ndarray:
+def load_points(source: str | Path | IO[str], nonzero: bool = False) -> np.ndarray:
     """Parse a test-point table in the dataset format; labels are ignored.
 
     A trailing ``label`` column is optional; every other column is a
     feature.  Feature values, and each row's sum of their squares, must be
-    finite.
+    finite; with ``nonzero`` (points read out as quantum states) that sum
+    must also be positive in float64.
     """
-    return _read_table(source, label_required=False)[0]
+    return _read_table(source, label_required=False, nonzero=nonzero)[0]
 
 
 def _read_text(source: str | Path | IO[str]) -> str:

@@ -23,7 +23,6 @@ from .channels import (
     EvolutionConfig,
     ProgramState,
     exact_conjugation,
-    glmr_step,
     make_program_state_k,
     make_program_state_kk,
     make_program_state_klk,
@@ -47,7 +46,13 @@ from .datasets import (
     load_graph,
     load_points,
 )
-from .encodings import DensityMatrix, kernel_density, label_state, laplacian_density
+from .encodings import (
+    DensityMatrix,
+    StateVector,
+    kernel_density,
+    label_state,
+    laplacian_density,
+)
 from .errors import ConfigurationError, LayoutError, NumericalError, ParameterError
 from .hhl import QPEConfig, hhl_solve, quantum_multiply
 from .linalg import SpectralDecomposition, hermitian_eig, state_fidelity
@@ -197,14 +202,17 @@ class _Stages:
 
 
 def _front_end(
-    stages: _Stages, cfg: RunConfig, dataset: str | Path, testset: str | Path | None = None
+    stages: _Stages, cfg: RunConfig, dataset: str | Path, testset: str | Path | None = None,
+    nonzero_points: bool = False,
 ) -> tuple[TrainingSet, np.ndarray, SampleGraph]:
     """The ``ingest``, optional ``testset`` and ``graph`` stages of every run:
-    training set, test points (default: the training points) and graph."""
+    training set, test points (default: the training points) and graph.
+    ``nonzero_points`` rejects a test point of zero norm, which the
+    quantum readout cannot encode."""
     training = stages.run("ingest", lambda: load_dataset(dataset))
 
     def _test_points():
-        points = load_points(testset)
+        points = load_points(testset, nonzero=nonzero_points)
         if points.shape[1] != training.feature_count:
             raise LayoutError(f"test points have {points.shape[1]} features, "
                               f"dataset has {training.feature_count}")
@@ -267,23 +275,75 @@ def _a_hat_deviation(states: dict, gamma: float, a_hat: np.ndarray) -> float:
     return deviation
 
 
-def _probe_state(d: int, seed: int) -> DensityMatrix:
-    """Seeded random pure state, the target of the channel diagnostics."""
+def _probe_state(d: int, seed: int) -> StateVector:
+    """Seeded random unit vector |v>, whose pure state |v><v| is the target
+    of the channel diagnostics."""
     rng = np.random.default_rng(seed)
-    vec = rng.normal(size=d) + 1j * rng.normal(size=d)
-    vec /= np.linalg.norm(vec)
-    return DensityMatrix(np.outer(vec, vec.conj()))
+    return StateVector.normalized(rng.normal(size=d) + 1j * rng.normal(size=d))
 
 
 def _one_step_errors(
-    ps: ProgramState, eig: SpectralDecomposition, probe: DensityMatrix, dts: tuple[float, ...]
+    term: str, ps: ProgramState, eig: SpectralDecomposition, probe: StateVector,
+    dts: tuple[float, ...],
 ) -> tuple[list[float], float]:
-    """One-step errors of ``ps`` on ``probe`` over ``dts`` against exact
-    conjugation under its generator's decomposition ``eig``, and their
-    log-log slope."""
-    errs = [float(np.linalg.norm(glmr_step(ps, probe, dt).matrix
-                                 - exact_conjugation(eig, probe, dt).matrix)) for dt in dts]
-    return errs, float(np.polyfit(np.log(np.asarray(dts)), np.log(errs), 1)[0])
+    """Frobenius errors of one ``ps`` step on P = |v><v| (``probe``) over
+    ``dts`` against exact conjugation under the generator B, whose
+    decomposition is ``eig``, and their log-log slope.
+
+    With (B, R) = ``ps.step_operators()``, c, s = cos dt, sin dt and
+    u = e^{-iB dt} v, the step gives c^2 P + s^2 R - i c s [B, P] and the
+    exact evolution |u><u|, so
+
+        D = step - exact = s^2 R + L,
+        L = c^2 P - i c s (|Bv><v| - |v><Bv|) - |u><u|,
+
+    and L lives in span(v, Bv, u).  Let Q be an orthonormal basis of that
+    span, M = Q^dagger L Q and Pi = I - Q Q^dagger.  Then L = Q M Q^dagger and
+
+        ||D||_F^2 = s^4 ||R||_F^2 + 2 s^2 Re tr(Q^dagger R Q M) + ||M||_F^2
+                  = ||s^2 Q^dagger R + M Q^dagger||_F^2 + s^4 ||Pi R||_F^2,
+
+    the rows of D inside and outside the span.  The second form is
+    evaluated: a sum of squares, in which no terms of size s^4 cancel.  Q
+    comes from a Householder QR of [v, Bv, delta] with
+    delta = u - v = V expm1(-i lam dt) V^dagger v, which spans the same
+    space (the QR stays valid when it is rank-deficient).  Its triangular
+    factor T holds Q^dagger v, Q^dagger Bv and Q^dagger delta, so
+    M = T W T^dagger with
+
+        W = [[-s^2, i c s, -1], [-i c s, 0, 0], [-1, 0, -1]]
+
+    (from c^2 P - |u><u| = -s^2 P - |v><delta| - |delta><v| - |delta><delta|):
+    every term has size dt or dt^2, where c^2 P and |u><u| would cancel to
+    that size from size 1.  Each dt costs O(m^2) after the generator's
+    decomposition and builds no m x m state.  A squared error that is not finite and positive
+    raises ``NumericalError`` naming ``term`` and dt.  The dense
+    computation is the test oracle ``tests/dilation.py::dense_one_step_errors``.
+    """
+    b, r = ps.step_operators()
+    v = probe.amplitudes
+    dt = np.asarray(dts, dtype=np.float64)
+    # slice j holds [v, Bv, delta] at dts[j]; one QR call serves the sweep
+    spans = np.empty((dt.size, v.size, 3), dtype=np.complex128)
+    spans[:, :, 0], spans[:, :, 1] = v, b @ v
+    spans[:, :, 2] = (eig.eigenvectors @ (np.expm1(-1j * np.outer(eig.eigenvalues, dt))
+                                          * (eig.eigenvectors.conj().T @ v)[:, None])).T
+    qs, tris = np.linalg.qr(spans)
+    del spans  # not held through the sweep, whose peak memory it would raise
+    errs = []
+    for dt_j, q, tri in zip(dts, qs, tris):
+        c, s = math.cos(dt_j), math.sin(dt_j)
+        w = np.array([[-s * s, 1j * c * s, -1.0], [-1j * c * s, 0.0, 0.0], [-1.0, 0.0, -1.0]])
+        qh = q.conj().T
+        q_r = qh @ r
+        err2 = float(np.linalg.norm(s * s * q_r + tri @ w @ tri.conj().T @ qh) ** 2
+                     + s**4 * np.linalg.norm(r - q @ q_r) ** 2)
+        if not (math.isfinite(err2) and err2 > 0):
+            raise NumericalError(
+                f"one-step error of the {term} channel at dt={dt_j:g} has squared norm {err2!r}"
+            )
+        errs.append(math.sqrt(err2))
+    return errs, float(np.polyfit(np.log(dt), np.log(errs), 1)[0])
 
 
 def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None = None) -> dict:
@@ -301,7 +361,7 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
             "Laplacian; the combinatorial kind is classical-only"
         )
     stages = _Stages()
-    training, points, graph = _front_end(stages, cfg, dataset, testset)
+    training, points, graph = _front_end(stages, cfg, dataset, testset, nonzero_points=True)
 
     k_density = stages.run("encode_kernel", lambda: kernel_density(training))
     l_density = stages.run("encode_laplacian", lambda: laplacian_density(graph))
@@ -358,7 +418,7 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
 
     def _bench():
         probe = _probe_state(training.sample_count, cfg.seed)
-        return {name: _one_step_errors(ps, spectra[name], probe, _DT_SWEEP)[1]
+        return {name: _one_step_errors(name, ps, spectra[name], probe, _DT_SWEEP)[1]
                 for name, ps in states.items()}
 
     slopes = stages.run("bench", _bench)
@@ -406,7 +466,7 @@ def run_classical(cfg: RunConfig, dataset: str | Path, testset: str | Path | Non
         "gradient_norm": float(resid),
     }
     if testset is not None:
-        scores, labels = predict(model, points)
+        scores, labels = stages.run("predict", lambda: predict(model, points))
         report["predictions"] = {"scores": scores.tolist(), "labels": labels.tolist()}
     report["timings"] = stages.timings
     return report
@@ -430,18 +490,19 @@ def bench_lmr(
     stages = _Stages()
     training, _, graph = _front_end(stages, cfg, dataset)
     states = _program_states(kernel_density(training), laplacian_density(graph))
-    sigma0 = _probe_state(training.sample_count, cfg.seed)
+    probe = _probe_state(training.sample_count, cfg.seed)
+    sigma0 = DensityMatrix(np.outer(probe.amplitudes, probe.amplitudes.conj()))
     sweeps, slopes, trajectory = {}, {}, {}
     for name, ps in states.items():
-        # one decomposition serves the dt sweep and the exact final state
+        # one decomposition serves the dt sweep, the exact final state and
+        # both trajectories
         eig = hermitian_eig(ps.generator)
-        sweeps[name], slopes[name] = _one_step_errors(ps, eig, sigma0, dts)
+        sweeps[name], slopes[name] = _one_step_errors(name, ps, eig, probe, dts)
         exact_final = exact_conjugation(eig, sigma0, total_time)
-        del eig  # not held through the trajectories, which set the peak memory
         errors = {}
         for steps in (n, 2 * n):
             run = simulate_evolution(
-                [(1.0, ps)], sigma0, EvolutionConfig(total_time, cfg.delta, steps)
+                [(1.0, ps)], sigma0, EvolutionConfig(total_time, cfg.delta, steps), eig
             )
             errors[steps] = float(np.linalg.norm(run.state.matrix - exact_final.matrix))
         trajectory[name] = {

@@ -11,7 +11,10 @@ conditional rotation and uncomputation -- that the closed forms in
 dilated channel step costs O(d^6), so these run only at the small
 dimensions the tests use.  The step-by-step trajectory and channel-backed
 phase estimation (``stepwise_*``, one closed-form step at a time) are the
-oracle for the loop-free channel powers, and ``partial_trace`` over a
+oracle for the loop-free channel powers, the dense one-step error sweep
+(``dense_one_step_errors``, built from ``glmr_step`` and
+``exact_conjugation``) the oracle for the pipeline's O(m^2) slope
+diagnostic, and ``partial_trace`` over a
 tuple of register dimensions serves the dilations.  The program state's
 2d x 2d control (x) system density arises only here: the circuits build
 it, check that its off-diagonal control blocks vanish and hand its two
@@ -34,6 +37,8 @@ from qsslsvm.channels import (
     EvolutionResult,
     ProgramState,
     _channel_step,
+    exact_conjugation,
+    glmr_step,
     mix_program_states,
 )
 from qsslsvm.datasets import SampleGraph, TrainingSet
@@ -232,6 +237,18 @@ def dense_glmr_step(ps: ProgramState, sigma: DensityMatrix, dt: float) -> Densit
         raise LayoutError(f"dimension mismatch: program {d}, target {sigma.dim}")
     u = controlled_partial_swap_evolution(dt, d)
     return DensityMatrix(_dense_apply(u, ps, sigma.matrix, d), **_TOLS)
+
+
+def dense_one_step_errors(
+    ps: ProgramState, eig: SpectralDecomposition, probe: StateVector, dts: Sequence[float]
+) -> list[float]:
+    """One-step errors ||glmr_step(P) - exact_conjugation(P)||_F of ``ps`` on
+    P = |v><v| over ``dts``, from the two validated dense m x m densities
+    (the oracle for the errors of ``pipeline._one_step_errors``)."""
+    v = probe.amplitudes
+    p = DensityMatrix(np.outer(v, v.conj()))
+    return [float(np.linalg.norm(glmr_step(ps, p, dt).matrix
+                                 - exact_conjugation(eig, p, dt).matrix)) for dt in dts]
 
 
 def dense_simulate_evolution(sources, sigma0: DensityMatrix, cfg, rng=None) -> EvolutionResult:

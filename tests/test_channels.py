@@ -4,7 +4,13 @@ circuit-level oracle in ``dilation.py`` they are checked against."""
 import numpy as np
 import pytest
 
-from conftest import density_fidelity, maximally_mixed, random_density, random_pure_density
+from conftest import (
+    density_fidelity,
+    maximally_mixed,
+    random_density,
+    random_hermitian,
+    random_pure_density,
+)
 from dilation import (
     controlled_partial_swap_evolution,
     cyclic_permutation,
@@ -25,7 +31,7 @@ from qsslsvm.channels import (
 )
 from qsslsvm.encodings import DensityMatrix
 from qsslsvm.errors import EncodingError, LayoutError, ParameterError
-from qsslsvm.linalg import hermitian_eig
+from qsslsvm.linalg import SpectralDecomposition, hermitian_eig
 
 DT_SWEEP = (0.2, 0.1, 0.05, 0.025)
 
@@ -392,6 +398,33 @@ class TestSimulateEvolution:
         # sampled trajectory still lands near the mixture target
         exact = exact_conjugation(hermitian_eig(out1.generator), sigma0, 0.5)
         assert np.linalg.norm(out1.state.matrix - exact.matrix) < 0.2
+
+    def test_supplied_decomposition(self, rng, eig_calls):
+        # the mixture's step generator, decomposed by the caller, serves the
+        # trajectory: the same state, and no decomposition inside
+        k = random_density(rng, 4, real=True)
+        sources = [(0.5, make_program_state_k(k)), (1.5, make_program_state_kk(k))]
+        eig = hermitian_eig(mix_program_states(sources).step_operators()[0])
+        sigma0 = random_density(rng, 4)
+        cfg = EvolutionConfig(1.0, steps=100)
+        own = simulate_evolution(sources, sigma0, cfg)
+        del eig_calls[:]
+        supplied = simulate_evolution(sources, sigma0, cfg, eig)
+        assert not [name for name, _ in eig_calls if name == "eigh"]
+        assert np.array_equal(supplied.state.matrix, own.state.matrix)
+
+    @pytest.mark.parametrize("wrong", ["other_matrix", "one_source", "shape", "not_orthonormal"])
+    def test_wrong_decomposition_rejected(self, rng, wrong):
+        k = random_density(rng, 4, real=True)
+        sources = [(0.5, make_program_state_k(k)), (1.5, make_program_state_kk(k))]
+        eig = {
+            "other_matrix": lambda: hermitian_eig(random_hermitian(rng, 4)),
+            "one_source": lambda: hermitian_eig(sources[1][1].generator),
+            "shape": lambda: hermitian_eig(random_hermitian(rng, 5)),
+            "not_orthonormal": lambda: SpectralDecomposition(np.zeros(4), np.zeros((4, 4))),
+        }[wrong]()
+        with pytest.raises(ParameterError, match="decomposition"):
+            simulate_evolution(sources, random_density(rng, 4), EvolutionConfig(1.0, steps=10), eig)
 
     def test_empty_sources(self, rng):
         with pytest.raises(ParameterError):

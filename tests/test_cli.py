@@ -139,6 +139,34 @@ def test_bad_testset_fails_before_training(tmp_path, capsys, monkeypatch, comman
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("row", ["0,0", "-0.0,0", "1e-200,0"])
+def test_zero_test_point_fails_simulate_before_training(tmp_path, capsys, monkeypatch, row):
+    # the readout cannot encode a point whose squared norm is 0 in float64;
+    # the classical predictor scores it like any other point
+    points = tmp_path / "pts.csv"
+    points.write_text(f"f1,f2\n1,2\n{row}\n")
+    assert main(["train", DATASET8, "--knn", "2", "--testset", str(points)]) == 0
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a training stage ran")
+
+    monkeypatch.setattr(pipeline, "solve_classical", no_training)
+    monkeypatch.setattr(pipeline, "build_knn_graph", no_training)
+    capsys.readouterr()
+    assert main(["simulate", DATASET8, "--knn", "2", "--testset", str(points)]) == 2
+    assert capsys.readouterr().err == (
+        "error: [testset] line 3: point has zero norm and cannot be encoded as a state\n")
+
+
+def test_prediction_overflow_names_its_stage(tmp_path, capsys):
+    points = tmp_path / "pts.csv"
+    points.write_text("f1,f2\n1,2\n1e100,0\n")
+    assert main(["train", DATASET8, "--knn", "2", "--kernel", "poly:4,1",
+                 "--testset", str(points)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical error: [predict] float64 overflow in the kernel scores\n")
+
+
 class TestTrain:
     def test_success(self, capsys):
         code = main(["train", DATASET8, "--knn", "2", "--sigma-thresh", "1e-9"])
@@ -156,6 +184,8 @@ class TestTrain:
         doc = json.loads(out_path.read_text())
         assert doc["kind"] == "train"
         assert len(doc["predictions"]["labels"]) == 20
+        assert list(doc["timings"]) == ["ingest", "testset", "graph", "laplacian", "train",
+                                        "predict"]
 
     def test_empty_dataset_is_input_error(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"

@@ -2,6 +2,8 @@
 ``dilation.py`` (the encodings against the partial traces of their full
 states, the readout against the query and expansion states), at <= 1e-12."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from dilation import (
     dense_glmr_phase_estimation,
     dense_glmr_step,
     dense_hhl_solve,
+    dense_one_step_errors,
     dense_program_state_kk,
     dense_program_state_klk,
     dense_quantum_multiply,
@@ -41,12 +44,15 @@ from qsslsvm.classical import KernelSpec, assemble_system, train_semi_supervised
 from qsslsvm.datasets import TrainingSet, load_points, normalized_laplacian
 from qsslsvm.encodings import (
     DensityMatrix,
+    StateVector,
     kernel_density,
     label_state,
     laplacian_density,
 )
+from qsslsvm.errors import NumericalError
 from qsslsvm.hhl import QPEConfig, glmr_phase_estimation, hhl_solve, quantum_multiply
 from qsslsvm.linalg import hermitian_eig
+from qsslsvm.pipeline import _DT_SWEEP, _one_step_errors
 from qsslsvm.swap_test import classify
 
 TOL = 1e-12
@@ -439,6 +445,43 @@ class TestProperties:
                     program_state_matrix(dense_program_state_kk(k))) <= TOL
         assert _gap(program_state_matrix(make_program_state_klk(k, l)),
                     program_state_matrix(dense_program_state_klk(k, l))) <= TOL
+
+    @given(m=st.sampled_from([1, 2]) | st.integers(3, 64), seed=seeds,
+           term=st.sampled_from(["k", "kk", "klk"]), real=st.booleans(),
+           rank_one=st.booleans(), eigenvector_probe=st.booleans(),
+           dts=st.just(_DT_SWEEP) | st.sets(st.integers(1, 100), min_size=3, max_size=5).map(
+               lambda hundredths: tuple(sorted(i / 100 for i in hundredths))))
+    def test_one_step_errors(self, m, seed, term, real, rank_one, eigenvector_probe, dts):
+        """The pipeline's O(m^2) one-step errors against the dense step and
+        exact conjugation, for the k, kk and klk program states of a random
+        K (rank 1 now and then) at m <= 64, on a random probe or an
+        eigenvector of B: within 1e-11 relative.  Where the error is far
+        below sin^2 dt, the dense subtraction of two unit-trace densities
+        itself keeps fewer digits (a probe near an eigenvector of B with R
+        near P; an exact step, as at m = 1), and the bound is 1e-11 sin^2 dt;
+        an exact step may also be refused as having no error to fit."""
+        rng = np.random.default_rng(seed)
+        if rank_one:
+            w = rng.normal(size=m) + (0.0 if real else 1j * rng.normal(size=m))
+            k = DensityMatrix(np.outer(w, w.conj()) / np.vdot(w, w).real)
+        else:
+            k = random_density(rng, m, real=real)
+        ps = {"k": lambda: make_program_state_k(k),
+              "kk": lambda: make_program_state_kk(k),
+              "klk": lambda: make_program_state_klk(k, random_density(rng, m, real=True))}[term]()
+        eig = hermitian_eig(ps.generator)
+        if eigenvector_probe:
+            phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+            probe = StateVector(eig.eigenvectors[:, rng.integers(m)] * phase)
+        else:
+            probe = StateVector.normalized(rng.normal(size=m) + 1j * rng.normal(size=m))
+        dense = dense_one_step_errors(ps, eig, probe, dts)
+        bound = [1e-11 * max(e, math.sin(dt) ** 2) for e, dt in zip(dense, dts)]
+        closed = _outcome(_one_step_errors, term, ps, eig, probe, dts)
+        if closed is NumericalError:
+            assert all(e <= b for e, b in zip(dense, bound))
+        else:
+            assert all(abs(c - e) <= b for c, e, b in zip(closed[0], dense, bound))
 
     @given(m=dims, p=dims, seed=seeds)
     def test_kernel_density(self, m, p, seed):

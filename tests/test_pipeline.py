@@ -10,9 +10,10 @@ import pytest
 
 from conftest import DATA, load_report
 from qsslsvm import pipeline
+from qsslsvm.channels import make_program_state_k
 from qsslsvm.classical import KernelSpec, assemble_system
 from qsslsvm.datasets import build_knn_graph, load_dataset
-from qsslsvm.encodings import kernel_density, laplacian_density
+from qsslsvm.encodings import DensityMatrix, StateVector, kernel_density, laplacian_density
 from qsslsvm.errors import (
     ConfigurationError,
     DegreeError,
@@ -20,6 +21,7 @@ from qsslsvm.errors import (
     ParameterError,
     ParseError,
 )
+from qsslsvm.linalg import SpectralDecomposition
 from qsslsvm.pipeline import (
     REPORT_SCHEMA,
     CostModelParams,
@@ -117,6 +119,21 @@ class TestRunPipeline:
         run_classical(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
         complex_calls = [np.iscomplexobj(a) for name, a in eig_calls if name == "eigh"]
         assert complex_calls and not any(complex_calls)
+
+    def test_only_real_validations(self, eig_calls):
+        # the slope diagnostic builds no complex density to validate: what is
+        # left are the eigvalsh checks of K, L, the six program-state blocks
+        # and the two blocks of the mixture
+        run_pipeline(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
+        assert not [name for name, a in eig_calls if np.iscomplexobj(a)]
+        assert sum(name == "eigvalsh" for name, _ in eig_calls) == 10
+
+    def test_non_finite_one_step_error_is_numerical_error(self):
+        ps = make_program_state_k(DensityMatrix(np.eye(3) / 3))
+        broken = SpectralDecomposition(np.full(3, np.nan), np.eye(3))
+        probe = StateVector.normalized(np.ones(3))
+        with pytest.raises(NumericalError, match=r"of the k channel at dt=0\.2 "):
+            pipeline._one_step_errors("k", ps, broken, probe, (0.2, 0.1, 0.05))
 
     def test_one_decomposition_per_matrix(self, eig_calls):
         # A/tr(A) serves the classical solve, the inversion and the residual
@@ -222,10 +239,10 @@ class TestBenchLmr:
             bench_lmr(cfg, DATA / "two_cluster_4.csv", dts=(0.2, 0.1))
 
     def test_one_decomposition_per_generator(self, eig_calls):
-        # 3 generators, each serving its dt sweep and its exact final state,
-        # and one per trajectory (n and 2n steps per term) in simulate_evolution
+        # 3 generators, each serving its dt sweep, its exact final state and
+        # both trajectories (n and 2n steps), which are handed the decomposition
         bench_lmr(RunConfig(knn_k=2), DATA / "two_cluster_8.csv")
-        assert sum(name == "eigh" for name, _ in eig_calls) == 9
+        assert sum(name == "eigh" for name, _ in eig_calls) == 3
 
 
 class TestCostModel:
