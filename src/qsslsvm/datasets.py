@@ -186,51 +186,76 @@ def _read_lines(source: str | Path | IO[str]) -> list[tuple[int, str]]:
     return [(i + 1, line) for i, line in enumerate(text.splitlines()) if line.strip()]
 
 
+def _pair_array(edges) -> np.ndarray:
+    """``edges`` as an (E, 2) array of int64, or of Python ints where an
+    index does not fit int64; anything else raises ``ParameterError``."""
+    message = "edges must be pairs of integer vertex indices"
+    try:
+        try:
+            pairs = np.array(edges, dtype=np.int64)
+        except OverflowError:
+            pairs = np.frompyfunc(int, 1, 1)(np.array(edges, dtype=object))
+    except (TypeError, ValueError):
+        raise ParameterError(message) from None
+    if pairs.shape == (0,):
+        return pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ParameterError(message)
+    return pairs
+
+
 @dataclass(frozen=True)
 class SampleGraph:
     """Undirected, unweighted graph over the m samples.
 
-    Edges are stored deduplicated as (i, j) with i < j in lexicographic
-    order; isolated vertices are rejected because every sample must
-    participate in the manifold graph (and the degree-normalized Laplacian
-    would be undefined).
+    ``edges`` are (i, j) pairs, as a sequence or an (E, 2) integer array.
+    They are stored deduplicated as (i, j) with i < j in lexicographic
+    order, both as the ``edges`` tuple and as the read-only (E, 2) int64
+    ``edge_array``.  A self-loop or an index outside [0, m) raises
+    ``ParameterError`` naming the first such pair in input order.
+    Isolated vertices are rejected because every sample must participate
+    in the manifold graph (and the degree-normalized Laplacian would be
+    undefined).
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     degrees: np.ndarray = field(init=False, compare=False, repr=False)
+    edge_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = int(self.vertex_count)
         if m < 1:
             raise ParameterError(f"vertex count must be >= 1, got {m}")
-        seen = set()
-        normalized = []
-        for edge in self.edges:
-            i, j = int(edge[0]), int(edge[1])
+        pairs = _pair_array(self.edges)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        bad = (lo == hi) | (lo < 0) | (hi >= m)
+        if np.any(bad):
+            i, j = (int(v) for v in pairs[np.argmax(bad)])
             if i == j:
                 raise ParameterError(f"self-loop at vertex {i}")
-            if not (0 <= i < m and 0 <= j < m):
-                raise ParameterError(f"edge ({i}, {j}) out of range for m={m}")
-            key = (min(i, j), max(i, j))
-            if key not in seen:
-                seen.add(key)
-                normalized.append(key)
-        normalized.sort()
-        if m > 2 * len(normalized):
-            # checked before the degree array of length m is allocated
-            raise DegreeError(f"{len(normalized)} edges leave some of {m} vertices isolated")
-        deg = np.zeros(m, dtype=np.int64)
-        for i, j in normalized:
-            deg[i] += 1
-            deg[j] += 1
+            raise ParameterError(f"edge ({i}, {j}) out of range for m={m}")
+        if m > 2 * len(pairs):
+            # some vertex is isolated: counted before any array of length m
+            # (or a key i*m + j past int64) exists
+            keys = set(zip(lo.tolist(), hi.tolist()))
+        else:
+            keys = np.unique(lo * m + hi)  # sorted; m <= 2E keeps i*m + j in int64
+        if m > 2 * len(keys):
+            raise DegreeError(f"{len(keys)} edges leave some of {m} vertices isolated")
+        edges = np.empty((len(keys), 2), dtype=np.int64)
+        edges[:, 0], edges[:, 1] = np.divmod(keys, m)
+        deg = np.bincount(edges.reshape(-1), minlength=m)
         if np.any(deg == 0):
             isolated = int(np.flatnonzero(deg == 0)[0])
             raise DegreeError(f"vertex {isolated} is isolated (degree 0)")
+        edges.setflags(write=False)
         deg.setflags(write=False)
         object.__setattr__(self, "vertex_count", m)
-        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "edges", tuple(map(tuple, edges.tolist())))
         object.__setattr__(self, "degrees", deg)
+        object.__setattr__(self, "edge_array", edges)
 
     @property
     def edge_count(self) -> int:
@@ -238,11 +263,22 @@ class SampleGraph:
 
 
 def _integer(value) -> int:
-    """``value`` as an int; a fractional or non-numeric value raises ``ValueError``."""
+    """``value`` as an int; a boolean, fractional or non-numeric value
+    raises ``ValueError``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not an integer")
     n = int(value)
     if n != value:
         raise ValueError(f"{value!r} is not an integer")
     return n
+
+
+def _vertex_pair(entry) -> tuple[int, int]:
+    """A graph file's edge entry as two ints; anything but a list of two
+    integers raises ``ValueError``."""
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise ValueError(f"edge entry {entry!r} is not a pair")
+    return _integer(entry[0]), _integer(entry[1])
 
 
 def load_graph(source: str | Path | IO[str]) -> SampleGraph:
@@ -255,33 +291,61 @@ def load_graph(source: str | Path | IO[str]) -> SampleGraph:
         raise ParseError('graph file must be an object with keys "m" and "edges"')
     try:
         m = _integer(doc["m"])
-        edges = [(_integer(e[0]), _integer(e[1])) for e in doc["edges"]]
-    except (TypeError, ValueError, IndexError, OverflowError):
+        edges = [_vertex_pair(e) for e in doc["edges"]]
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(
             'graph "m" must be an integer and its edges pairs of integer vertex indices'
         ) from None
     return SampleGraph(m, tuple(edges))
 
 
+#: Rows of the distance matrix that ``build_knn_graph`` holds at a time.
+_KNN_BLOCK_ROWS = 16
+
+
+def _distance_rows(pts: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Euclidean distances of rows ``start:stop`` of ``pts`` to every row,
+    from the rows' difference array, which is freed on return."""
+    with np.errstate(over="ignore"):  # a distance past float64 is inf, a tie
+        diff = pts[start:stop, None, :] - pts[None, :, :]
+        return np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=2))
+
+
 def build_knn_graph(x: TrainingSet, k: int) -> SampleGraph:
     """Symmetric (union) k-nearest-neighbor graph under Euclidean distance.
 
     Distance ties are broken by the lower vertex index, so the result is
-    deterministic for a fixed input: each row's self-distance is set below
-    every distance, a stable sort ranks the rest, and columns 1..k are
-    kept.  ``SampleGraph`` merges the pairs found from both ends.
+    deterministic for a fixed input: with each row's self-distance set
+    below every distance, a row's neighbors are the columns a stable sort
+    of its distances ranks 1..k.  Rows are taken ``_KNN_BLOCK_ROWS`` at a
+    time.  A block's distances are ``sqrt(sum((x_i - x_j)^2))`` from its
+    difference array, and ``argpartition`` selects the k + 1 smallest of
+    each row; only a row with more than k + 1 distances at or below its
+    k-th neighbor's, a tie across the cut, is sorted in full.  So the
+    graph takes O(m^2 p) time and holds a ``_KNN_BLOCK_ROWS x m x p``
+    array, never an ``m x m`` one.  ``SampleGraph`` merges the pairs
+    found from both ends.
     """
     m = x.sample_count
     if not 1 <= k < m:
         raise ParameterError(f"k must be in [1, {m - 1}], got {k}")
-    pts = x.features
-    with np.errstate(over="ignore"):  # a distance past float64 is inf, a tie
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-    np.fill_diagonal(dist, -1.0)
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, 1 : k + 1]
-    rows = np.repeat(np.arange(m), k)
-    return SampleGraph(m, tuple(zip(rows.tolist(), nearest.reshape(-1).tolist())))
+    pairs = np.empty((m, k, 2), dtype=np.int64)
+    pairs[:, :, 0] = np.arange(m)[:, None]
+    for start in range(0, m, _KNN_BLOCK_ROWS):
+        stop = min(start + _KNN_BLOCK_ROWS, m)
+        dist = _distance_rows(x.features, start, stop)
+        rows = np.arange(stop - start)
+        dist[rows, start + rows] = -1.0
+        # the k + 1 smallest of each row, its own sample among them, with
+        # the largest in column k
+        part = np.argpartition(dist, k, axis=1)[:, : k + 1]
+        cut = dist[rows, part[:, k]]
+        ties = np.flatnonzero(np.sum(dist <= cut[:, None], axis=1) > k + 1)
+        near = part[part != (start + rows)[:, None]].reshape(-1, k)
+        if ties.size:
+            near[ties] = np.argsort(dist[ties], axis=1, kind="stable")[:, 1 : k + 1]
+        pairs[start:stop, :, 1] = near
+    return SampleGraph(m, pairs.reshape(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -317,7 +381,7 @@ class LaplacianMatrix:
 def combinatorial_laplacian(g: SampleGraph) -> LaplacianMatrix:
     """L[i, i] = d_i and L[i, j] = -1 for each edge (i, j)."""
     lap = np.diag(g.degrees.astype(np.float64))
-    i, j = np.array(g.edges).T
+    i, j = g.edge_array.T
     lap[i, j] = lap[j, i] = -1.0
     return LaplacianMatrix(lap, "combinatorial")
 
@@ -326,7 +390,7 @@ def _normalized_laplacian_array(g: SampleGraph) -> np.ndarray:
     """The normalized Laplacian, unvalidated: each of its two wrappers
     validates it once."""
     lap = np.eye(g.vertex_count)
-    i, j = np.array(g.edges).T
+    i, j = g.edge_array.T
     lap[i, j] = lap[j, i] = -1.0 / np.sqrt(g.degrees[i] * g.degrees[j])
     return lap
 

@@ -183,7 +183,8 @@ class _Stages:
     attributes (``ParseError.line``, ``OSError.errno``) survive.  Its
     ``stage`` attribute names the stage, and so does a leading ``[stage] ``
     in its message, except for an ``OSError`` that Python formats from its
-    errno and file name.
+    errno and file name.  A stage run in several pieces is timed by their
+    sum.
     """
 
     def __init__(self):
@@ -197,7 +198,7 @@ class _Stages:
             exc.stage = name
             exc.args = (f"[{name}] {exc}",)
             raise
-        self.timings[name] = time.perf_counter() - start
+        self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
         return result
 
 
@@ -472,6 +473,15 @@ def run_classical(cfg: RunConfig, dataset: str | Path, testset: str | Path | Non
     return report
 
 
+def _bench_program_states(stages: _Stages, cfg: RunConfig, dataset: str | Path) -> dict:
+    """The stages of a ``bench`` run up to its program states, which are
+    returned; the training set, graph and densities are not held past them."""
+    training, _, graph = _front_end(stages, cfg, dataset)
+    k_density = stages.run("encode_kernel", lambda: kernel_density(training))
+    l_density = stages.run("encode_laplacian", lambda: laplacian_density(graph))
+    return stages.run("program_states", lambda: _program_states(k_density, l_density))
+
+
 def bench_lmr(
     cfg: RunConfig,
     dataset: str | Path,
@@ -488,16 +498,11 @@ def bench_lmr(
         raise ParameterError(f"total time must be finite and positive, got {total_time}")
     n = EvolutionConfig(total_time, cfg.delta).resolved_steps()
     stages = _Stages()
-    training, _, graph = _front_end(stages, cfg, dataset)
-    states = _program_states(kernel_density(training), laplacian_density(graph))
-    probe = _probe_state(training.sample_count, cfg.seed)
+    states = _bench_program_states(stages, cfg, dataset)
+    probe = _probe_state(states["k"].system_dim, cfg.seed)
     sigma0 = DensityMatrix(np.outer(probe.amplitudes, probe.amplitudes.conj()))
-    sweeps, slopes, trajectory = {}, {}, {}
-    for name, ps in states.items():
-        # one decomposition serves the dt sweep, the exact final state and
-        # both trajectories
-        eig = hermitian_eig(ps.generator)
-        sweeps[name], slopes[name] = _one_step_errors(name, ps, eig, probe, dts)
+
+    def _trajectory(ps, eig):
         exact_final = exact_conjugation(eig, sigma0, total_time)
         errors = {}
         for steps in (n, 2 * n):
@@ -505,12 +510,21 @@ def bench_lmr(
                 [(1.0, ps)], sigma0, EvolutionConfig(total_time, cfg.delta, steps), eig
             )
             errors[steps] = float(np.linalg.norm(run.state.matrix - exact_final.matrix))
-        trajectory[name] = {
+        return {
             "steps": n,
             "error": errors[n],
             "error_double_steps": errors[2 * n],
             "halving_ratio": errors[n] / max(errors[2 * n], 1e-300),
         }
+
+    sweeps, slopes, trajectory = {}, {}, {}
+    for name, ps in states.items():
+        # one decomposition serves the dt sweep, the exact final state and
+        # both trajectories
+        eig = stages.run("program_states", lambda: hermitian_eig(ps.generator))
+        sweeps[name], slopes[name] = stages.run(
+            "bench", lambda: _one_step_errors(name, ps, eig, probe, dts))
+        trajectory[name] = stages.run("trajectory", lambda: _trajectory(ps, eig))
 
     return {
         "schema_version": SCHEMA_VERSION,

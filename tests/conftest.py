@@ -17,6 +17,7 @@ from qsslsvm.datasets import (
     load_dataset,
 )
 from qsslsvm.encodings import DensityMatrix
+from qsslsvm.errors import DegreeError, ParameterError
 from qsslsvm.linalg import as_matrix, hermitian_eig, hermitian_part
 
 DATA = Path(__file__).parent / "data"
@@ -125,6 +126,38 @@ def knn_edges_by_sort(x: np.ndarray, k: int) -> tuple[tuple[int, int], ...]:
         for _, j in order[:k]:
             edges.add((min(i, j), max(i, j)))
     return tuple(sorted(edges))
+
+
+def sample_graph_by_loop(m: int, pairs) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """Deduplicated sorted edges and degrees of ``SampleGraph(m, pairs)`` by
+    a per-edge Python loop, raising the same errors in the same order
+    (oracle for the vectorized constructor)."""
+    m = int(m)
+    if m < 1:
+        raise ParameterError(f"vertex count must be >= 1, got {m}")
+    seen = set()
+    normalized = []
+    for edge in pairs:
+        i, j = int(edge[0]), int(edge[1])
+        if i == j:
+            raise ParameterError(f"self-loop at vertex {i}")
+        if not (0 <= i < m and 0 <= j < m):
+            raise ParameterError(f"edge ({i}, {j}) out of range for m={m}")
+        key = (min(i, j), max(i, j))
+        if key not in seen:
+            seen.add(key)
+            normalized.append(key)
+    normalized.sort()
+    if m > 2 * len(normalized):
+        raise DegreeError(f"{len(normalized)} edges leave some of {m} vertices isolated")
+    deg = np.zeros(m, dtype=np.int64)
+    for i, j in normalized:
+        deg[i] += 1
+        deg[j] += 1
+    if np.any(deg == 0):
+        isolated = int(np.flatnonzero(deg == 0)[0])
+        raise DegreeError(f"vertex {isolated} is isolated (degree 0)")
+    return tuple(normalized), deg
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:

@@ -10,6 +10,7 @@ import pytest
 from conftest import DATA
 from qsslsvm import pipeline
 from qsslsvm.cli import main
+from qsslsvm.errors import NumericalError
 
 DATASET8 = str(DATA / "two_cluster_8.csv")
 DATASET4 = str(DATA / "two_cluster_4.csv")
@@ -259,6 +260,22 @@ class TestBench:
         assert code == 0
         out = capsys.readouterr().out
         assert "slope" in out
+
+    def test_report_times_every_stage(self, tmp_path):
+        out_path = tmp_path / "bench.json"
+        assert main(["bench", DATASET8, "--knn", "2", "--delta", "1e-2",
+                     "--report", str(out_path)]) == 0
+        assert list(json.loads(out_path.read_text())["timings"]) == [
+            "ingest", "graph", "encode_kernel", "encode_laplacian", "program_states",
+            "bench", "trajectory"]
+
+    def test_trajectory_error_names_its_stage(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NumericalError("injected")
+
+        monkeypatch.setattr(pipeline, "simulate_evolution", failing)
+        assert main(["bench", DATASET8, "--knn", "2", "--delta", "1e-2"]) == 3
+        assert capsys.readouterr().err == "numerical error: [trajectory] injected\n"
 
     def test_short_dt_list_is_input_error(self):
         assert main(["bench", DATASET4, "--knn", "1", "--dt", "0.2,0.1"]) == 2

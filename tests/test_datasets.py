@@ -2,11 +2,14 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import DATA, knn_edges_by_sort, random_connected_graph
+from conftest import DATA, knn_edges_by_sort, random_connected_graph, sample_graph_by_loop
 from dilation import incidence_matrix
 from qsslsvm.datasets import (
     LaplacianMatrix,
@@ -19,7 +22,35 @@ from qsslsvm.datasets import (
     load_points,
     normalized_laplacian,
 )
-from qsslsvm.errors import DegreeError, ParameterError, ParseError
+from qsslsvm.errors import DegreeError, InputError, ParameterError, ParseError
+
+
+@st.composite
+def _vertex_counts_and_pairs(draw):
+    """A vertex count and a list of index pairs: distinct in-range pairs
+    with duplicates and reversed copies, and now and then self-loops,
+    negative or out-of-range indices, or indices past int64."""
+    m = draw(st.integers(1, 9) | st.sampled_from([10**30, 10**300]))
+    vertex = st.integers(0, min(m, 9) - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                          max_size=16))
+    if m <= 9 and draw(st.booleans()):
+        # a path through every vertex, so the graph can be valid
+        path = draw(st.permutations(range(m)))
+        pairs = draw(st.permutations(pairs + list(zip(path, path[1:]))))
+    bad = st.sampled_from([-1, m, m + 1, 2**63 - 1, 2**63, 10**30, -(2**63), -(10**30)])
+    inserts = draw(st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(
+        ["repeat", "reverse"] * 3 + ["self_loop", "bad_index"]), bad, vertex), max_size=6))
+    for pick, kind, index, other in inserts:
+        at = pick % (len(pairs) + 1)
+        if kind == "self_loop":
+            pairs.insert(at, (index, index))
+        elif kind == "bad_index":
+            pairs.insert(at, (index, other) if pick % 2 else (other, index))
+        elif pairs:
+            i, j = pairs[pick % len(pairs)]
+            pairs.insert(at, (j, i) if kind == "reverse" else (i, j))
+    return m, tuple(pairs)
 
 
 class TestLoadDataset:
@@ -155,6 +186,61 @@ class TestSampleGraph:
         with pytest.raises(DegreeError):
             SampleGraph(10**300, ((0, 1),))
 
+    @pytest.mark.parametrize("pairs, count", [(((0, 1),), 1), (((0, 10**30), (10**30, 0)), 1),
+                                              (((0, 1), (1, 2), (2, 1)), 2)])
+    def test_huge_vertex_count_fails_before_allocating(self, pairs, count):
+        # an array of length m, or a key i*m + j in int64, cannot exist here
+        with pytest.raises(DegreeError) as info:
+            SampleGraph(10**300, pairs)
+        assert str(info.value) == f"{count} edges leave some of {10**300} vertices isolated"
+
+    def test_index_past_int64_is_named(self):
+        with pytest.raises(ParameterError) as info:
+            SampleGraph(2, ((0, 10**30),))
+        assert str(info.value) == f"edge (0, {10**30}) out of range for m=2"
+
+    @pytest.mark.parametrize("pairs, message", [
+        (((0, 1), (5, 0), (2, 2), (-1, 0)), "edge (5, 0) out of range for m=3"),
+        (((0, 1), (2, 2), (0, 5)), "self-loop at vertex 2"),
+        (((1, 2), (0, -1), (7, 7)), "edge (0, -1) out of range for m=3"),
+        (((9, 9), (0, 3)), "self-loop at vertex 9"),
+        (((0, 1), (0, 2**63), (0, 3)), f"edge (0, {2**63}) out of range for m=3"),
+    ])
+    def test_first_offending_edge_in_input_order_is_named(self, pairs, message):
+        with pytest.raises(ParameterError) as info:
+            SampleGraph(3, pairs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("pairs", [((0, 1, 2),), ((0,),), ((0, 1), (2,)), (("a", 1),)])
+    def test_rejects_entries_that_are_not_pairs(self, pairs):
+        with pytest.raises(ParameterError, match="pairs of integer vertex indices"):
+            SampleGraph(3, pairs)
+
+    def test_edge_array_matches_edges(self):
+        g = SampleGraph(4, np.array([[3, 2], [0, 1], [1, 0], [2, 1]]))
+        assert g.edges == ((0, 1), (1, 2), (2, 3))
+        assert g.edge_array.dtype == np.int64
+        assert g.edge_array.tolist() == [list(e) for e in g.edges]
+        assert not g.edge_array.flags.writeable
+        assert all(type(v) is int for e in g.edges for v in e)
+
+    @settings(max_examples=400)
+    @given(_vertex_counts_and_pairs())
+    def test_matches_per_edge_loop(self, case):
+        m, pairs = case
+        try:
+            edges, degrees = sample_graph_by_loop(m, pairs)
+        except InputError as expected:
+            with pytest.raises(InputError) as info:
+                SampleGraph(m, pairs)
+            assert type(info.value) is type(expected)
+            assert str(info.value) == str(expected)
+        else:
+            g = SampleGraph(m, pairs)
+            assert g.edges == edges
+            assert g.degrees.dtype == degrees.dtype
+            assert np.array_equal(g.degrees, degrees)
+
 
 class TestLoadGraph:
     def test_round_trip(self, tmp_path):
@@ -176,6 +262,14 @@ class TestLoadGraph:
     def test_bad_edge_entries(self):
         with pytest.raises(ParseError):
             load_graph(io.StringIO('{"m": 2, "edges": [[0]]}'))
+
+    @pytest.mark.parametrize("doc", ['{"m": 2, "edges": [[0, 1, 7]]}',
+                                     '{"m": 2, "edges": [[true, false]]}',
+                                     '{"m": true, "edges": [[0, 1]]}',
+                                     '{"m": 2, "edges": [{"0": 0, "1": 1}]}'])
+    def test_entries_other_than_two_integers(self, doc):
+        with pytest.raises(ParseError, match="pairs of integer vertex indices"):
+            load_graph(io.StringIO(doc))
 
     @pytest.mark.parametrize("doc", ['{"m": 2.7, "edges": [[0, 1]]}',
                                      '{"m": 2, "edges": [[0.9, 1.2]]}'])
@@ -234,6 +328,33 @@ class TestKnnGraph:
         ts = TrainingSet(x, np.r_[1.0, np.zeros(len(x) - 1)], 1)
         for k in (1, 2, 3, 5, 19):
             assert build_knn_graph(ts, k).edges == knn_edges_by_sort(x, k)
+
+    @pytest.mark.parametrize("m", [17, 64, 130, 301])
+    def test_matches_sort_oracle_across_row_blocks(self, m):
+        # several row blocks; rounded coordinates tie, duplicated rows sit at
+        # distance 0, and 1e200 rows are at distance inf from the rest
+        rng = np.random.default_rng(m)
+        for variant in range(4):
+            x = np.round(rng.normal(size=(m, int(rng.integers(1, 9)))), 1 if variant else 3)
+            if variant >= 2:
+                x[rng.integers(0, m, size=m // 8)] = x[rng.integers(0, m)]
+            if variant == 3:
+                x[rng.integers(0, m, size=3)] = 1e200 * rng.choice([-1.0, 1.0], size=x.shape[1])
+            ts = TrainingSet(x, np.r_[1.0, np.zeros(m - 1)], 1)
+            for k in range(1, 9):
+                with np.errstate(over="ignore"):
+                    assert build_knn_graph(ts, k).edges == knn_edges_by_sort(x, k), (variant, k)
+
+    def test_memory_stays_below_one_distance_matrix(self, rng):
+        m, p = 512, 8
+        ts = TrainingSet(rng.normal(size=(m, p)), np.r_[1.0, np.zeros(m - 1)], 1)
+        tracemalloc.start()
+        try:
+            build_knn_graph(ts, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8 / 2  # half of one m x m float64 array
 
     def test_deterministic(self, cluster8):
         assert build_knn_graph(cluster8, 2) == build_knn_graph(cluster8, 2)
