@@ -5,12 +5,14 @@ and a graph-smoothness term, which reduces to the linear system
 
     (K/gamma + K K + K L K / gamma) alpha = K y.
 
-The solver works on the trace-normalized matrix A/tr(A) with eigenvalue
-filtering, so the classical solution and the quantum-simulated one invert
-the identical matrix.  An ``AssembledSystem`` decomposes A/tr(A) once
-(``spectrum``); the classical solve, the phase-estimation solve and the
-pipeline's residual projection all read that one decomposition.  This
-module is the ground-truth oracle for the quantum pipeline.
+Its matrix is formed from two dense products, A = K/gamma + K (K + L K /
+gamma), and then symmetrized.  The solver works on the trace-normalized
+matrix A/tr(A) with eigenvalue filtering, so the classical solution and
+the quantum-simulated one invert the identical matrix.  An
+``AssembledSystem`` decomposes A/tr(A) once (``spectrum``); the classical
+solve, the phase-estimation solve and the pipeline's residual projection
+all read that one decomposition.  This module is the ground-truth oracle
+for the quantum pipeline.
 """
 
 from __future__ import annotations
@@ -127,7 +129,13 @@ def assemble_system(
         raise LayoutError(
             f"dimension mismatch: K {k.shape}, L {lm.shape}, y {y.shape}"
         )
-    a = k / gamma + k @ k + (k @ lm @ k) / gamma
+    # A = K/gamma + K (K + (L K)/gamma): two dense products, not three
+    inner = lm @ k
+    inner /= gamma
+    inner += k
+    a = k @ inner
+    del inner  # no more than two m x m temporaries at a time
+    a += k / gamma
     a = (a + a.T) / 2
     return AssembledSystem(a, k @ y, float(gamma), float(np.trace(a)))
 

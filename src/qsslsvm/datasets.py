@@ -97,7 +97,7 @@ def _read_table(
     otherwise every column is a feature.  Feature values must be finite,
     and so must each row's sum of squared features in float64, which
     ``nonzero`` also requires to be positive.  Errors carry the line they
-    were found on.
+    were found on: of several faults, the one on the first line.
     """
     rows = _read_lines(source)
     if not rows:
@@ -119,30 +119,63 @@ def _read_table(
     if p < 1:
         raise ParseError("no feature columns", header_line)
 
-    feats, last = [], []
+    table = []
     for lineno, line in rows[1:]:
         fields = _split(line, delim)
         if len(fields) != len(header):
+            # a fault on an earlier line is reported first
+            _table_values(table, p, label_required, nonzero)
             raise ParseError(f"expected {len(header)} fields, got {len(fields)}", lineno)
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric field: {exc}", lineno) from None
-        bad = [f for f, v in zip(fields, values[:p]) if not math.isfinite(v)]
-        if bad:
-            raise ParseError(f"non-finite field: {bad[0]!r}", lineno)
-        norm2 = sum(v * v for v in values[:p])
-        if not math.isfinite(norm2):
-            raise ParseError("sum of squared features overflows float64", lineno)
-        if nonzero and norm2 == 0.0:
-            raise ParseError("point has zero norm and cannot be encoded as a state", lineno)
-        if label_required and values[-1] not in (-1.0, 0.0, 1.0):
-            raise ParseError(f"label must be -1, 0 or +1, got {values[-1]}", lineno)
-        feats.append(values[:p])
-        last.append(values[-1])
-    if not feats:
+        table.append((lineno, fields))
+    if not table:
         raise ParseError("no data rows")
-    return np.array(feats), np.array(last)
+    values = _table_values(table, p, label_required, nonzero)
+    return np.ascontiguousarray(values[:, :p]), values[:, -1]
+
+
+def _table_values(
+    table: list[tuple[int, list[str]]], p: int, label_required: bool, nonzero: bool
+) -> np.ndarray:
+    """The ``(line number, fields)`` rows of a table, all of one length, as
+    a float64 array, checked as ``_read_table`` describes.  The fields are
+    parsed by one ``np.array`` call (Python's ``float`` syntax) and checked
+    column-wise; only a non-numeric field is searched for row by row."""
+    if not table:
+        return np.empty((0, 0))
+    try:
+        values = np.array([fields for _, fields in table], dtype=np.float64)
+    except ValueError:
+        for i, (lineno, fields) in enumerate(table):
+            try:
+                [float(f) for f in fields]
+            except ValueError as exc:
+                _table_values(table[:i], p, label_required, nonzero)
+                raise ParseError(f"non-numeric field: {exc}", lineno) from None
+        raise
+    feats = values[:, :p]
+    # summed column by column, in the order of a per-row sum over the fields
+    norm2 = np.zeros(len(values))
+    with np.errstate(over="ignore"):
+        for column in feats.T:
+            norm2 += column * column
+    finite = np.isfinite(feats).all(axis=1)
+    fault = ~np.isfinite(norm2)  # a non-finite field or an overflowing sum
+    if nonzero:
+        fault |= norm2 == 0.0
+    if label_required:
+        fault |= ~np.isin(values[:, -1], (-1.0, 0.0, 1.0))
+    if not fault.any():
+        return values
+    i = int(np.argmax(fault))
+    lineno, fields = table[i]
+    if not finite[i]:
+        field = fields[int(np.argmin(np.isfinite(feats[i])))]
+        raise ParseError(f"non-finite field: {field!r}", lineno)
+    if not math.isfinite(norm2[i]):
+        raise ParseError("sum of squared features overflows float64", lineno)
+    if nonzero and norm2[i] == 0.0:
+        raise ParseError("point has zero norm and cannot be encoded as a state", lineno)
+    raise ParseError(f"label must be -1, 0 or +1, got {float(values[i, -1])}", lineno)
 
 
 def load_dataset(source: str | Path | IO[str]) -> TrainingSet:
@@ -350,7 +383,14 @@ def build_knn_graph(x: TrainingSet, k: int) -> SampleGraph:
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
-    """Symmetric PSD Laplacian, either combinatorial or degree-normalized."""
+    """Symmetric PSD Laplacian, either combinatorial or degree-normalized.
+
+    A caller's array is checked: square, symmetric, PSD, and zero row sums
+    (combinatorial) or a unit diagonal and spectrum in [0, 2] (normalized).
+    The builders below wrap their output unchecked (``_built``): built from
+    a validated ``SampleGraph``, it is symmetric and PSD by construction,
+    and the normalized spectrum lies in [0, 2].
+    """
 
     matrix: np.ndarray
     kind: str
@@ -377,18 +417,29 @@ class LaplacianMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _built(cls, matrix: np.ndarray, kind: str) -> LaplacianMatrix:
+        """Wrap a fresh float64 Laplacian built from a ``SampleGraph``,
+        bypassing the checks; tests/test_closed_forms.py guards its
+        invariants."""
+        matrix.setflags(write=False)
+        lap = object.__new__(cls)
+        object.__setattr__(lap, "matrix", matrix)
+        object.__setattr__(lap, "kind", kind)
+        return lap
+
 
 def combinatorial_laplacian(g: SampleGraph) -> LaplacianMatrix:
     """L[i, i] = d_i and L[i, j] = -1 for each edge (i, j)."""
     lap = np.diag(g.degrees.astype(np.float64))
     i, j = g.edge_array.T
     lap[i, j] = lap[j, i] = -1.0
-    return LaplacianMatrix(lap, "combinatorial")
+    return LaplacianMatrix._built(lap, "combinatorial")
 
 
 def _normalized_laplacian_array(g: SampleGraph) -> np.ndarray:
-    """The normalized Laplacian, unvalidated: each of its two wrappers
-    validates it once."""
+    """The normalized Laplacian as a fresh array, for ``normalized_laplacian``
+    and the Laplacian density."""
     lap = np.eye(g.vertex_count)
     i, j = g.edge_array.T
     lap[i, j] = lap[j, i] = -1.0 / np.sqrt(g.degrees[i] * g.degrees[j])
@@ -397,7 +448,7 @@ def _normalized_laplacian_array(g: SampleGraph) -> np.ndarray:
 
 def normalized_laplacian(g: SampleGraph) -> LaplacianMatrix:
     """Unit diagonal with off-diagonal entries -1/sqrt(d_i d_j) on edges."""
-    return LaplacianMatrix(_normalized_laplacian_array(g), "normalized")
+    return LaplacianMatrix._built(_normalized_laplacian_array(g), "normalized")
 
 
 def laplacian(g: SampleGraph, kind: str) -> LaplacianMatrix:

@@ -598,13 +598,9 @@ def cost_model(params: CostModelParams) -> dict:
 def emit_report(report: dict, path: str | Path) -> Path:
     """Write a report as JSON with stable key order.
 
-    ``simulate`` reports are validated against :data:`REPORT_SCHEMA`
-    before writing.  I/O failures surface as ``OSError`` with the path.
+    I/O failures surface as ``OSError`` with the path.  ``simulate`` reports
+    follow :data:`REPORT_SCHEMA`, which the test suite checks.
     """
-    if report.get("kind") == "simulate":
-        import jsonschema
-
-        jsonschema.Draft7Validator(REPORT_SCHEMA).validate(report)
     path = Path(path)
     try:
         with open(path, "w") as fh:

@@ -1,23 +1,32 @@
 """Shared fixtures, random-object helpers, and reference functions that
 only the tests use (Uhlmann fidelity, the maximally mixed state, the
-training objective, reading a report back)."""
+training objective, reading a report back).  Every ``simulate`` report
+that a test produces is validated against ``REPORT_SCHEMA``."""
 
+import functools
 import json
+import math
+import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from qsslsvm import pipeline
 from qsslsvm.datasets import (
     LaplacianMatrix,
     SampleGraph,
     TrainingSet,
+    _detect_delimiter,
+    _read_lines,
+    _split,
     build_knn_graph,
     load_dataset,
 )
 from qsslsvm.encodings import DensityMatrix
-from qsslsvm.errors import DegreeError, ParameterError
+from qsslsvm.errors import DegreeError, ParameterError, ParseError
 from qsslsvm.linalg import as_matrix, hermitian_eig, hermitian_part
 
 DATA = Path(__file__).parent / "data"
@@ -25,6 +34,26 @@ DATA = Path(__file__).parent / "data"
 # property tests draw the same examples on every run and are never timed out
 settings.register_profile("seeded", derandomize=True, deadline=None, database=None)
 settings.load_profile("seeded")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def simulate_reports_match_schema():
+    """``run_pipeline``, wherever a module bound it, validates each report it
+    returns against ``REPORT_SCHEMA``: the CLI, the package and the test
+    modules reach it through the same wrapper."""
+    original = pipeline.run_pipeline
+
+    @functools.wraps(original)
+    def validated(*args, **kwargs):
+        report = original(*args, **kwargs)
+        jsonschema.validate(report, pipeline.REPORT_SCHEMA)
+        return report
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get("run_pipeline") is original:
+                patch.setattr(module, "run_pipeline", validated)
+        yield
 
 
 @pytest.fixture(scope="session")
@@ -158,6 +187,61 @@ def sample_graph_by_loop(m: int, pairs) -> tuple[tuple[tuple[int, int], ...], np
         isolated = int(np.flatnonzero(deg == 0)[0])
         raise DegreeError(f"vertex {isolated} is isolated (degree 0)")
     return tuple(normalized), deg
+
+
+def read_table_by_loop(
+    source, label_required: bool, nonzero: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Features and last column of a table by a per-field ``float()`` loop
+    and a per-row sum of squares in field order (uncompensated, as ``sum``
+    adds floats before Python 3.12), raising the same errors on the same
+    lines (oracle for the vectorized ``datasets._read_table``)."""
+    rows = _read_lines(source)
+    if not rows:
+        raise ParseError("empty file")
+    header_line, header_text = rows[0]
+    delim = _detect_delimiter(header_text)
+    header = _split(header_text, delim)
+    has_label = header[-1].strip().lower() == "label"
+    if label_required:
+        if len(header) < 2:
+            raise ParseError(
+                "header must name at least one feature column and 'label'", header_line
+            )
+        if not has_label:
+            raise ParseError(
+                f"last header column must be 'label', got {header[-1]!r}", header_line
+            )
+    p = len(header) - has_label
+    if p < 1:
+        raise ParseError("no feature columns", header_line)
+
+    feats, last = [], []
+    for lineno, line in rows[1:]:
+        fields = _split(line, delim)
+        if len(fields) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(fields)}", lineno)
+        try:
+            values = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ParseError(f"non-numeric field: {exc}", lineno) from None
+        bad = [f for f, v in zip(fields, values[:p]) if not math.isfinite(v)]
+        if bad:
+            raise ParseError(f"non-finite field: {bad[0]!r}", lineno)
+        norm2 = 0.0
+        for v in values[:p]:
+            norm2 += v * v
+        if not math.isfinite(norm2):
+            raise ParseError("sum of squared features overflows float64", lineno)
+        if nonzero and norm2 == 0.0:
+            raise ParseError("point has zero norm and cannot be encoded as a state", lineno)
+        if label_required and values[-1] not in (-1.0, 0.0, 1.0):
+            raise ParseError(f"label must be -1, 0 or +1, got {values[-1]}", lineno)
+        feats.append(values[:p])
+        last.append(values[-1])
+    if not feats:
+        raise ParseError("no data rows")
+    return np.array(feats), np.array(last)
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:

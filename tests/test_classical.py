@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import objective_value
+from conftest import objective_value, random_connected_graph
 from qsslsvm.classical import (
     KernelSpec,
     ModelSolution,
@@ -18,6 +20,7 @@ from qsslsvm.datasets import (
     SampleGraph,
     TrainingSet,
     combinatorial_laplacian,
+    laplacian,
     load_points,
     normalized_laplacian,
 )
@@ -116,6 +119,19 @@ class TestAssembleSystem:
         expected = k / gamma + kk + klk / gamma
         assert np.max(np.abs(sys.a_matrix - expected)) < 1e-12
         assert np.allclose(sys.rhs, k @ y)
+
+    @given(m=st.integers(2, 48), rank=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
+           gamma=st.floats(1e-3, 1e3), kind=st.sampled_from(["combinatorial", "normalized"]))
+    def test_two_products_match_three(self, m, rank, seed, gamma, kind):
+        # A = K/gamma + K (K + L K/gamma) against K/gamma + K K + K L K/gamma
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(m, min(rank, m)))
+        k = x @ x.T
+        lm = laplacian(random_connected_graph(rng, m, m), kind).matrix
+        a = assemble_system(k, lm, np.ones(m), gamma).a_matrix
+        three = k / gamma + k @ k + (k @ lm @ k) / gamma
+        three = (three + three.T) / 2
+        assert np.max(np.abs(a - three)) <= 1e-12 * np.max(np.abs(three))
 
     def test_gamma_validation(self):
         with pytest.raises(ParameterError):

@@ -41,7 +41,12 @@ from qsslsvm.channels import (
     simulate_evolution,
 )
 from qsslsvm.classical import KernelSpec, assemble_system, train_semi_supervised
-from qsslsvm.datasets import TrainingSet, load_points, normalized_laplacian
+from qsslsvm.datasets import (
+    TrainingSet,
+    combinatorial_laplacian,
+    load_points,
+    normalized_laplacian,
+)
 from qsslsvm.encodings import (
     DensityMatrix,
     StateVector,
@@ -487,6 +492,21 @@ class TestProperties:
     def test_kernel_density(self, m, p, seed):
         ts = random_training_set(np.random.default_rng(seed), m, p)
         assert _gap(kernel_density(ts).matrix, _reduced_data(ts)) <= TOL
+
+    @given(m=st.integers(2, 64), seed=seeds, extra=st.integers(0, 300))
+    def test_built_laplacians(self, m, seed, extra):
+        """What the builders no longer check at run time: on a connected
+        graph both Laplacians are exactly symmetric and PSD, the
+        combinatorial rows sum to zero, and the normalized one has a unit
+        diagonal and its spectrum in [0, 2]."""
+        g = random_connected_graph(np.random.default_rng(seed), m, extra)
+        comb, norm = combinatorial_laplacian(g).matrix, normalized_laplacian(g).matrix
+        for lap in (comb, norm):
+            assert np.array_equal(lap, lap.T)
+            assert np.linalg.eigvalsh(lap)[0] >= -1e-10
+        assert not np.any(comb.sum(axis=1))
+        assert np.all(np.diag(norm) == 1.0)
+        assert np.linalg.eigvalsh(norm)[-1] <= 2.0 + 1e-10
 
     @given(m=st.integers(2, 6), seed=seeds)
     def test_laplacian_density(self, m, seed):

@@ -6,15 +6,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA, knn_edges_by_sort, random_connected_graph, sample_graph_by_loop
+from conftest import (
+    DATA,
+    knn_edges_by_sort,
+    random_connected_graph,
+    read_table_by_loop,
+    sample_graph_by_loop,
+)
 from dilation import incidence_matrix
 from qsslsvm.datasets import (
     LaplacianMatrix,
     SampleGraph,
     TrainingSet,
+    _read_table,
     build_knn_graph,
     combinatorial_laplacian,
     load_dataset,
@@ -22,7 +29,7 @@ from qsslsvm.datasets import (
     load_points,
     normalized_laplacian,
 )
-from qsslsvm.errors import DegreeError, InputError, ParameterError, ParseError
+from qsslsvm.errors import DegreeError, InputError, LayoutError, ParameterError, ParseError
 
 
 @st.composite
@@ -51,6 +58,61 @@ def _vertex_counts_and_pairs(draw):
             i, j = pairs[pick % len(pairs)]
             pairs.insert(at, (j, i) if kind == "reverse" else (i, j))
     return m, tuple(pairs)
+
+
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-3, 3).map(str))
+_ODD_FIELD = st.sampled_from(["inf", "-Infinity", "nan", "1e200", "-1e154", "1e-200", "-0.0",
+                              "1_000", "0x10", "", "abc", " 2.5 ", "\u0661\u0662"])
+_LABEL = st.sampled_from(["1", "-1", "0", "1.0", "-0"] * 3 + ["2", "0.5", "nan", "inf", "x"])
+
+
+@st.composite
+def _tables(draw):
+    """The text of a table and the two flags of ``_read_table``.  Rows are
+    mostly well formed; now and then one is ragged or all zero, or has an
+    odd field (non-numeric, non-finite, overflowing when squared), and a
+    label is now and then out of range."""
+    label_required, nonzero = draw(st.booleans()), draw(st.booleans())
+    delim = draw(st.sampled_from([",", ";", "\t", " "]))
+    p = draw(st.integers(1, 4))
+    has_label = label_required != (draw(st.integers(0, 7)) == 0)
+    header = [f"f{j}" for j in range(p)] + ["label"] * has_label
+    lines = [delim.join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        fields = draw(st.lists(_NUMBER, min_size=p, max_size=p))
+        fault = draw(st.integers(0, 8))
+        if fault == 0:
+            fields = ["0"] * p
+        elif fault == 1:
+            fields[draw(st.integers(0, p - 1))] = draw(_ODD_FIELD)
+        if has_label:
+            fields.append(draw(_LABEL))
+        if fault == 2:
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["1"]
+        lines.append(delim.join(fields))
+    return "\n".join(lines) + "\n", label_required, nonzero
+
+
+def _outcome(read, text, label_required, nonzero):
+    try:
+        return read(io.StringIO(text), label_required, nonzero)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+@given(case=_tables())
+@example(case=("f,label\n1,1\ninf,1\n2,1,1\n", True, False))  # a value fault, then a ragged row
+@example(case=("f,label\n1e200,1\nx,1\n", True, False))  # overflow, then a non-numeric field
+@example(case=("f1;f2\n1;2\n3;-inf\n", False, True))  # the second field is named
+def test_read_table_matches_per_field_loop(case):
+    # values, and each error's message and line, as the per-field loop gives them
+    got, expected = (_outcome(read, *case) for read in (_read_table, read_table_by_loop))
+    if isinstance(expected[0], str):
+        assert got == expected
+    else:
+        assert all(np.array_equal(g, e, equal_nan=True) and g.shape == e.shape
+                   for g, e in zip(got, expected))
 
 
 class TestLoadDataset:
@@ -447,3 +509,31 @@ class TestLaplacians:
     def test_kind_validation(self):
         with pytest.raises(ParameterError):
             LaplacianMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), "combinatorial")
+
+    # a caller's array keeps every check that the builders' output skips
+
+    def test_caller_array_not_psd_rejected(self):
+        # symmetric with zero row sums, eigenvalues -2 and 0
+        with pytest.raises(ParameterError, match="not PSD"):
+            LaplacianMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]), "combinatorial")
+
+    def test_caller_array_eigenvalue_above_two_rejected(self):
+        # symmetric, unit diagonal and PSD, with spectrum {0, 0, 3}
+        with pytest.raises(ParameterError, match="above 2"):
+            LaplacianMatrix(np.ones((3, 3)), "normalized")
+
+    def test_caller_array_asymmetric_rejected(self):
+        with pytest.raises(LayoutError, match="symmetric"):
+            LaplacianMatrix(np.array([[1.0, -1.0], [-0.5, 1.0]]), "normalized")
+
+    def test_caller_array_bad_diagonal_rejected(self):
+        # PSD, spectrum in [0, 2], diagonal 1.5 and 0.5
+        with pytest.raises(ParameterError, match="unit diagonal"):
+            LaplacianMatrix(np.array([[1.5, -0.5], [-0.5, 0.5]]), "normalized")
+
+    def test_builders_skip_the_spectral_check(self, rng, eig_calls):
+        g = random_connected_graph(rng, 12)
+        for lap in (combinatorial_laplacian(g), normalized_laplacian(g)):
+            LaplacianMatrix(lap.matrix, lap.kind)  # passes every check of a caller's array
+            assert not lap.matrix.flags.writeable
+        assert [name for name, _ in eig_calls] == ["eigvalsh"] * 2

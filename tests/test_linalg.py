@@ -8,7 +8,7 @@ from dilation import partial_trace
 from qsslsvm.channels import exact_conjugation
 from qsslsvm.classical import AssembledSystem, solve_classical
 from qsslsvm.errors import LayoutError, NumericalError, ParameterError, SymmetryError
-from qsslsvm.linalg import hermitian_eig, state_fidelity
+from qsslsvm.linalg import hermitian_eig, hermitian_part, state_fidelity
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -85,6 +85,36 @@ class TestHermitianEig:
     def test_rejects_nan(self):
         with pytest.raises(NumericalError):
             hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(LayoutError):
+            hermitian_eig(np.ones((2, 3)))
+
+    def test_deviation_read_from_symmetrized_copy(self):
+        m = np.array([[1.0, 2e-10], [0.0, 1.0]])
+        with pytest.raises(SymmetryError, match=r"max deviation 2\.000e-10"):
+            hermitian_eig(m)
+        hermitian_eig(m / 4)
+
+    def test_bit_identical_to_stable_argsort(self, rng):
+        # eigh's ascending output reversed, as a stable argsort orders it,
+        # also inside repeated eigenvalues (exact and to roundoff)
+        q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        real = rng.normal(size=(30, 30))
+        cases = [
+            random_hermitian(rng, 7),
+            real + real.T + 1e-12 * rng.normal(size=(30, 30)),
+            np.diag([2.0, 1.0, 2.0, 1.0, 0.0]),
+            q @ np.diag([3.0, 3.0, 3.0, 1.0, 1.0, 0.0]) @ q.T,
+            np.eye(4),
+        ]
+        for m in cases:
+            w, v = np.linalg.eigh(hermitian_part(m))
+            order = np.argsort(w, kind="stable")[::-1]
+            eig = hermitian_eig(m)
+            assert np.array_equal(eig.eigenvalues, w[order])
+            assert np.array_equal(eig.eigenvectors, v[:, order])
+            assert eig.eigenvectors.flags.c_contiguous
 
 
 def _taylor_exp(h: np.ndarray, t: float, terms: int = 40, squarings: int = 10) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA, load_report
-from qsslsvm import pipeline
+from qsslsvm import cli, pipeline
 from qsslsvm.channels import make_program_state_k
 from qsslsvm.classical import KernelSpec, assemble_system
 from qsslsvm.datasets import build_knn_graph, load_dataset
@@ -144,6 +144,15 @@ class TestRunPipeline:
         assert len(inputs) == 4
         for i, a in enumerate(inputs):
             assert not any(a.shape == b.shape and np.array_equal(a, b) for b in inputs[:i])
+
+    @pytest.mark.parametrize("runner, eigh, eigvalsh", [
+        (run_classical, 1, 0),  # A/tr(A) only: the built Laplacian is not re-checked
+        (run_pipeline, 4, 10),
+    ])
+    def test_decomposition_counts(self, eig_calls, runner, eigh, eigvalsh):
+        runner(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
+        names = [name for name, _ in eig_calls]
+        assert (names.count("eigh"), names.count("eigvalsh")) == (eigh, eigvalsh)
 
     def test_perturbed_classical_system_is_numerical_error(self, monkeypatch):
         assemble = pipeline.assemble_system
@@ -305,9 +314,18 @@ class TestEmitReport:
     def test_schema_is_valid_draft7(self):
         jsonschema.Draft7Validator.check_schema(REPORT_SCHEMA)
 
-    def test_invalid_report_rejected(self, tmp_path):
+    def test_invalid_report_rejected(self):
         with pytest.raises(jsonschema.ValidationError):
-            emit_report({"kind": "simulate"}, tmp_path / "bad.json")
+            jsonschema.validate({"kind": "simulate"}, REPORT_SCHEMA)
+
+    def test_every_simulate_report_is_validated(self, monkeypatch):
+        # the suite's run_pipeline, also behind the CLI, checks each report
+        # against the schema that emit_report no longer checks at run time
+        assert cli.run_pipeline is run_pipeline is not run_pipeline.__wrapped__
+        schema = {**REPORT_SCHEMA, "required": [*REPORT_SCHEMA["required"], "absent"]}
+        monkeypatch.setattr(pipeline, "REPORT_SCHEMA", schema)
+        with pytest.raises(jsonschema.ValidationError, match="'absent' is a required"):
+            run_pipeline(RunConfig(knn_k=1), DATA / "two_cluster_4.csv")
 
     def test_stable_key_order(self, cluster8_report, tmp_path):
         p1 = emit_report(cluster8_report, tmp_path / "a.json")
