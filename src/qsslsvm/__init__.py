@@ -43,7 +43,6 @@ from .encodings import (
 from .hhl import (
     HHLResult,
     QPEConfig,
-    glmr_phase_estimation,
     hhl_solve,
     quantum_multiply,
 )

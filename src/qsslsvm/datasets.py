@@ -74,6 +74,13 @@ class TrainingSet:
         norms.setflags(write=False)
         return norms
 
+    @cached_property
+    def _expansion_memo(self) -> dict[bytes, tuple[np.ndarray, float]]:
+        """``swap_test.classify``'s memo of the last coefficients it
+        accepted on these rows, alpha's float64 bytes -> (X^T alpha,
+        ||diag(alpha) X||_F); empty on a new training set."""
+        return {}
+
 
 def _detect_delimiter(header: str) -> str:
     counts = {d: header.count(d) for d in _DELIMITERS}

@@ -19,32 +19,16 @@ the clock distribution is w @ |c|^2.  The circuit itself -- the clock (x)
 system array, the flag register, the inverse QFT, the controlled
 evolutions and the Walsh transform -- is the test oracle in
 ``tests/dilation.py``.
-
-Controlled evolutions are synthesized from the spectral decomposition of
-the matrix.  The sample-based channel construction cannot be applied
-controlled inside a pure-state circuit -- it is a channel, not a unitary --
-so its composition with phase estimation is provided separately as a
-density-matrix demonstration (:func:`glmr_phase_estimation`), with the
-channel itself certified standalone in :mod:`qsslsvm.channels`.  In the
-eigenbasis of the channel generator B, the diagonals D[y, y', a] of the
-clock blocks of that density form a closed subsystem: each clock qubit
-multiplies them by a power of c -/+ i s lam_a where its bit is set in y
-or y' only, and mixes them towards tr(D) diag(R~) where it is set in
-both, so the clock distribution follows from clock-row recursions on
-T x d arrays (see its docstring).  The step-by-step clock (x) system
-density (``stepwise_glmr_phase_estimation``) and the dilated circuit with
-the program copy and control registers kept explicitly
-(``dense_glmr_phase_estimation``) are the oracles in ``tests/dilation.py``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ProgramState, mix_program_states
 from .encodings import DensityMatrix, StateVector
 from .errors import (
     AmplitudeOverflowError,
@@ -69,10 +53,12 @@ class QPEConfig:
     evolution_time: float | None = None
 
     def __post_init__(self):
-        if not 2 <= self.clock_qubits <= 12:
-            raise ConfigurationError(
-                f"clock_qubits must be in [2, 12], got {self.clock_qubits}"
-            )
+        q = self.clock_qubits
+        if isinstance(q, bool) or not isinstance(q, numbers.Real) or not float(q).is_integer():
+            raise ConfigurationError(f"clock_qubits must be an integer, got {q}")
+        if not 2 <= q <= 12:
+            raise ConfigurationError(f"clock_qubits must be in [2, 12], got {q}")
+        object.__setattr__(self, "clock_qubits", int(q))
         if self.evolution_time is not None and not self.evolution_time > 0:
             raise ConfigurationError(
                 f"evolution_time must be positive, got {self.evolution_time}"
@@ -229,75 +215,3 @@ def quantum_multiply(k, y, cfg: QPEConfig) -> StateVector:
     gain = np.where(lam_hat <= 1.0 + 1e-12, np.minimum(lam_hat, 1.0), 0.0)
     coeff = eig.eigenvectors.conj().T @ vec
     return _postselected(eig, coeff, weights, gain, "matrix-vector product is zero")[0]
-
-
-def glmr_phase_estimation(
-    sources,
-    b,
-    cfg: QPEConfig,
-    steps_per_unit: int = 2000,
-) -> np.ndarray:
-    """Clock distribution of phase estimation whose controlled evolutions
-    are realized by the program-state channel (density-matrix demonstration
-    mode).
-
-    Clock qubit j controls n_j = steps_per_unit * 2^j channel steps of
-    dt = -t0 / steps_per_unit, each consuming a fresh copy of the (mixed)
-    program state.  Accuracy improves with ``steps_per_unit``; the coherent
-    solver synthesizes its evolutions from the spectral decomposition.
-
-    With c, s = cos dt, sin dt, B = rho'' - rho''' = V diag(lam) V^dagger
-    and R = rho'' + rho''', the diagonals D[y, y', a] of the clock blocks
-    V^dagger rho[y, y'] V form a closed subsystem.  Clock qubit j
-    multiplies D[y, y', a] by (c - i s lam_a)^n_j where bit j is set in y
-    only and by (c + i s lam_a)^n_j where it is set in y' only; where it
-    is set in both it maps D -> c^(2 n_j) D + (1 - c^(2 n_j)) tr(D) r with
-    r = diag(V^dagger R V), and where it is set in neither it leaves D
-    alone.  These maps do not commute; they apply for j = 0, 1, ... in
-    turn.  The clock distribution is diag(F tau F^dagger), with
-    tau[y, y'] = sum_a D[y, y', a] and F the unitary DFT, accumulated one
-    clock row y at a time, so memory is O(T d).  The step-by-step clock
-    (x) system density is the test oracle
-    ``tests/dilation.py::stepwise_glmr_phase_estimation``.
-    """
-    if steps_per_unit < 1:
-        raise ParameterError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
-    if isinstance(sources, ProgramState):
-        mixture = sources
-    else:
-        mixture = mix_program_states(sources)
-    vec = _as_unit_state(b, mixture.system_dim)
-    t = cfg.clock_dim
-    b_op, r_op = mixture.step_operators()
-    eig = hermitian_eig(b_op)
-    lam, v = eig.eigenvalues, eig.eigenvectors
-    t0 = cfg.evolution_time
-    if t0 is None:
-        t0 = default_evolution_time(float(lam[0]))
-    dt = -t0 / steps_per_unit
-    c, s = math.cos(dt), math.sin(dt)
-    with np.errstate(divide="ignore"):
-        log_abs = 0.5 * np.log1p(-s * s * (1.0 - lam * lam))  # log|c - i s lam|
-        log_c2 = float(np.log1p(-s * s))
-    clock = np.arange(t)
-    maps = []
-    for j in range(cfg.clock_qubits):
-        n_j = steps_per_unit * 2**j
-        left = np.exp(n_j * log_abs + 1j * (n_j * np.arctan2(-s * lam, c)))
-        on = ((clock >> j) & 1).astype(bool)
-        maps.append((on, left, math.exp(n_j * log_c2), -math.expm1(n_j * log_c2)))
-    refill = np.real(np.einsum("ka,kl,la->a", v.conj(), r_op, v))
-    start = (np.abs(v.conj().T @ vec) ** 2 / t).astype(np.complex128)
-    probs = np.zeros(t)
-    for y in range(t):
-        row = np.tile(start, (t, 1))  # D[y, y', a] over y' and a
-        for on, left, damp, fill in maps:
-            if on[y]:
-                row[~on] *= left
-                both = row[on]
-                row[on] = damp * both + fill * both.sum(axis=1, keepdims=True) * refill
-            else:
-                row[on] *= left.conj()
-        column = np.exp(-2j * np.pi * clock * y / t) / math.sqrt(t)  # F[:, y]
-        probs += np.real(column * np.fft.ifft(row.sum(axis=1), norm="ortho"))
-    return probs

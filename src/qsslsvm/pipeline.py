@@ -170,6 +170,8 @@ class RunConfig:
             raise ParameterError(f"knn_k must be >= 1, got {self.knn_k}")
         if self.shots < 0:
             raise ParameterError(f"shots must be >= 0, got {self.shots}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.laplacian_kind not in ("normalized", "combinatorial"):
             raise ParameterError(f"unknown Laplacian kind {self.laplacian_kind!r}")
         # range checks for clock_qubits are enforced by QPEConfig

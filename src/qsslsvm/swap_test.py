@@ -10,15 +10,19 @@ unit-normalized, so their overlap is the identity
 
 for training rows X (m x p).  ``classify`` evaluates P from it for a
 block of points without building either state: X^T alpha and
-||diag(alpha) X||_F once per call, then O(p) per point.  P < 1/2 means
-positive overlap and a positive predicted label; for the linear kernel
-the overlap sign equals the sign of the classical decision score.  The
-state construction and the ancilla circuit are the test oracle in
-``tests/dilation.py``.
+||diag(alpha) X||_F once per (alpha, training set), then O(p) per point.
+The pair is memoized on the ``TrainingSet`` for the last coefficients
+that passed their checks, so one-point calls with the same alpha, as a
+readout of test points one at a time makes them, pay only the O(p)
+part.  P < 1/2 means positive overlap and a positive predicted label;
+for the linear kernel the overlap sign equals the sign of the classical
+decision score.  The state construction and the ancilla circuit are the
+test oracle in ``tests/dilation.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +44,39 @@ class ClassificationResult:
     ambiguous: np.ndarray
 
 
+def _expansion(alpha: np.ndarray, training: TrainingSet) -> tuple[np.ndarray, float]:
+    """X^T alpha and ||diag(alpha) X||_F, after the checks that the
+    expansion state can be encoded.
+
+    The result is memoized on ``training`` under the float64 bytes of
+    ``alpha`` and stored only once every check has passed; the training
+    rows are read-only, so a hit stands for the same checks on the same
+    inputs.  One entry: another alpha replaces it.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
+    key = alpha.tobytes()
+    memo = training._expansion_memo
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    m = training.sample_count
+    if alpha.shape[0] != m:
+        raise LayoutError(f"alpha has {alpha.shape[0]} entries, expected {m}")
+    if not alpha.any():
+        raise DegenerateSystemError("model coefficients are all zero")
+    row_norms = training.row_norms
+    if (row_norms == 0.0).any():
+        raise EncodingError("training set has a zero-norm sample")
+    s_norm = np.linalg.norm(alpha * row_norms)
+    if s_norm == 0.0 or not np.isfinite(s_norm):
+        raise EncodingError("cannot encode a zero or non-finite expansion")
+    weights = training.features.T @ alpha
+    weights.setflags(write=False)
+    memo.clear()
+    memo[key] = weights, s_norm
+    return weights, s_norm
+
+
 def classify(
     alpha: np.ndarray,
     x_new: np.ndarray,
@@ -52,40 +89,36 @@ def classify(
 
     P < 1/2 means positive overlap and label +1; exactly 1/2 maps to +1,
     the same tie rule as the classical predictor's sign(0).  ``shots == 0``
-    returns P itself; otherwise P is estimated from ``shots`` Bernoulli
-    draws, seeded with ``seed + i`` for row i, and an estimate within
-    three binomial standard deviations of 1/2 is flagged as ambiguous (the
-    label is still returned).  Errors are raised in the order the
-    construction would meet them: the query points, then the coefficients
-    and training rows, then ``shots``; a bad row anywhere in a block
-    raises the error a one-point call on it would.
+    returns P itself, for row i of a block bit for bit what a one-point
+    call on that row returns; otherwise P is estimated from ``shots``
+    Bernoulli draws, seeded with ``seed + i`` for row i, and an estimate
+    within three binomial standard deviations of 1/2 is flagged as
+    ambiguous (the label is still returned).  Errors are raised in the
+    order the construction would meet them: the query points, then the
+    coefficients and training rows, then ``shots`` and ``seed``; a bad row
+    anywhere in a block raises the error a one-point call on it would.
     """
     m, p = training.sample_count, training.feature_count
-    x = np.atleast_1d(np.asarray(x_new, dtype=np.float64))
+    # C order: each row's dot product then sums in the same order as a
+    # one-point call on it
+    x = np.atleast_1d(np.asarray(x_new, dtype=np.float64, order="C"))
     if x.shape[-1] != p:
         raise LayoutError(f"query point has {x.shape[-1]} features, training set has {p}")
-    q_norm = np.sqrt(m) * np.linalg.norm(x, axis=-1)
+    q_norm = math.sqrt(m) * np.sqrt((x * x).sum(axis=-1))
     if (q_norm == 0.0).any():
         raise EncodingError("cannot encode a zero query point")
     if not np.isfinite(q_norm).all():
         raise EncodingError("cannot encode a non-finite query point")
-
-    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
-    if alpha.shape[0] != m:
-        raise LayoutError(f"alpha has {alpha.shape[0]} entries, expected {m}")
-    if not alpha.any():
-        raise DegenerateSystemError("model coefficients are all zero")
-    row_norms = training.row_norms
-    if (row_norms == 0.0).any():
-        raise EncodingError("training set has a zero-norm sample")
-    s_norm = np.linalg.norm(alpha * row_norms)
-    if s_norm == 0.0 or not np.isfinite(s_norm):
-        raise EncodingError("cannot encode a zero or non-finite expansion")
+    weights, s_norm = _expansion(alpha, training)
 
     if shots < 0:
         raise ParameterError(f"shots must be >= 0, got {shots}")
-    overlap = (x @ (training.features.T @ alpha)) / (q_norm * s_norm)
-    prob = ((1.0 - overlap) / 2.0).clip(0.0, 1.0)
+    if not float(shots).is_integer():
+        raise ParameterError(f"shots must be an integer, got {shots}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    overlap = np.vecdot(x, weights) / (q_norm * s_norm)
+    prob = np.minimum(np.maximum((1.0 - overlap) / 2.0, 0.0), 1.0)
     ambiguous = np.zeros(prob.shape, dtype=bool)
     if shots > 0:
         hits = [np.random.default_rng(seed + i).binomial(shots, pi)

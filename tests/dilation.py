@@ -11,9 +11,12 @@ conditional rotation and uncomputation -- that the closed forms in
 dilated channel step costs O(d^6), so these run only at the small
 dimensions the tests use.  The step-by-step trajectory and channel-backed
 phase estimation (``stepwise_*``, one closed-form step at a time) are the
-oracle for the loop-free channel powers, the dense one-step error sweep
+oracle for the loop-free channel powers: ``simulate_evolution`` and
+``glmr_phase_estimation``, the closed-form channel-backed phase
+estimation, a density-matrix demonstration that no pipeline stage runs
+and so is kept here with its oracles.  The dense one-step error sweep
 (``dense_one_step_errors``, built from ``glmr_step`` and
-``exact_conjugation``) the oracle for the pipeline's O(m^2) slope
+``exact_conjugation``) is the oracle for the pipeline's O(m^2) slope
 diagnostic, and ``partial_trace`` over a
 tuple of register dimensions serves the dilations.  The program state's
 2d x 2d control (x) system density arises only here: the circuits build
@@ -320,6 +323,78 @@ class GlmrPhaseEstimate:
 
     clock_probabilities: np.ndarray
     state: DensityMatrix
+
+
+def glmr_phase_estimation(
+    sources,
+    b,
+    cfg: QPEConfig,
+    steps_per_unit: int = 2000,
+) -> np.ndarray:
+    """Clock distribution of phase estimation whose controlled evolutions
+    are realized by the program-state channel (density-matrix demonstration
+    mode).
+
+    Clock qubit j controls n_j = steps_per_unit * 2^j channel steps of
+    dt = -t0 / steps_per_unit, each consuming a fresh copy of the (mixed)
+    program state.  Accuracy improves with ``steps_per_unit``; the coherent
+    solver synthesizes its evolutions from the spectral decomposition.
+
+    With c, s = cos dt, sin dt, B = rho'' - rho''' = V diag(lam) V^dagger
+    and R = rho'' + rho''', the diagonals D[y, y', a] of the clock blocks
+    V^dagger rho[y, y'] V form a closed subsystem.  Clock qubit j
+    multiplies D[y, y', a] by (c - i s lam_a)^n_j where bit j is set in y
+    only and by (c + i s lam_a)^n_j where it is set in y' only; where it
+    is set in both it maps D -> c^(2 n_j) D + (1 - c^(2 n_j)) tr(D) r with
+    r = diag(V^dagger R V), and where it is set in neither it leaves D
+    alone.  These maps do not commute; they apply for j = 0, 1, ... in
+    turn.  The clock distribution is diag(F tau F^dagger), with
+    tau[y, y'] = sum_a D[y, y', a] and F the unitary DFT, accumulated one
+    clock row y at a time, so memory is O(T d).  The step-by-step clock
+    (x) system density is the test oracle
+    ``tests/dilation.py::stepwise_glmr_phase_estimation``.
+    """
+    if steps_per_unit < 1:
+        raise ParameterError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
+    if isinstance(sources, ProgramState):
+        mixture = sources
+    else:
+        mixture = mix_program_states(sources)
+    vec = _as_unit_state(b, mixture.system_dim)
+    t = cfg.clock_dim
+    b_op, r_op = mixture.step_operators()
+    eig = hermitian_eig(b_op)
+    lam, v = eig.eigenvalues, eig.eigenvectors
+    t0 = cfg.evolution_time
+    if t0 is None:
+        t0 = default_evolution_time(float(lam[0]))
+    dt = -t0 / steps_per_unit
+    c, s = math.cos(dt), math.sin(dt)
+    with np.errstate(divide="ignore"):
+        log_abs = 0.5 * np.log1p(-s * s * (1.0 - lam * lam))  # log|c - i s lam|
+        log_c2 = float(np.log1p(-s * s))
+    clock = np.arange(t)
+    maps = []
+    for j in range(cfg.clock_qubits):
+        n_j = steps_per_unit * 2**j
+        left = np.exp(n_j * log_abs + 1j * (n_j * np.arctan2(-s * lam, c)))
+        on = ((clock >> j) & 1).astype(bool)
+        maps.append((on, left, math.exp(n_j * log_c2), -math.expm1(n_j * log_c2)))
+    refill = np.real(np.einsum("ka,kl,la->a", v.conj(), r_op, v))
+    start = (np.abs(v.conj().T @ vec) ** 2 / t).astype(np.complex128)
+    probs = np.zeros(t)
+    for y in range(t):
+        row = np.tile(start, (t, 1))  # D[y, y', a] over y' and a
+        for on, left, damp, fill in maps:
+            if on[y]:
+                row[~on] *= left
+                both = row[on]
+                row[on] = damp * both + fill * both.sum(axis=1, keepdims=True) * refill
+            else:
+                row[on] *= left.conj()
+        column = np.exp(-2j * np.pi * clock * y / t) / math.sqrt(t)  # F[:, y]
+        probs += np.real(column * np.fft.ifft(row.sum(axis=1), norm="ortho"))
+    return probs
 
 
 def stepwise_glmr_phase_estimation(
@@ -805,6 +880,10 @@ def overlap_probability(
         raise LayoutError(f"state dimensions differ: {psi.dim} vs {phi.dim}")
     if shots < 0:
         raise ParameterError(f"shots must be >= 0, got {shots}")
+    if not float(shots).is_integer():
+        raise ParameterError(f"shots must be an integer, got {shots}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     # post-Hadamard branches: |0>(psi + phi)/2 and |1>(psi - phi)/2
     minus_branch = (psi.amplitudes - phi.amplitudes) / 2.0
     p_exact = float(np.clip(np.sum(np.abs(minus_branch) ** 2), 0.0, 1.0))

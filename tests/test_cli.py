@@ -168,6 +168,13 @@ def test_prediction_overflow_names_its_stage(tmp_path, capsys):
         "numerical error: [predict] float64 overflow in the kernel scores\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_negative_seed_is_input_error_before_ingest(capsys, command):
+    # the dataset does not exist: an ingest attempt would exit 4
+    assert main([command, "/no/such/file.csv", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 class TestTrain:
     def test_success(self, capsys):
         code = main(["train", DATASET8, "--knn", "2", "--sigma-thresh", "1e-9"])

@@ -22,6 +22,7 @@ from dilation import (
     dense_quantum_multiply,
     dense_simulate_evolution,
     density,
+    glmr_phase_estimation,
     incidence_state,
     lmr_step,
     program_state_matrix,
@@ -54,8 +55,8 @@ from qsslsvm.encodings import (
     label_state,
     laplacian_density,
 )
-from qsslsvm.errors import NumericalError
-from qsslsvm.hhl import QPEConfig, glmr_phase_estimation, hhl_solve, quantum_multiply
+from qsslsvm.errors import NumericalError, ParameterError
+from qsslsvm.hhl import QPEConfig, hhl_solve, quantum_multiply
 from qsslsvm.linalg import hermitian_eig
 from qsslsvm.pipeline import _DT_SWEEP, _one_step_errors
 from qsslsvm.swap_test import classify
@@ -273,15 +274,25 @@ class TestReadoutAgainstCircuit:
             (np.r_[np.inf, np.ones(7)], x, cluster8, 0),
             (np.ones(2), x, with_zero_row, 0),                # zero-norm training row
             (alpha, x, cluster8, -1),                         # negative shots
+            (alpha, x, cluster8, 2.5),                        # fractional shots
+            (alpha, x, cluster8, np.nan),
+            (alpha, x, cluster8, 0, -1),                      # negative seed
+            (alpha, x, cluster8, 10, -1),
             # several faults at once: the query is checked first, shots last
             (np.zeros(7), np.zeros(2), cluster8, -1),
             (np.zeros(8), np.ones(3), with_zero_row, -1),
             (np.zeros(8), x, cluster8, -1),
             (np.ones(2), x, with_zero_row, -1),
+            (np.zeros(8), x, cluster8, 2.5),
+            (alpha, x, cluster8, -1, -1),
+            (alpha, x, cluster8, 2.5, -1),
         ]
-        for a, q, training, shots in cases:
-            assert isinstance(_outcome(classify, a, q, training, shots=shots), type)
-            _assert_classify_matches(a, q, training, shots)
+        for a, q, training, shots, *seed in cases:
+            seed = seed[0] if seed else 0
+            assert isinstance(_outcome(classify, a, q, training, shots=shots, seed=seed), type)
+            _assert_classify_matches(a, q, training, shots, seed)
+        assert _outcome(classify, alpha, x, cluster8, shots=2.5) is ParameterError
+        assert _outcome(classify, alpha, x, cluster8, seed=-1) is ParameterError
 
 
 class TestSolverAgainstCircuit:

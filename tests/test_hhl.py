@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import random_density
-from dilation import conditional_rotation_invert, conditional_rotation_multiply, phase_estimation
+from dilation import (
+    conditional_rotation_invert,
+    conditional_rotation_multiply,
+    glmr_phase_estimation,
+    phase_estimation,
+)
 from qsslsvm.channels import make_program_state_k
 from qsslsvm.classical import KernelSpec, assemble_system, solve_classical
 from qsslsvm.encodings import DensityMatrix, kernel_density, label_state, laplacian_density
@@ -19,7 +24,7 @@ from qsslsvm.errors import (
     NumericalError,
     ParameterError,
 )
-from qsslsvm.hhl import QPEConfig, glmr_phase_estimation, hhl_solve, quantum_multiply
+from qsslsvm.hhl import QPEConfig, hhl_solve, quantum_multiply
 from qsslsvm.linalg import state_fidelity
 
 
@@ -31,6 +36,23 @@ class TestQPEConfig:
             QPEConfig(clock_qubits=13)
         with pytest.raises(ConfigurationError):
             QPEConfig(evolution_time=0.0)
+
+    @pytest.mark.parametrize("clock_qubits", [4.5, 2.0001, np.nan, np.inf, True, "4"])
+    def test_non_integral_clock_rejected(self, clock_qubits):
+        with pytest.raises(ConfigurationError, match="clock_qubits must be an integer"):
+            QPEConfig(clock_qubits)
+
+    def test_integral_float_clock_is_stored_as_int(self):
+        a, b = np.diag([0.5, 0.25]), np.array([0.6, 0.8])
+        for cfg in (QPEConfig(4.0), QPEConfig(np.float64(4.0)), QPEConfig(np.int64(4))):
+            assert type(cfg.clock_qubits) is int and type(cfg.clock_dim) is int
+            assert cfg.clock_dim == 16
+            assert np.array_equal(quantum_multiply(a, b, cfg).amplitudes,
+                                  quantum_multiply(a, b, QPEConfig(4)).amplitudes)
+            solved, expected = hhl_solve(a, b, 0.1, cfg), hhl_solve(a, b, 0.1, QPEConfig(4))
+            assert np.array_equal(solved.solution_state.amplitudes,
+                                  expected.solution_state.amplitudes)
+            assert solved.retained_eigenvalues == expected.retained_eigenvalues
 
 
 class TestPhaseEstimation:

@@ -72,6 +72,8 @@ class TestRunConfig:
             RunConfig(sigma_thresh=-0.1)
         with pytest.raises(ParameterError):
             RunConfig(shots=-1)
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            RunConfig(seed=-1)
         with pytest.raises(ConfigurationError):
             RunConfig(clock_qubits=1)
 

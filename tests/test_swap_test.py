@@ -1,6 +1,9 @@
 """Tests for the overlap-readout classifier and for its state-level oracle
 (query state, expansion state and ancilla readout in ``dilation.py``)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -150,11 +153,8 @@ class TestClassify:
         assert block.label.shape == block.p_estimate.shape == block.ambiguous.shape == (20,)
         for i, point in enumerate(points):
             one = classify(alpha, point, cluster8, shots=shots, seed=11 + i)
-            assert (block.label[i], block.ambiguous[i]) == (one.label, one.ambiguous)
-            if shots:
-                assert block.p_estimate[i] == one.p_estimate
-            else:
-                assert abs(block.p_estimate[i] - one.p_estimate) <= 1e-15
+            assert (block.label[i], block.p_estimate[i], block.ambiguous[i]) == (
+                one.label, one.p_estimate, one.ambiguous)
 
     def test_sampled_mode_flags_ambiguous_near_half(self, cluster8):
         # orthogonal query/expansion: P = 1/2 exactly, every estimate is
@@ -181,3 +181,74 @@ class TestClassify:
                 for seed in range(100)
             )
             assert hits >= 99
+
+
+def _copy(training: TrainingSet) -> TrainingSet:
+    """The same rows and labels in a new training set, whose memo is empty."""
+    return TrainingSet(training.features, training.labels, training.labeled_count)
+
+
+def _same(a, b) -> bool:
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("label", "p_estimate", "ambiguous"))
+
+
+class TestExpansionMemo:
+    """``classify`` keeps X^T alpha and ||diag(alpha) X||_F on the training
+    set for the last coefficients that passed their checks; no call may
+    read it for other coefficients, other rows or coefficients that failed."""
+
+    def test_alpha_changed_in_place(self, cluster8, rng):
+        alpha = rng.normal(size=8)
+        x = rng.normal(size=(5, 2))
+        before = classify(alpha, x, cluster8)
+        alpha *= -1.0
+        after = classify(alpha, x, cluster8)
+        assert np.array_equal(after.label, -before.label)
+        assert _same(after, classify(alpha, x, _copy(cluster8)))
+
+    def test_same_alpha_on_another_training_set(self, cluster8, rng):
+        alpha = rng.normal(size=8)
+        x = rng.normal(size=2)
+        classify(alpha, x, cluster8)
+        other = TrainingSet(cluster8.features[::-1], cluster8.labels, cluster8.labeled_count)
+        assert _same(classify(alpha, x, other), classify(alpha, x, _copy(other)))
+        with_zero_row = TrainingSet(np.vstack([cluster8.features[:7], [0.0, 0.0]]),
+                                    cluster8.labels, cluster8.labeled_count)
+        with pytest.raises(EncodingError, match="^training set has a zero-norm sample$"):
+            classify(alpha, x, with_zero_row)
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (np.ones(7), LayoutError, "alpha has 7 entries, expected 8"),
+        (np.zeros(8), DegenerateSystemError, "model coefficients are all zero"),
+        (np.full(8, np.nan), EncodingError, "cannot encode a zero or non-finite expansion"),
+        (np.r_[np.inf, np.ones(7)], EncodingError, "cannot encode a zero or non-finite expansion"),
+    ])
+    def test_failing_alpha_is_never_stored(self, cluster8, rng, bad, error, message):
+        alpha = rng.normal(size=8)
+        x = rng.normal(size=2)
+        for _ in range(2):
+            with pytest.raises(error, match=f"^{message}$"):
+                classify(bad, x, cluster8)
+            assert _same(classify(alpha, x, cluster8), classify(alpha, x, _copy(cluster8)))
+
+    def test_one_point_calls_equal_one_block_call(self, rng):
+        # m, p and the query count of a library readout one point at a time
+        labels = np.zeros(24)
+        labels[:6] = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
+        training = TrainingSet(rng.normal(size=(24, 4)), labels, 6)
+        alpha = rng.normal(size=24)
+        queries = rng.normal(size=(256, 4))
+        one_by_one = [classify(alpha, q, training) for q in queries]
+        for block in (queries, np.asfortranarray(queries)):
+            result = classify(alpha, block, _copy(training))
+            assert np.array_equal([r.p_estimate for r in one_by_one], result.p_estimate)
+            assert np.array_equal([r.label for r in one_by_one], result.label)
+
+    def test_nothing_outlives_the_training_set(self, rng):
+        training = TrainingSet(rng.normal(size=(4, 2)), np.array([1.0, 0.0, 0.0, 0.0]), 1)
+        classify(rng.normal(size=4), rng.normal(size=2), training)
+        ref = weakref.ref(training)
+        del training
+        gc.collect()
+        assert ref() is None
