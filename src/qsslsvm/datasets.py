@@ -343,12 +343,44 @@ def load_graph(source: str | Path | IO[str]) -> SampleGraph:
 _KNN_BLOCK_ROWS = 16
 
 
-def _distance_rows(pts: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Euclidean distances of rows ``start:stop`` of ``pts`` to every row,
-    from the rows' difference array, which is freed on return."""
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of ``terms`` over axis 0 in the order numpy's pairwise summation
+    adds a contiguous axis: one by one below 8 terms, in 8 interleaved
+    accumulators up to 128, and as two halves (the first a multiple of 8)
+    above.  Bit-identical to ``np.sum`` over the last axis of the
+    transposed array, while each addition runs over a whole slab;
+    overwrites ``terms``."""
+    n = terms.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(terms[:half])
+        total += _pairwise_sum(terms[half:])
+        return total
+    if n < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        return total
+    acc = terms[:8]
+    for i in range(8, n - n % 8, 8):
+        acc += terms[i:i + 8]
+    for step in (1, 2, 4):  # ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+        acc[:: 2 * step] += acc[step:: 2 * step]
+    total = acc[0]
+    for term in terms[n - n % 8:]:
+        total += term
+    return total
+
+
+def _distance_rows(columns: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Euclidean distances of samples ``start:stop`` to every sample, from
+    the feature-major ``(p, m)`` array ``columns``.  The squared
+    differences form one ``(p, rows, m)`` array, freed on return, whose
+    sum over features is bit-identical to
+    ``np.sum((x_i - x_j)**2, axis=-1)`` over the sample-major array."""
     with np.errstate(over="ignore"):  # a distance past float64 is inf, a tie
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        return np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=2))
+        diff = columns[:, start:stop, None] - columns[:, None, :]
+        return np.sqrt(_pairwise_sum(np.multiply(diff, diff, out=diff)))
 
 
 def build_knn_graph(x: TrainingSet, k: int) -> SampleGraph:
@@ -359,21 +391,22 @@ def build_knn_graph(x: TrainingSet, k: int) -> SampleGraph:
     below every distance, a row's neighbors are the columns a stable sort
     of its distances ranks 1..k.  Rows are taken ``_KNN_BLOCK_ROWS`` at a
     time.  A block's distances are ``sqrt(sum((x_i - x_j)^2))`` from its
-    difference array, and ``argpartition`` selects the k + 1 smallest of
-    each row; only a row with more than k + 1 distances at or below its
-    k-th neighbor's, a tie across the cut, is sorted in full.  So the
-    graph takes O(m^2 p) time and holds a ``_KNN_BLOCK_ROWS x m x p``
-    array, never an ``m x m`` one.  ``SampleGraph`` merges the pairs
-    found from both ends.
+    feature-major difference array, and ``argpartition`` selects the k + 1
+    smallest of each row; only a row with more than k + 1 distances at or
+    below its k-th neighbor's, a tie across the cut, is sorted in full.
+    So the graph takes O(m^2 p) time and holds a
+    ``p x _KNN_BLOCK_ROWS x m`` array, never an ``m x m`` one.
+    ``SampleGraph`` merges the pairs found from both ends.
     """
     m = x.sample_count
     if not 1 <= k < m:
         raise ParameterError(f"k must be in [1, {m - 1}], got {k}")
     pairs = np.empty((m, k, 2), dtype=np.int64)
     pairs[:, :, 0] = np.arange(m)[:, None]
+    columns = np.ascontiguousarray(x.features.T)
     for start in range(0, m, _KNN_BLOCK_ROWS):
         stop = min(start + _KNN_BLOCK_ROWS, m)
-        dist = _distance_rows(x.features, start, stop)
+        dist = _distance_rows(columns, start, stop)
         rows = np.arange(stop - start)
         dist[rows, start + rows] = -1.0
         # the k + 1 smallest of each row, its own sample among them, with

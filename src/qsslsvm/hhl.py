@@ -10,15 +10,18 @@ writes lambda instead of c/lambda and yields A|b>/||A|b>||.
 Both run in closed form from one spectral decomposition A = sum_i lambda_i
 v_i v_i^dagger, passed in or made from the matrix.  With c_i = <v_i|b>,
 clock size T and evolution time t0, phase estimation reads clock y on
-eigenvector i with probability
-w[y, i] = |a[y, i]|^2, a = fft(exp(i t0 outer(arange(T), lambda)), axis=0)
-/ T (a Fejer kernel).  A rotation with per-clock gain g_y followed by
-uncomputation and postselection leaves sum_i c_i (sum_y g_y w[y, i]) v_i
-in clock 0, with success probability sum_i |c_i|^2 sum_y g_y^2 w[y, i];
-the clock distribution is w @ |c|^2.  The circuit itself -- the clock (x)
-system array, the flag register, the inverse QFT, the controlled
-evolutions and the Walsh transform -- is the test oracle in
-``tests/dilation.py``.
+eigenvector i with probability w[y, i], the Fejer kernel
+sin^2(pi u_i) / (T^2 sin^2(pi (u_i - y) / T)) centred on the eigenphase
+in clock bins u_i = lambda_i t0 T / (2 pi), evaluated in real float64 with
+no clock-sized complex array or FFT.  A rotation with per-clock gain g_y
+followed by uncomputation and postselection leaves
+sum_i c_i (sum_y g_y w[y, i]) v_i in clock 0, with success probability
+sum_i |c_i|^2 sum_y g_y^2 w[y, i]; the clock distribution is w @ |c|^2.
+The circuit itself -- the clock (x) system array, the flag register, the
+inverse QFT, the controlled evolutions and the Walsh transform -- is the
+test oracle in ``tests/dilation.py``, and so is w as the FFT of the
+controlled-evolution phases, |fft(exp(i t0 outer(arange(T), lambda)),
+axis=0) / T|^2.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ class HHLResult:
 
     ``retained_eigenvalues`` has one entry per eigenvalue lambda_i >= sigma
     of the matrix: the clock estimate at the peak of its phase-estimation
-    weights w[:, i], in descending order.
+    weights w[:, i] (the nearest bin, half-bin ties to the lower), in
+    descending order.
     """
 
     solution_state: StateVector
@@ -111,17 +115,66 @@ def _as_unit_state(b, dim: int) -> np.ndarray:
     return vec
 
 
+#: 1/(2 pi) as the unevaluated sum of two doubles (about 106 bits).
+_INV_TWO_PI = (0.15915494309189535, -9.839338337591243e-18)
+
+#: Dekker's splitting constant 2^27 + 1.
+_SPLIT = 134217729.0
+
+
+def _split(a):
+    """(hi, lo) with hi + lo == a and hi holding the top 26 bits (Veltkamp)."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker), for
+    magnitudes far from overflow."""
+    p = a * b
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _clock_bins(lam: np.ndarray, t0: float, clock_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest clock bin n = rint(u) and offset f = u - n of the eigenphases
+    in clock bins, u = lambda t0 T / (2 pi) for lambda >= 0.
+
+    u is carried as a double-double, so f is accurate to ~1e-16 absolute
+    however large u is; a float64 u is off by up to an ulp of T, which
+    moves a Fejer weight by ~1e-12 at T = 4096.
+    """
+    tm, te = math.frexp(t0)
+    s_hi, s_lo = _two_product(tm, _INV_TWO_PI[0])
+    s_lo += tm * _INV_TWO_PI[1]  # s_hi + s_lo = t0 / (2 pi) / 2^te
+    lm, le = np.frexp(lam)
+    hi, lo = _two_product(lm, s_hi)
+    lo += lm * s_lo
+    hi, lo = np.ldexp(hi, le + te) * clock_dim, np.ldexp(lo, le + te) * clock_dim
+    nearest = np.rint(hi)
+    return nearest, (hi - nearest) + lo
+
+
 def _clock_weights(
     eig: SpectralDecomposition, t0: float, clock_dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue estimate of each clock state and the phase-estimation
-    weights w[y, i], the probability of reading clock y on eigenvector i.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalue estimate of each clock state, the phase-estimation
+    weights w[y, i] (the probability of reading clock y on eigenvector i)
+    and the peak clock of each eigenvector.
 
-    The clock amplitude on eigenvector i is the DFT of its controlled
-    evolution phases, a[y, i] = (1/T) sum_k exp(i t0 k lambda_i)
-    exp(-2 pi i y k / T), so w = |a|^2 is the Fejer kernel centred on
-    lambda_i t0 T / (2 pi).  Eigenvalues in [-1e-8, 0), which both callers
-    accept as PSD, are read as 0 (clock 0, gain 0); all phases must be < 1.
+    w is the Fejer kernel centred on u_i = lambda_i t0 T / (2 pi) in clock
+    bins: with u_i = n_i + f_i (n_i = rint(u_i), |f_i| <= 1/2),
+    w[y, i] = sin^2(pi f_i) / (T^2 sin^2(pi (u_i - y) / T)).  The
+    denominator is the real outer-product difference
+    sin a_i cos b_y - cos a_i sin b_y (a = pi u / T, b = pi y / T), one
+    (T, 2) @ (2, m) product.  It cancels near the peak, so the bins n_i
+    and n_i +- 1 (mod T) are evaluated from f_i directly, the peak as
+    (sinc(f_i) / sinc(f_i / T))^2: a column with f_i == 0 is the unit
+    vector at its bin.  The peak is the nearest bin, half-bin ties to the
+    lower, ceil(u_i - 1/2) mod T: the argmax of w[:, i].  Eigenvalues in
+    [-1e-8, 0), which both callers accept as PSD, are read as 0 (clock 0,
+    gain 0); all phases must be < 1.
     """
     lam = np.maximum(eig.eigenvalues, 0.0)
     phases = lam * t0 / (2.0 * np.pi)
@@ -130,9 +183,21 @@ def _clock_weights(
             f"eigenphases must lie in [0, 1); got range "
             f"[{phases.min():.4g}, {phases.max():.4g}] -- rescale t0"
         )
-    ks = np.arange(clock_dim)
-    amps = np.fft.fft(np.exp(1j * t0 * np.outer(ks, lam)), axis=0) / clock_dim
-    return 2.0 * np.pi * ks / (clock_dim * t0), np.abs(amps) ** 2
+    nearest, f = _clock_bins(lam, t0, clock_dim)
+    bins = nearest.astype(np.intp) % clock_dim
+    cols = np.arange(lam.size)
+    a = np.pi * phases
+    b = np.pi * np.arange(clock_dim) / clock_dim
+    weights = np.column_stack((np.cos(b), -np.sin(b))) @ np.stack((np.sin(a), np.cos(a)))
+    for k in (-1, 1):
+        weights[(bins + k) % clock_dim, cols] = np.sin(np.pi * (f - k) / clock_dim)
+    weights[bins, cols] = 1.0
+    np.divide(np.sin(np.pi * f) / clock_dim, weights, out=weights)
+    np.square(weights, out=weights)
+    weights[bins, cols] = (np.sinc(f) / np.sinc(f / clock_dim)) ** 2
+    peaks = np.ceil(nearest + f - 0.5).astype(np.intp) % clock_dim
+    lam_hat = 2.0 * np.pi * np.arange(clock_dim) / (clock_dim * t0)
+    return lam_hat, weights, peaks
 
 
 def _postselected(
@@ -179,7 +244,7 @@ def hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:
     t0 = cfg.evolution_time
     if t0 is None:
         t0 = default_evolution_time(float(lam[0]))
-    lam_hat, weights = _clock_weights(eig, t0, cfg.clock_dim)
+    lam_hat, weights, peak_bins = _clock_weights(eig, t0, cfg.clock_dim)
     retained = lam_hat >= sigma_thresh
     gain = np.zeros(cfg.clock_dim)
     gain[retained] = sigma_thresh / lam_hat[retained]
@@ -187,7 +252,7 @@ def hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:
     state, p_success = _postselected(
         eig, coeff, weights, gain, "no eigenvalue mass survived the filter threshold"
     )
-    peaks = lam_hat[np.argmax(weights[:, lam >= sigma_thresh], axis=0)]
+    peaks = lam_hat[peak_bins[lam >= sigma_thresh]]
     return HHLResult(state, p_success, tuple(float(v) for v in np.sort(peaks)[::-1]))
 
 
@@ -211,7 +276,7 @@ def quantum_multiply(k, y, cfg: QPEConfig) -> StateVector:
         )
     vec = _as_unit_state(y, lam.shape[0])
     t0 = math.pi if cfg.evolution_time is None else cfg.evolution_time
-    lam_hat, weights = _clock_weights(eig, t0, cfg.clock_dim)
+    lam_hat, weights, _ = _clock_weights(eig, t0, cfg.clock_dim)
     gain = np.where(lam_hat <= 1.0 + 1e-12, np.minimum(lam_hat, 1.0), 0.0)
     coeff = eig.eigenvectors.conj().T @ vec
     return _postselected(eig, coeff, weights, gain, "matrix-vector product is zero")[0]

@@ -170,12 +170,15 @@ class RunConfig:
             raise ParameterError(f"knn_k must be >= 1, got {self.knn_k}")
         if self.shots < 0:
             raise ParameterError(f"shots must be >= 0, got {self.shots}")
+        if not float(self.shots).is_integer():
+            raise ParameterError(f"shots must be an integer, got {self.shots}")
+        object.__setattr__(self, "shots", int(self.shots))
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.laplacian_kind not in ("normalized", "combinatorial"):
             raise ParameterError(f"unknown Laplacian kind {self.laplacian_kind!r}")
-        # range checks for clock_qubits are enforced by QPEConfig
-        QPEConfig(clock_qubits=self.clock_qubits)
+        # QPEConfig checks clock_qubits and normalizes an integral float to int
+        object.__setattr__(self, "clock_qubits", QPEConfig(self.clock_qubits).clock_qubits)
 
 
 class _Stages:

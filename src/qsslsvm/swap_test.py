@@ -67,7 +67,8 @@ def _expansion(alpha: np.ndarray, training: TrainingSet) -> tuple[np.ndarray, fl
     row_norms = training.row_norms
     if (row_norms == 0.0).any():
         raise EncodingError("training set has a zero-norm sample")
-    s_norm = np.linalg.norm(alpha * row_norms)
+    with np.errstate(over="ignore"):  # an overflow is the non-finite case below
+        s_norm = np.linalg.norm(alpha * row_norms)
     if s_norm == 0.0 or not np.isfinite(s_norm):
         raise EncodingError("cannot encode a zero or non-finite expansion")
     weights = training.features.T @ alpha

@@ -25,6 +25,9 @@ blocks to ``ProgramState``.  The full data and incidence states with
 their outer products and partial traces, and the incidence matrix G_I
 the latter is built from, are the oracle for ``qsslsvm.encodings``, and the query and expansion states with the
 ancilla-interference readout the oracle for ``qsslsvm.swap_test``.
+``fft_clock_weights``, the phase-estimation weights as the FFT of the
+controlled-evolution phases (a complex T x m array), is the oracle for the
+Fejer-kernel closed form in ``qsslsvm.hhl``.
 """
 
 import math
@@ -704,6 +707,27 @@ def _postselect(flagged: FlaggedState) -> tuple[np.ndarray, float]:
     success = _uncompute_clock(blocks[1], flagged.grid, flagged.basis)
     p_success = float(np.sum(np.abs(success) ** 2))
     return success[0, :], p_success
+
+
+def fft_clock_weights(
+    eig: SpectralDecomposition, t0: float, clock_dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``hhl._clock_weights`` as the DFT of the controlled-evolution phases:
+    the clock amplitude on eigenvector i is
+    a[y, i] = (1/T) sum_k exp(i t0 k lambda_i) exp(-2 pi i y k / T), the
+    weights are w = |a|^2 and the peaks their argmax over y (ties to the
+    first bin), after the same phase-range check."""
+    lam = np.maximum(eig.eigenvalues, 0.0)
+    phases = lam * t0 / (2.0 * np.pi)
+    if np.any(phases >= 1.0 - 1e-12):
+        raise ConfigurationError(
+            f"eigenphases must lie in [0, 1); got range "
+            f"[{phases.min():.4g}, {phases.max():.4g}] -- rescale t0"
+        )
+    ks = np.arange(clock_dim)
+    amps = np.fft.fft(np.exp(1j * t0 * np.outer(ks, lam)), axis=0) / clock_dim
+    weights = np.abs(amps) ** 2
+    return 2.0 * np.pi * ks / (clock_dim * t0), weights, np.argmax(weights, axis=0)
 
 
 def dense_hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:

@@ -3,6 +3,7 @@
 states, the readout against the query and expansion states), at <= 1e-12."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dilation import (
     dense_quantum_multiply,
     dense_simulate_evolution,
     density,
+    fft_clock_weights,
     glmr_phase_estimation,
     incidence_state,
     lmr_step,
@@ -30,6 +32,7 @@ from dilation import (
     stepwise_glmr_phase_estimation,
     stepwise_simulate_evolution,
 )
+from qsslsvm import hhl
 from qsslsvm.channels import (
     EvolutionConfig,
     ProgramState,
@@ -56,12 +59,18 @@ from qsslsvm.encodings import (
     laplacian_density,
 )
 from qsslsvm.errors import NumericalError, ParameterError
-from qsslsvm.hhl import QPEConfig, hhl_solve, quantum_multiply
-from qsslsvm.linalg import hermitian_eig
+from qsslsvm.hhl import QPEConfig, _clock_weights, hhl_solve, quantum_multiply
+from qsslsvm.linalg import SpectralDecomposition, hermitian_eig
 from qsslsvm.pipeline import _DT_SWEEP, _one_step_errors
 from qsslsvm.swap_test import classify
 
 TOL = 1e-12
+
+#: The Fejer closed form against the FFT oracle: both are accurate to
+#: ~2e-14 at T = 4096, while a float64 (not double-double) eigenphase or
+#: the outer-product difference left uncorrected next to the peak is off
+#: by ~3e-13 to ~6e-13 there.
+WEIGHT_TOL = 2e-13
 
 dims = st.integers(1, 6)
 seeds = st.integers(0, 2**32 - 1)
@@ -330,6 +339,80 @@ class TestSolverAgainstCircuit:
         y = label_state(cluster4.labels)
         _assert_multiply_matches(kd, y, QPEConfig(8))
         _assert_solve_matches(a_hat, quantum_multiply(kd, y, QPEConfig(8)), 0.05, QPEConfig(8))
+
+
+@st.composite
+def _qpe_spectra(draw):
+    """(eigenvalues descending, t0 or None for the default, clock qubits):
+    random phases, with draws of dyadic and half-bin phases, a phase near 1
+    (whose nearest bin T wraps to clock 0) and a roundoff-negative
+    eigenvalue in [-1e-8, 0)."""
+    clock = draw(st.integers(2, 12))
+    t = 2**clock
+    rng = np.random.default_rng(draw(seeds))
+    phases = rng.uniform(0.0, 1.0 - 1e-9, draw(st.integers(1, 10)))
+    if draw(st.booleans()):  # dyadic: on a bin or half a bin off it
+        n = int(rng.integers(1, phases.size + 1))
+        phases[:n] = rng.integers(0, 2 * t, n) / (2 * t)
+    if draw(st.booleans()):
+        phases[-1] = 1.0 - rng.uniform(1e-11, 0.5 / t)
+    t0 = draw(st.none() | st.just(2 * np.pi) | st.floats(0.1, 10.0))
+    lam = phases if t0 is None else phases * 2 * np.pi / t0
+    if draw(st.booleans()):
+        lam[0] = -rng.uniform(0.0, 1e-8)
+    return np.sort(lam)[::-1], t0, clock
+
+
+def _default_t0(lam: np.ndarray, t0) -> float:
+    return hhl.default_evolution_time(float(lam[0])) if t0 is None else t0
+
+
+class TestClockWeightsAgainstFFT:
+    @settings(max_examples=300)
+    @given(spectrum=_qpe_spectra())
+    def test_weights_and_peaks(self, spectrum):
+        """The closed form against the FFT of the controlled-evolution
+        phases: weights at <= 2e-13, unit column sums, and the oracle's
+        argmax as the peak except at a half-bin tie, which goes to the
+        lower bin."""
+        lam, t0, clock = spectrum
+        t, t0 = 2**clock, _default_t0(lam, t0)
+        eig = SpectralDecomposition(lam, np.eye(lam.size))
+        lam_hat, weights, peaks = _clock_weights(eig, t0, t)
+        fft_hat, fft_weights, argmax = fft_clock_weights(eig, t0, t)
+        assert np.array_equal(lam_hat, fft_hat)
+        assert _gap(weights, fft_weights) <= WEIGHT_TOL
+        assert np.max(np.abs(weights.sum(axis=0) - 1.0)) <= TOL
+        cols = np.arange(lam.size)
+        tie = np.abs(fft_weights[peaks, cols] - fft_weights[argmax, cols]) <= TOL
+        assert np.all((peaks == argmax) | (tie & ((argmax - peaks) % t == 1)))
+
+    @settings(max_examples=100)
+    @given(spectrum=_qpe_spectra(), seed=seeds, sigma=st.floats(0.05, 0.9))
+    def test_solvers_on_fft_weights(self, spectrum, seed, sigma):
+        """``hhl_solve`` and ``quantum_multiply`` give the same states and
+        success probability on the closed-form weights as on the FFT
+        oracle's, at <= 1e-12, or raise the same exception type."""
+        lam, t0, clock = spectrum
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(lam.size, lam.size)))[0]
+        eig = SpectralDecomposition(lam, q)
+        b = rng.normal(size=lam.size) + 1j * rng.normal(size=lam.size)
+        cfg = QPEConfig(clock, t0)
+        closed = _outcome(hhl_solve, eig, b, sigma * max(lam[0], 1e-3), cfg)
+        multiplied = _outcome(quantum_multiply, eig, b, cfg)
+        with mock.patch.object(hhl, "_clock_weights", fft_clock_weights):
+            oracle = _outcome(hhl_solve, eig, b, sigma * max(lam[0], 1e-3), cfg)
+            oracle_multiplied = _outcome(quantum_multiply, eig, b, cfg)
+        if isinstance(oracle, type):
+            assert closed is oracle
+        else:
+            assert _gap(closed.solution_state.amplitudes, oracle.solution_state.amplitudes) <= TOL
+            assert abs(closed.success_probability - oracle.success_probability) <= TOL
+        if isinstance(oracle_multiplied, type):
+            assert multiplied is oracle_multiplied
+        else:
+            assert _gap(multiplied.amplitudes, oracle_multiplied.amplitudes) <= TOL
 
 
 class TestProperties:

@@ -21,6 +21,7 @@ from qsslsvm.datasets import (
     LaplacianMatrix,
     SampleGraph,
     TrainingSet,
+    _distance_rows,
     _read_table,
     build_knn_graph,
     combinatorial_laplacian,
@@ -406,6 +407,23 @@ class TestKnnGraph:
             for k in range(1, 9):
                 with np.errstate(over="ignore"):
                     assert build_knn_graph(ts, k).edges == knn_edges_by_sort(x, k), (variant, k)
+
+    def test_distance_block_is_bit_equal_to_row_major_sum(self):
+        # the feature-major block adds the squares in numpy's pairwise order,
+        # so ranking ties (rounded coordinates, duplicate rows, 1e200 rows at
+        # distance inf) come out exactly as from np.sum over the last axis
+        rng = np.random.default_rng(5)
+        for p in range(1, 301):
+            x = np.round(rng.normal(size=(21, p)) * np.exp(rng.normal(scale=3, size=(21, p))), 1)
+            x[4] = x[9]
+            x[7] = 1e200
+            x[12, : p // 2 + 1] = -1e200
+            columns = np.ascontiguousarray(x.T)
+            with np.errstate(over="ignore"):
+                for start, stop in ((0, 16), (16, 21)):
+                    diff = x[start:stop, None, :] - x[None, :, :]
+                    expected = np.sqrt(np.sum(diff * diff, axis=2))
+                    assert np.array_equal(_distance_rows(columns, start, stop), expected), p
 
     def test_memory_stays_below_one_distance_matrix(self, rng):
         m, p = 512, 8

@@ -4,6 +4,8 @@ Phase estimation and the conditional rotations are the circuit oracle in
 ``dilation.py``; ``hhl_solve`` and ``quantum_multiply`` are the closed forms
 of the circuit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,8 @@ from qsslsvm.errors import (
     NumericalError,
     ParameterError,
 )
-from qsslsvm.hhl import QPEConfig, hhl_solve, quantum_multiply
-from qsslsvm.linalg import state_fidelity
+from qsslsvm.hhl import QPEConfig, _clock_weights, hhl_solve, quantum_multiply
+from qsslsvm.linalg import SpectralDecomposition, state_fidelity
 
 
 class TestQPEConfig:
@@ -312,6 +314,63 @@ class TestQuantumMultiply:
         k = np.diag([1.0, 0.0])
         with pytest.raises(DegenerateSystemError):
             quantum_multiply(k, np.array([0.0, 1.0]), QPEConfig(3))
+
+
+def _weights(lam, t0: float, clock_dim: int):
+    return _clock_weights(SpectralDecomposition(np.asarray(lam, dtype=float),
+                                                np.eye(len(lam))), t0, clock_dim)
+
+
+class TestClockWeights:
+    def test_zero_and_roundoff_eigenvalues_are_unit_columns(self):
+        # lambda = 0 and lambda in [-1e-8, 0) sit exactly on clock 0
+        _, weights, peaks = _weights([0.5, 0.0, -1e-10], np.pi, 16)
+        assert np.array_equal(weights[:, 1:], np.eye(16)[:, [0, 0]])
+        assert peaks.tolist() == [4, 0, 0]
+
+    @pytest.mark.parametrize("clock", [2, 8, 12])
+    def test_default_time_puts_the_largest_eigenvalue_on_a_bin(self, clock):
+        lam = np.array([0.37, 0.2])
+        t = 2**clock
+        lam_hat, weights, peaks = _weights(lam, np.pi / lam[0], t)
+        assert peaks[0] == t // 2 and lam_hat[peaks[0]] == pytest.approx(lam[0], rel=1e-15)
+        assert weights[t // 2, 0] == pytest.approx(1.0, abs=1e-15)
+        # pi / lam[0] is rounded, so the phase is off its bin by f ~ T eps
+        # and the other bins hold ~f^2
+        assert np.max(np.delete(weights[:, 0], t // 2)) < 1e-24
+
+    @pytest.mark.parametrize("offset, peak", [(0.5 - 1e-9, 5), (0.5 + 1e-9, 6), (-0.3, 5)])
+    def test_peak_is_the_nearest_bin(self, offset, peak):
+        _, weights, peaks = _weights([2 * np.pi * (5 + offset) / 64], 1.0, 64)
+        assert peaks[0] == peak == np.argmax(weights[:, 0])
+
+    def test_phase_near_one_wraps_to_clock_zero(self):
+        # u = T - 0.2 is nearest to bin T, which is clock 0
+        _, weights, peaks = _weights([2 * np.pi * (1 - 0.2 / 32)], 1.0, 32)
+        assert peaks[0] == 0 == np.argmax(weights[:, 0])
+        assert weights[0, 0] > weights[31, 0] > weights[1, 0]
+        assert weights[:, 0].sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda a, b, cfg: hhl_solve(a, b, 1e-3, cfg),
+    quantum_multiply,
+], ids=["hhl_solve", "quantum_multiply"])
+def test_memory_below_two_clock_arrays(rng, solve):
+    """At m = 256 and 10 clock qubits the peak stays below two real T x m
+    arrays plus one m x m array: no complex T x m phases or FFT."""
+    m, cfg = 256, QPEConfig(10)
+    g = rng.normal(size=(m, m))
+    a = g @ g.T
+    a /= np.trace(a)
+    b = rng.normal(size=m)
+    tracemalloc.start()
+    try:
+        solve(a, b, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * cfg.clock_dim * m + m * m) * 8
 
 
 class TestGlmrBackend:

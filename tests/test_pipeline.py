@@ -77,6 +77,18 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig(clock_qubits=1)
 
+    @pytest.mark.parametrize("shots", [2.5, float("nan"), float("inf")])
+    def test_non_integral_shots_rejected(self, shots):
+        with pytest.raises(ParameterError, match=f"shots must be an integer, got {shots}"):
+            RunConfig(shots=shots)
+
+    def test_integral_floats_are_stored_as_int(self):
+        cfg = RunConfig(knn_k=2, shots=3.0, clock_qubits=4.0)
+        assert (cfg.shots, cfg.clock_qubits) == (3, 4)
+        assert type(cfg.shots) is int and type(cfg.clock_qubits) is int
+        report = run_pipeline(cfg, DATA / "two_cluster_8.csv")
+        assert json.dumps(report["config"]["clock_qubits"]) == "4"
+
 
 class TestRunPipeline:
     def test_fixture_fidelity_and_agreement(self, cluster8_report):

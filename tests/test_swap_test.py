@@ -223,6 +223,10 @@ class TestExpansionMemo:
         (np.zeros(8), DegenerateSystemError, "model coefficients are all zero"),
         (np.full(8, np.nan), EncodingError, "cannot encode a zero or non-finite expansion"),
         (np.r_[np.inf, np.ones(7)], EncodingError, "cannot encode a zero or non-finite expansion"),
+        # finite, but the expansion norm (and at 1e308 alpha_j ||x_j|| too)
+        # overflows: the error, no RuntimeWarning, under the suite's filter
+        (np.r_[1e300, np.ones(7)], EncodingError, "cannot encode a zero or non-finite expansion"),
+        (np.r_[1e308, np.ones(7)], EncodingError, "cannot encode a zero or non-finite expansion"),
     ])
     def test_failing_alpha_is_never_stored(self, cluster8, rng, bad, error, message):
         alpha = rng.normal(size=8)
