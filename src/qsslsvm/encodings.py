@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import SampleGraph, TrainingSet, _normalized_laplacian_array
 from .errors import EncodingError, LayoutError
-from .linalg import as_matrix, hermitian_deviation, hermitian_part, overflow_guard
+from .linalg import _symmetrized, as_matrix, overflow_guard
 
 #: Default validation tolerances for quantum objects.
 STATE_NORM_TOL = 1e-12
@@ -55,18 +55,18 @@ class StateVector:
 def hermitian_psd(matrix: np.ndarray, hermitian_tol: float, psd_tol: float) -> np.ndarray:
     """Symmetrized square ``matrix`` after checking that it is Hermitian
     within ``hermitian_tol`` and PSD within ``psd_tol``; real input stays
-    real.  A failed check raises ``EncodingError``."""
+    real.  A failed check raises ``EncodingError``.  One symmetrized copy
+    serves the Hermitian check, the PSD check and the result."""
     m = as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise LayoutError(f"density matrix must be square, got {m.shape}")
-    dev = hermitian_deviation(m)
+    h, dev = _symmetrized(m)
     if dev > hermitian_tol:
         raise EncodingError(f"density deviates from Hermitian by {dev:.3e}")
-    m = hermitian_part(m)
-    lam_min = float(np.linalg.eigvalsh(m)[0])
+    lam_min = float(np.linalg.eigvalsh(h)[0])
     if lam_min < -psd_tol:
         raise EncodingError(f"density is not PSD (min eigenvalue {lam_min:.3e})")
-    return m
+    return h
 
 
 class DensityMatrix:

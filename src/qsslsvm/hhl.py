@@ -200,6 +200,16 @@ def _clock_weights(
     return lam_hat, weights, peaks
 
 
+def _apply(v: np.ndarray, z: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """``v @ z``, or ``v^dagger @ z``, for a C-contiguous complex128 vector
+    z.  Real eigenvectors multiply the float64 ``(m, 2)`` view of z's real
+    and imaginary parts, so numpy makes no complex copy of them."""
+    if np.iscomplexobj(v):
+        return (v.conj().T if adjoint else v) @ z
+    parts = (v.T if adjoint else v) @ z.view(np.float64).reshape(-1, 2)
+    return parts.view(np.complex128).reshape(-1)
+
+
 def _postselected(
     eig: SpectralDecomposition, coeff: np.ndarray, weights: np.ndarray, gain: np.ndarray,
     failure: str,
@@ -212,7 +222,7 @@ def _postselected(
     clock 0, and the flagged branch has norm^2 sum_i |c_i|^2 sum_y g_y^2
     w[y, i]; ``DegenerateSystemError(failure)`` when either vanishes.
     """
-    solution = eig.eigenvectors @ (coeff * (gain @ weights))
+    solution = _apply(eig.eigenvectors, coeff * (gain @ weights))
     p_success = float((gain**2 @ weights) @ np.abs(coeff) ** 2)
     norm = np.linalg.norm(solution)
     if p_success <= 1e-24 or norm <= 1e-12:
@@ -248,7 +258,7 @@ def hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:
     retained = lam_hat >= sigma_thresh
     gain = np.zeros(cfg.clock_dim)
     gain[retained] = sigma_thresh / lam_hat[retained]
-    coeff = eig.eigenvectors.conj().T @ vec
+    coeff = _apply(eig.eigenvectors, vec, adjoint=True)
     state, p_success = _postselected(
         eig, coeff, weights, gain, "no eigenvalue mass survived the filter threshold"
     )
@@ -278,5 +288,5 @@ def quantum_multiply(k, y, cfg: QPEConfig) -> StateVector:
     t0 = math.pi if cfg.evolution_time is None else cfg.evolution_time
     lam_hat, weights, _ = _clock_weights(eig, t0, cfg.clock_dim)
     gain = np.where(lam_hat <= 1.0 + 1e-12, np.minimum(lam_hat, 1.0), 0.0)
-    coeff = eig.eigenvectors.conj().T @ vec
+    coeff = _apply(eig.eigenvectors, vec, adjoint=True)
     return _postselected(eig, coeff, weights, gain, "matrix-vector product is zero")[0]

@@ -74,30 +74,29 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def hermitian_deviation(m: np.ndarray) -> float:
-    """Largest entrywise deviation from Hermitian symmetry."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise LayoutError("hermiticity is defined for square matrices only")
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+def _symmetrized(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Hermitian part ``h = (m + m^dagger) / 2`` of a square ``as_matrix``
+    result and its deviation ``max|m - m^dagger| = 2 max|m - h|``, read
+    from the one copy ``h``, ``_DEVIATION_ROWS`` rows at a time."""
+    h = m + m.conj().T
+    h /= 2
+    dev = 2 * max(float(np.max(np.abs(m[i:i + _DEVIATION_ROWS] - h[i:i + _DEVIATION_ROWS])))
+                  for i in range(0, m.shape[0], _DEVIATION_ROWS))
+    return h, dev
 
 
 def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending.
 
     Inputs within ``HERMITIAN_TOL`` of Hermitian are symmetrized first;
-    anything further away raises ``SymmetryError``.  The deviation
-    ``max|m - m^dagger| = 2 max|m - h|`` is read from the one symmetrized
-    copy ``h``, ``_DEVIATION_ROWS`` rows at a time, and ``eigh``'s
-    ascending output is reversed.
+    anything further away raises ``SymmetryError``.  One symmetrized copy
+    serves the check and the decomposition, and ``eigh``'s ascending
+    output is reversed.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise LayoutError("hermiticity is defined for square matrices only")
-    h = m + m.conj().T
-    h /= 2
-    dev = 2 * max(float(np.max(np.abs(m[i:i + _DEVIATION_ROWS] - h[i:i + _DEVIATION_ROWS])))
-                  for i in range(0, m.shape[0], _DEVIATION_ROWS))
+    h, dev = _symmetrized(m)
     if dev > HERMITIAN_TOL:
         raise SymmetryError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     del m  # a temporary input (A/tr(A)) is freed before eigh allocates

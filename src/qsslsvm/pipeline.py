@@ -56,7 +56,7 @@ from .encodings import (
 from .errors import ConfigurationError, LayoutError, NumericalError, ParameterError
 from .hhl import QPEConfig, hhl_solve, quantum_multiply
 from .linalg import SpectralDecomposition, hermitian_eig, state_fidelity
-from .swap_test import classify
+from .swap_test import _nonnegative_int, classify
 
 SCHEMA_VERSION = 3
 
@@ -168,13 +168,9 @@ class RunConfig:
                 raise ParameterError(f"{name} must be finite and positive, got {value}")
         if self.graph_path is None and self.knn_k < 1:
             raise ParameterError(f"knn_k must be >= 1, got {self.knn_k}")
-        if self.shots < 0:
-            raise ParameterError(f"shots must be >= 0, got {self.shots}")
-        if not float(self.shots).is_integer():
-            raise ParameterError(f"shots must be an integer, got {self.shots}")
-        object.__setattr__(self, "shots", int(self.shots))
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        # the checks and messages of classify's shots and seed
+        object.__setattr__(self, "shots", _nonnegative_int("shots", self.shots))
+        object.__setattr__(self, "seed", _nonnegative_int("seed", self.seed))
         if self.laplacian_kind not in ("normalized", "combinatorial"):
             raise ParameterError(f"unknown Laplacian kind {self.laplacian_kind!r}")
         # QPEConfig checks clock_qubits and normalizes an integral float to int

@@ -14,10 +14,19 @@ block of points without building either state: X^T alpha and
 The pair is memoized on the ``TrainingSet`` for the last coefficients
 that passed their checks, so one-point calls with the same alpha, as a
 readout of test points one at a time makes them, pay only the O(p)
-part.  P < 1/2 means positive overlap and a positive predicted label;
-for the linear kernel the overlap sign equals the sign of the classical
-decision score.  The state construction and the ancilla circuit are the
-test oracle in ``tests/dilation.py``.
+part.  That part is two dot products.  A one-point exact call (shape
+``(p,)`` or ``()``, ``shots == 0``) does the rest in Python floats,
+whose sqrt, *, /, min and max round as numpy's elementwise ops do, and
+takes its dot products from ``ndarray.dot``, the same BLAS ddot as
+``np.vecdot`` on a block row; row i of a block thus equals a one-point
+call on it bit for bit.  The array expressions that a block takes
+spend ~14 us per one-point call on numpy dispatch over 0-d arrays; the
+scalar path takes ~5 us (m = 24, p = 4, 2-core x86-64), and a readout
+one test point per call pays this per point.  P < 1/2 means positive
+overlap and a positive predicted label; for the linear kernel the
+overlap sign equals the sign of the classical decision score.  The
+state construction and the ancilla circuit are the test oracle in
+``tests/dilation.py``.
 """
 
 from __future__ import annotations
@@ -33,6 +42,9 @@ from .errors import DegenerateSystemError, EncodingError, LayoutError, Parameter
 #: Sampled estimates within this many binomial standard deviations of 1/2
 #: are flagged as ambiguous.
 _AMBIGUITY_SIGMAS = 3.0
+
+#: A one-point label by ``P <= 1/2``, the scalar type of ``2 * (P <= 0.5) - 1``.
+_LABELS = {True: np.int_(1), False: np.int_(-1)}
 
 
 @dataclass(frozen=True)
@@ -74,8 +86,27 @@ def _expansion(alpha: np.ndarray, training: TrainingSet) -> tuple[np.ndarray, fl
     weights = training.features.T @ alpha
     weights.setflags(write=False)
     memo.clear()
-    memo[key] = weights, s_norm
-    return weights, s_norm
+    memo[key] = hit = weights, float(s_norm)
+    return hit
+
+
+def _nonnegative_int(name: str, value) -> int:
+    """``value`` as an int after checking that it is a non-negative
+    integer (an integral float is, a ``bool`` is not)."""
+    if value < 0:
+        raise ParameterError(f"{name} must be >= 0, got {value}")
+    if type(value) is not int and (  # a plain int is one: the common case, kept cheap
+            isinstance(value, (bool, np.bool_)) or not float(value).is_integer()):
+        raise ParameterError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
+def _check_query(q_norm: float) -> None:
+    """The query-point errors, from the query state's norm."""
+    if q_norm == 0.0:
+        raise EncodingError("cannot encode a zero query point")
+    if not math.isfinite(q_norm):
+        raise EncodingError("cannot encode a non-finite query point")
 
 
 def classify(
@@ -96,28 +127,35 @@ def classify(
     within three binomial standard deviations of 1/2 is flagged as
     ambiguous (the label is still returned).  Errors are raised in the
     order the construction would meet them: the query points, then the
-    coefficients and training rows, then ``shots`` and ``seed``; a bad row
-    anywhere in a block raises the error a one-point call on it would.
+    coefficients and training rows, then ``shots`` and ``seed`` (each a
+    non-negative integer, not a ``bool``); the first bad row of a block
+    raises the error a one-point call on it would.
     """
-    m, p = training.sample_count, training.feature_count
+    m, p = training.features.shape
     # C order: each row's dot product then sums in the same order as a
     # one-point call on it
-    x = np.atleast_1d(np.asarray(x_new, dtype=np.float64, order="C"))
+    x = np.asarray(x_new, dtype=np.float64, order="C")
+    if x.ndim == 0:
+        x = x.reshape(1)
     if x.shape[-1] != p:
         raise LayoutError(f"query point has {x.shape[-1]} features, training set has {p}")
-    q_norm = math.sqrt(m) * np.sqrt((x * x).sum(axis=-1))
-    if (q_norm == 0.0).any():
-        raise EncodingError("cannot encode a zero query point")
-    if not np.isfinite(q_norm).all():
-        raise EncodingError("cannot encode a non-finite query point")
+    if x.ndim == 1 and shots == 0:
+        # the scalar path of the module docstring; the denominator cannot
+        # underflow to 0, as each norm is at least sqrt(5e-324)
+        q_norm = math.sqrt(m) * math.sqrt(float(x.dot(x)))
+        _check_query(q_norm)
+        weights, s_norm = _expansion(alpha, training)
+        _nonnegative_int("shots", shots), _nonnegative_int("seed", seed)
+        overlap = float(x.dot(weights)) / (q_norm * s_norm)
+        prob = min(max((1.0 - overlap) / 2.0, 0.0), 1.0)
+        return ClassificationResult(_LABELS[prob <= 0.5], np.float64(prob),
+                                    np.zeros((), dtype=bool))
+    q_norm = math.sqrt(m) * np.sqrt(np.vecdot(x, x))
+    valid = np.isfinite(q_norm) & (q_norm != 0.0)
+    if not valid.all():
+        _check_query(float(np.ravel(q_norm)[np.argmin(valid)]))
     weights, s_norm = _expansion(alpha, training)
-
-    if shots < 0:
-        raise ParameterError(f"shots must be >= 0, got {shots}")
-    if not float(shots).is_integer():
-        raise ParameterError(f"shots must be an integer, got {shots}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    shots, seed = _nonnegative_int("shots", shots), _nonnegative_int("seed", seed)
     overlap = np.vecdot(x, weights) / (q_norm * s_norm)
     prob = np.minimum(np.maximum((1.0 - overlap) / 2.0, 0.0), 1.0)
     ambiguous = np.zeros(prob.shape, dtype=bool)

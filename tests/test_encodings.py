@@ -14,6 +14,7 @@ from qsslsvm.encodings import (
     laplacian_density,
 )
 from qsslsvm.errors import EncodingError, LayoutError
+from qsslsvm.linalg import hermitian_part
 
 
 class TestStateVector:
@@ -47,6 +48,30 @@ class TestDensityMatrix:
             DensityMatrix(np.eye(2))  # trace 2
         with pytest.raises(EncodingError):
             DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("d", [8, 70])
+    def test_stored_matrix_is_the_hermitian_part(self, rng, dtype, d):
+        # the one-pass check keeps the symmetrized input bit for bit; d = 70
+        # reads the deviation in two row blocks
+        g = rng.normal(size=(d, d)).astype(dtype)
+        if dtype is np.complex128:
+            g += 1j * rng.normal(size=(d, d))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        noisy = rho + 1e-13 * rng.normal(size=(d, d))
+        stored = DensityMatrix(noisy).matrix
+        assert stored.dtype == dtype
+        assert np.array_equal(stored, hermitian_part(noisy))
+
+    def test_check_order_and_messages(self):
+        with pytest.raises(LayoutError, match=r"^density matrix must be square, got \(2, 3\)$"):
+            DensityMatrix(np.ones((2, 3)))
+        # not Hermitian and not PSD: the Hermitian check comes first
+        with pytest.raises(EncodingError, match="^density deviates from Hermitian by 3.000e-01$"):
+            DensityMatrix(np.array([[1.5, 0.4], [0.1, -0.5]]))
+        with pytest.raises(EncodingError, match=r"^density is not PSD \(min eigenvalue -5.000e-01\)$"):
+            DensityMatrix(np.diag([1.5, -0.5]))
 
     def test_from_state_and_reduced(self):
         sv = StateVector.normalized(np.array([1.0, 0.0, 0.0, 1.0]))

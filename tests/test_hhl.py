@@ -26,8 +26,8 @@ from qsslsvm.errors import (
     NumericalError,
     ParameterError,
 )
-from qsslsvm.hhl import QPEConfig, _clock_weights, hhl_solve, quantum_multiply
-from qsslsvm.linalg import SpectralDecomposition, state_fidelity
+from qsslsvm.hhl import QPEConfig, _apply, _clock_weights, hhl_solve, quantum_multiply
+from qsslsvm.linalg import SpectralDecomposition, hermitian_eig, state_fidelity
 
 
 class TestQPEConfig:
@@ -388,3 +388,37 @@ class TestGlmrBackend:
         ps = make_program_state_k(random_density(rng, 2))
         with pytest.raises(ParameterError):
             glmr_phase_estimation(ps, np.array([1.0, 0.0]), QPEConfig(2), steps_per_unit=0)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda eig, b, cfg: hhl_solve(eig, b, 1e-3, cfg),
+    quantum_multiply,
+], ids=["hhl_solve", "quantum_multiply"])
+def test_real_eigenvectors_are_not_cast_to_complex(rng, solve):
+    """On a passed real decomposition at m = 256 the peak is the real T x m
+    weights plus less than half an m x m array: the coefficient products
+    make no complex (or conjugated) copy of the eigenvectors."""
+    m, cfg = 256, QPEConfig(10)
+    g = rng.normal(size=(m, m))
+    a = g @ g.T
+    a /= np.trace(a)
+    eig = hermitian_eig(a)
+    b = rng.normal(size=m)
+    tracemalloc.start()
+    try:
+        solve(eig, b, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (cfg.clock_dim * m + m * m // 2) * 8
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_real_and_complex_products_agree(rng, adjoint):
+    v = np.linalg.qr(rng.normal(size=(9, 9)))[0]
+    z = rng.normal(size=9) + 1j * rng.normal(size=9)
+    want = (v.T if adjoint else v) @ z
+    for vv in (v, v.astype(np.complex128)):
+        got = _apply(vv, z, adjoint=adjoint)
+        assert got.dtype == np.complex128 and got.shape == (9,)
+        assert np.max(np.abs(got - want)) <= 1e-15

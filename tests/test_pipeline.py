@@ -82,10 +82,18 @@ class TestRunConfig:
         with pytest.raises(ParameterError, match=f"shots must be an integer, got {shots}"):
             RunConfig(shots=shots)
 
+    @pytest.mark.parametrize("name, value", [
+        ("shots", True), ("shots", np.True_), ("seed", 1.5), ("seed", float("nan")),
+        ("seed", True), ("seed", False),
+    ])
+    def test_bool_and_fractional_counts_rejected(self, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer, got {value}$"):
+            RunConfig(**{name: value})
+
     def test_integral_floats_are_stored_as_int(self):
-        cfg = RunConfig(knn_k=2, shots=3.0, clock_qubits=4.0)
-        assert (cfg.shots, cfg.clock_qubits) == (3, 4)
-        assert type(cfg.shots) is int and type(cfg.clock_qubits) is int
+        cfg = RunConfig(knn_k=2, shots=3.0, seed=5.0, clock_qubits=4.0)
+        assert (cfg.shots, cfg.seed, cfg.clock_qubits) == (3, 5, 4)
+        assert all(type(v) is int for v in (cfg.shots, cfg.seed, cfg.clock_qubits))
         report = run_pipeline(cfg, DATA / "two_cluster_8.csv")
         assert json.dumps(report["config"]["clock_qubits"]) == "4"
 

@@ -2,10 +2,13 @@
 (query state, expansion state and ancilla readout in ``dilation.py``)."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilation import expansion_state, overlap, overlap_probability, query_state
 from qsslsvm.classical import KernelSpec, predict
@@ -256,3 +259,79 @@ class TestExpansionMemo:
         del training
         gc.collect()
         assert ref() is None
+
+
+class TestOnePointPath:
+    """A one-point exact call (``x.ndim <= 1``, ``shots == 0``) is read out
+    in Python floats; a block keeps the array expressions.  Both must give
+    the same values, types and errors."""
+
+    @settings(max_examples=60)
+    @given(p=st.sampled_from([1, 7, 8, 9, 130]), m=st.integers(1, 12), n=st.integers(1, 9),
+           scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
+           fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_one_point_calls_equal_a_block_row_by_row(self, p, m, n, scale, fortran, seed):
+        # p crosses numpy's pairwise-sum (8) and BLAS unroll boundaries
+        rng = np.random.default_rng(seed)
+        labels = np.zeros(m)
+        labels[0] = 1.0
+        training = TrainingSet(rng.normal(size=(m, p)), labels, 1)
+        alpha = rng.normal(size=m)
+        block = rng.normal(size=(n, p)) * scale
+        block = np.asfortranarray(block) if fortran else block
+        result = classify(alpha, block, _copy(training))
+        for i in range(n):
+            # a row of a Fortran-order block is a strided view
+            queries = [block[i]] + ([block[i, 0], np.array(block[i, 0])] if p == 1 else [])
+            for query in queries:
+                one = classify(alpha, query, training)
+                for field in ("label", "p_estimate", "ambiguous"):
+                    got, want = getattr(one, field), getattr(result, field)
+                    assert np.shape(got) == want.shape[1:] == ()
+                    assert np.asarray(got).dtype == want.dtype
+                    assert got == want[i]
+                assert type(one.label) is type(result.label[i]) is np.int64
+                assert type(one.p_estimate) is type(result.p_estimate[i]) is np.float64
+
+    @pytest.mark.parametrize("rows, first_bad, message", [
+        ([[1.0, 2.0], [0.0, 0.0], [np.nan, 1.0], [3.0, 4.0]], 1, "cannot encode a zero query point"),
+        ([[1.0, 2.0], [np.inf, 0.0], [0.0, 0.0]], 1, "cannot encode a non-finite query point"),
+    ])
+    @pytest.mark.parametrize("shots", [0, 5])
+    def test_first_bad_row_of_a_block_raises(self, cluster8, rows, first_bad, message, shots):
+        block = np.array(rows)
+        for query in (block[first_bad], block):
+            with pytest.raises(EncodingError, match=f"^{message}$"):
+                classify(np.ones(8), query, cluster8, shots=shots)
+
+    @pytest.mark.parametrize("shots, seed, message", [
+        (10, 1.5, "seed must be an integer, got 1.5"),
+        (0, 1.5, "seed must be an integer, got 1.5"),
+        (10, float("nan"), "seed must be an integer, got nan"),
+        (10, True, "seed must be an integer, got True"),
+        (0, np.False_, "seed must be an integer, got False"),
+        (True, 0, "shots must be an integer, got True"),
+        (np.True_, 0, "shots must be an integer, got True"),
+        # shots before seed, the sign before integrality
+        (2.5, 1.5, "shots must be an integer, got 2.5"),
+        (-1, 1.5, "shots must be >= 0, got -1"),
+        (1, -1.5, "seed must be >= 0, got -1.5"),
+    ])
+    def test_shots_and_seed_must_be_non_negative_integers(self, cluster8, shots, seed, message):
+        alpha = np.ones(8)
+        for query in (cluster8.features[0], cluster8.features):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                classify(alpha, query, cluster8, shots=shots, seed=seed)
+
+    def test_query_and_coefficient_errors_come_before_a_bad_seed(self, cluster8):
+        for query in (np.zeros(2), np.zeros((3, 2))):
+            with pytest.raises(EncodingError, match="^cannot encode a zero query point$"):
+                classify(np.ones(8), query, cluster8, shots=10, seed=1.5)
+            with pytest.raises(DegenerateSystemError):
+                classify(np.zeros(8), query + 1.0, cluster8, shots=10, seed=1.5)
+
+    def test_integral_float_seed_and_shots_are_their_ints(self, cluster8, rng):
+        alpha = rng.normal(size=8)
+        x = rng.normal(size=(6, 2))
+        assert _same(classify(alpha, x, cluster8, shots=40.0, seed=3.0),
+                     classify(alpha, x, cluster8, shots=40, seed=3))
