@@ -26,7 +26,7 @@ from qsslsvm.errors import (
     NumericalError,
     ParameterError,
 )
-from qsslsvm.hhl import QPEConfig, _apply, _clock_weights, hhl_solve, quantum_multiply
+from qsslsvm.hhl import QPEConfig, _clock_weights, hhl_solve, quantum_multiply
 from qsslsvm.linalg import SpectralDecomposition, hermitian_eig, state_fidelity
 
 
@@ -412,13 +412,3 @@ def test_real_eigenvectors_are_not_cast_to_complex(rng, solve):
         tracemalloc.stop()
     assert peak < (cfg.clock_dim * m + m * m // 2) * 8
 
-
-@pytest.mark.parametrize("adjoint", [False, True])
-def test_real_and_complex_products_agree(rng, adjoint):
-    v = np.linalg.qr(rng.normal(size=(9, 9)))[0]
-    z = rng.normal(size=9) + 1j * rng.normal(size=9)
-    want = (v.T if adjoint else v) @ z
-    for vv in (v, v.astype(np.complex128)):
-        got = _apply(vv, z, adjoint=adjoint)
-        assert got.dtype == np.complex128 and got.shape == (9,)
-        assert np.max(np.abs(got - want)) <= 1e-15
