@@ -20,8 +20,8 @@ whose sqrt, *, /, min and max round as numpy's elementwise ops do, and
 takes its dot products from ``ndarray.dot``, the same BLAS ddot as
 ``np.vecdot`` on a block row; row i of a block thus equals a one-point
 call on it bit for bit.  The array expressions that a block takes
-spend ~14 us per one-point call on numpy dispatch over 0-d arrays; the
-scalar path takes ~5 us (m = 24, p = 4, 2-core x86-64), and a readout
+spend ~12 us per one-point call on numpy dispatch over 0-d arrays; the
+scalar path takes ~4 us (m = 24, p = 4, 2-core x86-64), and a readout
 one test point per call pays this per point.  P < 1/2 means positive
 overlap and a positive predicted label; for the linear kernel the
 overlap sign equals the sign of the classical decision score.  The
@@ -145,7 +145,8 @@ def classify(
         q_norm = math.sqrt(m) * math.sqrt(float(x.dot(x)))
         _check_query(q_norm)
         weights, s_norm = _expansion(alpha, training)
-        _nonnegative_int("shots", shots), _nonnegative_int("seed", seed)
+        _nonnegative_int("shots", shots)
+        _nonnegative_int("seed", seed)
         overlap = float(x.dot(weights)) / (q_norm * s_norm)
         prob = min(max((1.0 - overlap) / 2.0, 0.0), 1.0)
         return ClassificationResult(_LABELS[prob <= 0.5], np.float64(prob),

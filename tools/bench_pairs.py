@@ -8,8 +8,9 @@ with its own ``perfbench/``.  Pair i runs ``perfbench/run.py --trace 0``
 in both, the before checkout first on even i and the after checkout
 first on odd i, so a drift in machine load falls on both sides.  Each
 run's final JSON line (``correct``, ``attempted``, ``failed``,
-``metrics``) is appended to the ``runs`` list of ``--out``; the file is
-created with a record of the environment if it does not exist.
+``metrics``) is appended to the ``runs`` list of ``--out``, numbering
+pairs on from the workload's runs already there; the file is created
+with a record of the environment if it does not exist.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ def environment(before: Path, after: Path) -> dict:
     return {"cpu": _cpu(), "cpus": os.cpu_count(), "python": platform.python_version(),
             "numpy": numpy.__version__, "platform": platform.platform(),
             "blas_threads": "1 (set by perfbench/run.py)",
-            "before": {"path": str(before), "commit": _commit(before)},
-            "after": {"path": str(after), "commit": _commit(after)}}
+            "before": {"commit": _commit(before)}, "after": {"commit": _commit(after)}}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -75,7 +75,8 @@ def main(argv=None) -> int:
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
     doc = (json.loads(args.out.read_text()) if args.out.exists()
            else {"environment": environment(trees["before"], trees["after"]), "runs": []})
-    for i in range(args.pairs):
+    done = sum(r["workload"] == args.workload and r["side"] == "before" for r in doc["runs"])
+    for i in range(done, done + args.pairs):
         for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
             record = {"workload": args.workload, "pair": i, "side": side, "seed": args.seed,
                       "seconds": args.seconds}
