@@ -5,7 +5,6 @@ from .channels import (
     EvolutionConfig,
     EvolutionResult,
     ProgramState,
-    glmr_step,
     make_program_state_k,
     make_program_state_kk,
     make_program_state_klk,

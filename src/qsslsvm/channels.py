@@ -19,11 +19,14 @@ is exponentiated.
 
 Every construction is evaluated in closed form on d x d matrices.  A
 ``ProgramState`` holds only the two d x d control blocks rho'' and rho'''
-(float64 when the densities are real) and checks each block Hermitian and
-PSD, which for a block-diagonal state is the full density check; the
-2d x 2d matrix is never assembled.  With S^2 = I, exp(-iS dt) =
-cos(dt) I - i sin(dt) S, and the partial traces of the dilated circuits
-reduce exactly to
+(float64 when the densities are real); the 2d x 2d matrix is never
+assembled.  ``ProgramState(...)`` checks a caller's blocks Hermitian and
+PSD (for a block-diagonal state, the full density check) with unit total
+trace.  The builders below skip that check (``ProgramState._built``): for
+densities 0 <= K <= I and ||L|| <= 1, K +- K K = K (I +- K) and K +- K L K
+are PSD with trace 2 tr K, and so is a positive mixture.  With S^2 = I,
+exp(-iS dt) = cos(dt) I - i sin(dt) S, and the partial traces of the
+dilated circuits reduce exactly to
 
     step:   sigma -> c^2 sigma + s^2 tr(sigma) R - i c s [B, sigma]
             with c, s = cos dt, sin dt and R = rho'' + rho''',
@@ -42,8 +45,9 @@ the trace of any matrix because tr R = 1, so
 and a trajectory costs one eigendecomposition of B whatever n is.  The
 circuit-level constructions (swap and cyclic-permutation matrices,
 controlled partial swaps, partial traces over the program copies) and
-the step-by-step trajectory (``stepwise_simulate_evolution``) are kept in
-``tests/dilation.py`` as the oracle these closed forms are tested against.
+the step-by-step trajectory (``stepwise_simulate_evolution``, from
+``glmr_step``) are kept in ``tests/dilation.py`` as the oracle these
+closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ import numpy as np
 from .encodings import DensityMatrix, hermitian_psd
 from .errors import EncodingError, LayoutError, ParameterError
 from .linalg import SpectralDecomposition, hermitian_eig, hermitian_part
+from .swap_test import _nonnegative_int
 
 #: Tolerances for channel outputs; trajectories accumulate roundoff beyond
 #: the strict single-construction bounds.
@@ -77,18 +82,13 @@ class ProgramState:
     block-diagonal state |0><0| (x) rho'' + |1><1| (x) rho'''.  Each is
     checked Hermitian and PSD, and tr(rho'' + rho''') = 1; a block-diagonal
     matrix is PSD exactly when its blocks are, so this is the full density
-    check.  The intended Hermitian generator is ``scale * (rho'' - rho''')``.
-    For the single-term constructions the scale is 1; mixtures record the
-    total weight there so consumers can undo the normalization.
+    check.  The generator is rho'' - rho'''.
     """
 
     rho0: np.ndarray
     rho1: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ParameterError(f"scale must be finite and positive, got {self.scale}")
         tols = _CHANNEL_TOLS
         blocks = [hermitian_psd(b, tols["hermitian_tol"], tols["psd_tol"])
                   for b in (self.rho0, self.rho1)]
@@ -105,31 +105,40 @@ class ProgramState:
             block.setflags(write=False)
             object.__setattr__(self, name, block)
 
+    @classmethod
+    def _built(cls, rho0: np.ndarray, rho1: np.ndarray) -> ProgramState:
+        """Wrap fresh blocks PSD by construction, unchecked."""
+        ps = object.__new__(cls)
+        for name, block in (("rho0", rho0), ("rho1", rho1)):
+            block.setflags(write=False)
+            object.__setattr__(ps, name, block)
+        return ps
+
     @property
     def system_dim(self) -> int:
         return self.rho0.shape[0]
 
     @property
     def generator(self) -> np.ndarray:
-        """scale * (rho'' - rho''')."""
-        return self.scale * (self.rho0 - self.rho1)
+        """B = rho'' - rho'''."""
+        return self.rho0 - self.rho1
 
     def step_operators(self) -> tuple[np.ndarray, np.ndarray]:
         """(B, R) = (rho'' - rho''', rho'' + rho'''), the two matrices one
         channel step needs."""
-        return self.rho0 - self.rho1, self.rho0 + self.rho1
+        return self.generator, self.rho0 + self.rho1
 
 
 def _two_copy_program_state(k: DensityMatrix, g: np.ndarray) -> ProgramState:
     """rho'' = (K + G) / 2 and rho''' = (K - G) / 2, generator G."""
     g = hermitian_part(g)
-    return ProgramState((k.matrix + g) / 2.0, (k.matrix - g) / 2.0)
+    return ProgramState._built((k.matrix + g) / 2.0, (k.matrix - g) / 2.0)
 
 
 def make_program_state_k(k: DensityMatrix) -> ProgramState:
     """Plain density-exponentiation term in program-state form:
     rho'' = k, rho''' = 0, so the generator is exactly k."""
-    return ProgramState(k.matrix, np.zeros_like(k.matrix))
+    return ProgramState._built(k.matrix, np.zeros_like(k.matrix))
 
 
 def make_program_state_kk(k: DensityMatrix) -> ProgramState:
@@ -158,46 +167,25 @@ def make_program_state_klk(k: DensityMatrix, l: DensityMatrix) -> ProgramState:
 
 
 def mix_program_states(sources: Sequence[tuple[float, ProgramState]]) -> ProgramState:
-    """Weighted mixture rho'_joint = sum_i w_i rho'_i / sum_i w_i.
-
-    The mixture's generator is (sum_i w_i B_i) / sum_i w_i; the total
-    weight is recorded as the scale so the unnormalized sum is
-    ``scale * (rho'' - rho''')``.
-    """
+    """Weighted mixture sum_i p_i rho'_i, p_i = w_i / sum_j w_j, whose
+    generator is sum_i p_i B_i; ``ParameterError`` unless each w_i is finite
+    and positive and their sum finite."""
     if not sources:
         raise ParameterError("at least one program state is required")
-    weights = np.array([w for w, _ in sources], dtype=np.float64)
-    if np.any(weights <= 0):
-        raise ParameterError("mixture weights must be positive")
+    weights = [float(w) for w, _ in sources]
+    if not all(0.0 < w < math.inf for w in weights):
+        raise ParameterError(f"mixture weights must be finite and positive, got {weights}")
+    total = sum(weights)
+    if total == math.inf:
+        raise ParameterError(f"mixture weights {weights} sum past the float64 range")
     dims = {ps.system_dim for _, ps in sources}
     if len(dims) != 1:
         raise LayoutError(f"program states have mixed dimensions {sorted(dims)}")
-    if any(ps.scale != 1.0 for _, ps in sources):
-        raise ParameterError("only unit-scale program states can be mixed")
-    total = float(weights.sum())
-    return ProgramState(
-        sum(w * ps.rho0 for w, ps in sources) / total,
-        sum(w * ps.rho1 for w, ps in sources) / total,
-        scale=total,
+    probs = [w / total for w in weights]
+    return ProgramState._built(
+        sum(p * ps.rho0 for p, (_, ps) in zip(probs, sources)),
+        sum(p * ps.rho1 for p, (_, ps) in zip(probs, sources)),
     )
-
-
-def _channel_step(b: np.ndarray, r: np.ndarray, sigma: np.ndarray, dt: float) -> np.ndarray:
-    """One program-state step on a matrix:
-    c^2 sigma + s^2 tr(sigma) R - i c s [B, sigma] with c, s = cos dt, sin dt."""
-    c, s = math.cos(dt), math.sin(dt)
-    comm = b @ sigma - sigma @ b
-    return hermitian_part(c * c * sigma + (s * s * np.trace(sigma)) * r - (1j * c * s) * comm)
-
-
-def glmr_step(ps: ProgramState, sigma: DensityMatrix, dt: float) -> DensityMatrix:
-    """One program-state step: sigma -> sigma - i dt [B, sigma] + O(dt^2)
-    with B = rho'' - rho'''."""
-    d = ps.system_dim
-    if sigma.dim != d:
-        raise LayoutError(f"dimension mismatch: program {d}, target {sigma.dim}")
-    b, r = ps.step_operators()
-    return DensityMatrix(_channel_step(b, r, sigma.matrix, dt), **_CHANNEL_TOLS)
 
 
 @dataclass(frozen=True)
@@ -221,6 +209,8 @@ class EvolutionConfig:
             )
         if self.steps is not None and self.steps < 1:
             raise ParameterError(f"step count must be >= 1, got {self.steps}")
+        if self.steps is not None:  # not fractional, not a bool; stored as an int
+            object.__setattr__(self, "steps", _nonnegative_int("steps", self.steps))
         if self.steps is None and not math.isfinite(self._step_bound()):
             raise ParameterError(
                 f"t^2 / delta overflows for time {self.total_time} and budget {self.error_budget}"
@@ -231,25 +221,17 @@ class EvolutionConfig:
 
     def resolved_steps(self) -> int:
         if self.steps is not None:
-            return int(self.steps)
+            return self.steps
         return int(math.ceil(self._step_bound()))
 
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Final state of a trajectory plus what it simulated.
-
-    ``generator`` is the normalized mixture generator B_joint; the
-    trajectory approximates exp(-i B_joint t) sigma0 exp(i B_joint t).
-    ``weight_total`` is the scale factor relating B_joint to the
-    unnormalized weighted sum of the source generators.
-    """
+    """Final state of a trajectory, ~exp(-i B t) sigma0 exp(i B t) for the
+    mixture's generator B, and its step count."""
 
     state: DensityMatrix
-    generator: np.ndarray
-    weight_total: float
     steps: int
-    dt: float
 
 
 def _channel_power(
@@ -315,10 +297,9 @@ def simulate_evolution(
     """n program-state steps under the deterministic source mixture, in
     closed form.
 
-    ``eig`` optionally gives the decomposition of the mixture's step
-    generator B = rho'' - rho''' (for a single source, its ``generator``),
-    so that a caller holding it saves the eigendecomposition; it is checked
-    against B, and a wrong shape or a fit worse than
+    ``eig`` optionally gives the decomposition of the mixture's
+    ``generator`` B, so that a caller holding it saves the
+    eigendecomposition; a wrong shape or a fit worse than
     ``_DECOMPOSITION_TOL`` raises ``ParameterError``.
 
     In the eigenbasis B = V diag(lam) V^dagger of the mixture generator,
@@ -337,21 +318,13 @@ def simulate_evolution(
     if sigma0.dim != d:
         raise LayoutError(f"dimension mismatch: program {d}, target {sigma0.dim}")
     n = cfg.resolved_steps()
-    generator = mixture.generator / mixture.scale
     if n == 0:
-        return EvolutionResult(sigma0, generator, mixture.scale, 0, 0.0)
-    dt = cfg.total_time / n
+        return EvolutionResult(sigma0, 0)
     b, r = mixture.step_operators()
     eig = _checked_decomposition(b, eig)
     del b  # only its decomposition is used: not held through the trajectory
-    state = _channel_power(eig, r, sigma0.matrix, dt, n)
-    return EvolutionResult(
-        DensityMatrix(state, **_CHANNEL_TOLS),
-        generator,
-        mixture.scale,
-        n,
-        dt,
-    )
+    state = _channel_power(eig, r, sigma0.matrix, cfg.total_time / n, n)
+    return EvolutionResult(DensityMatrix(state, **_CHANNEL_TOLS), n)
 
 
 def exact_conjugation(eig: SpectralDecomposition, sigma: DensityMatrix, t: float) -> DensityMatrix:

@@ -9,6 +9,9 @@ L) without building either full state, its (m p)^2 or (m E)^2 outer
 product, or the m x E incidence matrix G_I.  Both densities are real
 symmetric and stay float64; a density's dimension is its matrix's.  The full states
 and their partial traces are the test oracle in ``tests/dilation.py``.
+``DensityMatrix(...)`` checks a caller's matrix; the builders skip that
+check (``DensityMatrix._built``): X X^T / ||X||_F^2 is a Gram matrix over
+its trace, and L / m has its spectrum in [0, 2/m].
 """
 
 from __future__ import annotations
@@ -94,6 +97,14 @@ class DensityMatrix:
         m.setflags(write=False)
         self.matrix = m
 
+    @classmethod
+    def _built(cls, matrix: np.ndarray) -> DensityMatrix:
+        """Wrap a fresh matrix that is a density by construction, unchecked."""
+        matrix.setflags(write=False)
+        rho = object.__new__(cls)
+        rho.matrix = matrix
+        return rho
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -109,10 +120,12 @@ def _row_norms(x: TrainingSet) -> np.ndarray:
 
 @overflow_guard("the kernel density")
 def kernel_density(x: TrainingSet) -> DensityMatrix:
-    """Trace-normalized linear-kernel density: Tr_2 |X><X| = X X^T / ||X||_F^2."""
+    """Trace-normalized linear-kernel density: Tr_2 |X><X| = X X^T / ||X||_F^2,
+    from features below 1 scaled up by an exact power of two (no subnormal products)."""
     _row_norms(x)
-    f = x.features
-    return DensityMatrix(f @ f.T / np.sum(f * f))
+    top = np.max(np.abs(x.features))
+    f = np.ldexp(x.features, -np.frexp(top)[1]) if top < 1.0 else x.features
+    return DensityMatrix._built(f @ f.T / np.sum(f * f))
 
 
 def label_state(y: np.ndarray) -> StateVector:
@@ -124,4 +137,4 @@ def label_state(y: np.ndarray) -> StateVector:
 def laplacian_density(g: SampleGraph) -> DensityMatrix:
     """Tr_2 |G_I><G_I| = G_I G_I^T / m: the degree-normalized Laplacian
     divided by m (every row of G_I is a unit vector)."""
-    return DensityMatrix(_normalized_laplacian_array(g) / g.vertex_count)
+    return DensityMatrix._built(_normalized_laplacian_array(g) / g.vertex_count)

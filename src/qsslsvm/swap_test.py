@@ -17,9 +17,10 @@ readout of test points one at a time makes them, pay only the O(p)
 part.  That part is two dot products.  A one-point exact call (shape
 ``(p,)`` or ``()``, ``shots == 0``) does the rest in Python floats,
 whose sqrt, *, /, min and max round as numpy's elementwise ops do, and
-takes its dot products from ``ndarray.dot``, the same BLAS ddot as
-``np.vecdot`` on a block row; row i of a block thus equals a one-point
-call on it bit for bit.  The array expressions that a block takes
+takes its dot products from ``np.vdot`` and ``ndarray.dot``, the same
+BLAS ddot as ``np.vecdot`` on a block row, so row i of a block equals a
+one-point call on it bit for bit.  A query whose squared norm overflows
+or is subnormal is read out as x / max|x_i|.  The array expressions that a block takes
 spend ~12 us per one-point call on numpy dispatch over 0-d arrays; the
 scalar path takes ~4 us (m = 24, p = 4, 2-core x86-64), and a readout
 one test point per call pays this per point.  P < 1/2 means positive
@@ -42,6 +43,8 @@ from .errors import DegenerateSystemError, EncodingError, LayoutError, Parameter
 #: Sampled estimates within this many binomial standard deviations of 1/2
 #: are flagged as ambiguous.
 _AMBIGUITY_SIGMAS = 3.0
+
+_TINY = np.finfo(np.float64).tiny  #: a smaller squared query norm is rescaled
 
 #: A one-point label by ``P <= 1/2``, the scalar type of ``2 * (P <= 0.5) - 1``.
 _LABELS = {True: np.int_(1), False: np.int_(-1)}
@@ -101,12 +104,14 @@ def _nonnegative_int(name: str, value) -> int:
     return int(value)
 
 
-def _check_query(q_norm: float) -> None:
-    """The query-point errors, from the query state's norm."""
-    if q_norm == 0.0:
-        raise EncodingError("cannot encode a zero query point")
-    if not math.isfinite(q_norm):
+def _scaled_query(x: np.ndarray) -> np.ndarray:
+    """``x / max|x_i|``, or the error of a zero or non-finite query row."""
+    if not np.isfinite(x).all():
         raise EncodingError("cannot encode a non-finite query point")
+    top = np.max(np.abs(x))
+    if top == 0.0:
+        raise EncodingError("cannot encode a zero query point")
+    return x / top
 
 
 def classify(
@@ -140,10 +145,12 @@ def classify(
     if x.shape[-1] != p:
         raise LayoutError(f"query point has {x.shape[-1]} features, training set has {p}")
     if x.ndim == 1 and shots == 0:
-        # the scalar path of the module docstring; the denominator cannot
-        # underflow to 0, as each norm is at least sqrt(5e-324)
-        q_norm = math.sqrt(m) * math.sqrt(float(x.dot(x)))
-        _check_query(q_norm)
+        # the scalar path of the module docstring; np.vdot overflows with no warning
+        sq = float(np.vdot(x, x))
+        if not _TINY <= sq < math.inf:
+            x = _scaled_query(x)
+            sq = float(np.vdot(x, x))
+        q_norm = math.sqrt(m) * math.sqrt(sq)
         weights, s_norm = _expansion(alpha, training)
         _nonnegative_int("shots", shots)
         _nonnegative_int("seed", seed)
@@ -151,10 +158,14 @@ def classify(
         prob = min(max((1.0 - overlap) / 2.0, 0.0), 1.0)
         return ClassificationResult(_LABELS[prob <= 0.5], np.float64(prob),
                                     np.zeros((), dtype=bool))
-    q_norm = math.sqrt(m) * np.sqrt(np.vecdot(x, x))
-    valid = np.isfinite(q_norm) & (q_norm != 0.0)
-    if not valid.all():
-        _check_query(float(np.ravel(q_norm)[np.argmin(valid)]))
+    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
+        sq = np.vecdot(x, x)
+    rescaled = ~((sq >= _TINY) & (sq < math.inf))
+    if rescaled.any():  # in row order, so that the first bad row raises
+        x = x.copy()
+        x[rescaled] = [_scaled_query(row) for row in x[rescaled]]
+        sq = np.vecdot(x, x)
+    q_norm = math.sqrt(m) * np.sqrt(sq)
     weights, s_norm = _expansion(alpha, training)
     shots, seed = _nonnegative_int("shots", shots), _nonnegative_int("seed", seed)
     overlap = np.vecdot(x, weights) / (q_norm * s_norm)

@@ -9,8 +9,9 @@ clock (x) system and flag (x) clock (x) system arrays of phase estimation,
 conditional rotation and uncomputation -- that the closed forms in
 ``qsslsvm.channels`` and ``qsslsvm.hhl`` reduce to d x d algebra.  A
 dilated channel step costs O(d^6), so these run only at the small
-dimensions the tests use.  The step-by-step trajectory and channel-backed
-phase estimation (``stepwise_*``, one closed-form step at a time) are the
+dimensions the tests use.  ``glmr_step`` is one closed-form step, the map
+of ``simulate_evolution`` at ``steps=1``.  The step-by-step trajectory and
+channel-backed phase estimation (``stepwise_*``, one such step at a time) are the
 oracle for the loop-free channel powers: ``simulate_evolution`` and
 ``glmr_phase_estimation``, the closed-form channel-backed phase
 estimation, a density-matrix demonstration that no pipeline stage runs
@@ -42,9 +43,7 @@ from qsslsvm.channels import (
     EvolutionConfig,
     EvolutionResult,
     ProgramState,
-    _channel_step,
     exact_conjugation,
-    glmr_step,
     mix_program_states,
 )
 from qsslsvm.datasets import SampleGraph, TrainingSet
@@ -245,6 +244,25 @@ def dense_glmr_step(ps: ProgramState, sigma: DensityMatrix, dt: float) -> Densit
     return DensityMatrix(_dense_apply(u, ps, sigma.matrix, d), **_TOLS)
 
 
+def _channel_step(b: np.ndarray, r: np.ndarray, sigma: np.ndarray, dt: float) -> np.ndarray:
+    """One program-state step on a matrix:
+    c^2 sigma + s^2 tr(sigma) R - i c s [B, sigma] with c, s = cos dt, sin dt."""
+    c, s = math.cos(dt), math.sin(dt)
+    comm = b @ sigma - sigma @ b
+    return hermitian_part(c * c * sigma + (s * s * np.trace(sigma)) * r - (1j * c * s) * comm)
+
+
+def glmr_step(ps: ProgramState, sigma: DensityMatrix, dt: float) -> DensityMatrix:
+    """One program-state step in closed form, validated as a density:
+    sigma -> sigma - i dt [B, sigma] + O(dt^2) with B = rho'' - rho''' (the
+    map of ``simulate_evolution`` at ``steps=1``)."""
+    d = ps.system_dim
+    if sigma.dim != d:
+        raise LayoutError(f"dimension mismatch: program {d}, target {sigma.dim}")
+    b, r = ps.step_operators()
+    return DensityMatrix(_channel_step(b, r, sigma.matrix, dt), **_CHANNEL_TOLS)
+
+
 def dense_one_step_errors(
     ps: ProgramState, eig: SpectralDecomposition, probe: StateVector, dts: Sequence[float]
 ) -> list[float]:
@@ -262,9 +280,8 @@ def dense_simulate_evolution(sources, sigma0: DensityMatrix, cfg, rng=None) -> E
     mixture = mix_program_states(sources)
     d = mixture.system_dim
     n = cfg.resolved_steps()
-    generator = mixture.generator / mixture.scale
     if n == 0:
-        return EvolutionResult(sigma0, generator, mixture.scale, 0, 0.0)
+        return EvolutionResult(sigma0, 0)
     dt = cfg.total_time / n
     u = controlled_partial_swap_evolution(dt, d)
     weights = np.array([w for w, _ in sources], dtype=np.float64)
@@ -273,8 +290,7 @@ def dense_simulate_evolution(sources, sigma0: DensityMatrix, cfg, rng=None) -> E
     for _ in range(n):
         ps = mixture if rng is None else sources[int(rng.choice(len(sources), p=probs))][1]
         state = _dense_apply(u, ps, state, d)
-    return EvolutionResult(DensityMatrix(state, **_TOLS), generator,
-                           mixture.scale, n, dt)
+    return EvolutionResult(DensityMatrix(state, **_TOLS), n)
 
 
 def stepwise_simulate_evolution(
@@ -296,9 +312,8 @@ def stepwise_simulate_evolution(
     if sigma0.dim != d:
         raise LayoutError(f"dimension mismatch: program {d}, target {sigma0.dim}")
     n = cfg.resolved_steps()
-    generator = mixture.generator / mixture.scale
     if n == 0:
-        return EvolutionResult(sigma0, generator, mixture.scale, 0, 0.0)
+        return EvolutionResult(sigma0, 0)
     dt = cfg.total_time / n
     weights = np.array([w for w, _ in sources], dtype=np.float64)
     probs = weights / weights.sum()
@@ -311,13 +326,7 @@ def stepwise_simulate_evolution(
         else:
             b, r = source_ops[int(rng.choice(len(sources), p=probs))]
         state = _channel_step(b, r, state, dt)
-    return EvolutionResult(
-        DensityMatrix(state, **_CHANNEL_TOLS),
-        generator,
-        mixture.scale,
-        n,
-        dt,
-    )
+    return EvolutionResult(DensityMatrix(state, **_CHANNEL_TOLS), n)
 
 
 @dataclass(frozen=True)
@@ -433,7 +442,7 @@ def stepwise_glmr_phase_estimation(
     d = mixture.system_dim
     vec = _as_unit_state(b, d)
     t = cfg.clock_dim
-    generator = mixture.generator / mixture.scale
+    generator = mixture.generator
     t0 = cfg.evolution_time
     if t0 is None:
         t0 = default_evolution_time(float(np.linalg.eigvalsh(generator)[-1]))
@@ -480,7 +489,7 @@ def dense_glmr_phase_estimation(
     t = cfg.clock_dim
     t0 = cfg.evolution_time
     if t0 is None:
-        t0 = default_evolution_time(float(np.linalg.eigvalsh(mixture.generator / mixture.scale)[-1]))
+        t0 = default_evolution_time(float(np.linalg.eigvalsh(mixture.generator)[-1]))
 
     # registers: control (2) x program copy (d) x clock (T) x system (d)
     clock_sys = np.zeros((t, d), dtype=np.complex128)

@@ -25,6 +25,7 @@ from dilation import (
     density,
     fft_clock_weights,
     glmr_phase_estimation,
+    glmr_step,
     incidence_state,
     lmr_step,
     program_state_matrix,
@@ -37,7 +38,6 @@ from qsslsvm.channels import (
     EvolutionConfig,
     ProgramState,
     exact_conjugation,
-    glmr_step,
     make_program_state_k,
     make_program_state_kk,
     make_program_state_klk,
@@ -86,6 +86,24 @@ def _random_program_state(rng: np.random.Generator, d: int) -> ProgramState:
     w = float(rng.uniform(0.05, 0.95))
     return ProgramState(w * random_density(rng, d).matrix,
                         (1.0 - w) * random_density(rng, d).matrix)
+
+
+def _edge_density(rng: np.random.Generator, d: int, real: bool, shift: float) -> DensityMatrix:
+    """A random density at the edge of the density tolerances: smallest
+    eigenvalue -0.9e-10 and trace 1 + shift * 1e-10."""
+    w, v = np.linalg.eigh(random_density(rng, d, real=real).matrix)
+    w[0] = -0.9e-10
+    w[-1] += 1.0 + shift * 1e-10 - w.sum()
+    return DensityMatrix((v * w) @ v.conj().T)
+
+
+def _assert_valid_blocks(blocks: list, psd_tol: float, trace_tol: float) -> None:
+    """Each block exactly Hermitian with smallest eigenvalue >= -psd_tol,
+    and the traces summing to 1 within trace_tol."""
+    for b in blocks:
+        assert np.array_equal(b, b.conj().T)
+        assert np.linalg.eigvalsh(b)[0] >= -psd_tol
+    assert abs(sum(np.trace(b).real for b in blocks) - 1.0) <= trace_tol
 
 
 def _reduced_data(ts: TrainingSet) -> np.ndarray:
@@ -211,7 +229,7 @@ class TestChannelPower:
     def test_ten_million_steps(self, rng):
         sources, sigma = _random_sources(rng, 4, 3), random_density(rng, 4)
         res = simulate_evolution(sources, sigma, EvolutionConfig(1.0, steps=10**7))
-        exact = exact_conjugation(hermitian_eig(res.generator), sigma, 1.0)
+        exact = exact_conjugation(hermitian_eig(mix_program_states(sources).generator), sigma, 1.0)
         assert _gap(res.state.matrix, exact.matrix) <= 1e-6
 
     def test_one_decomposition_each(self, rng, eig_calls):
@@ -601,6 +619,52 @@ class TestProperties:
         assert not np.any(comb.sum(axis=1))
         assert np.all(np.diag(norm) == 1.0)
         assert np.linalg.eigvalsh(norm)[-1] <= 2.0 + 1e-10
+
+    @given(m=st.integers(2, 40), p=st.integers(1, 6), seed=seeds, extra=st.integers(0, 100),
+           scale=st.sampled_from([2.0**-530, 1e-100, 1.0, 1e100, 1e150]))
+    def test_built_densities(self, m, p, seed, extra, scale):
+        """What ``kernel_density`` and ``laplacian_density`` no longer check
+        at run time, on features from ~1e-161 (whose products are
+        subnormal) to ~1e151: each density is exactly symmetric, PSD within
+        1e-10 and of unit trace within 1e-10, so the public check passes
+        and leaves its matrix bit for bit."""
+        rng = np.random.default_rng(seed)
+        x = rng.choice([-1.0, 1.0], size=(m, p)) * rng.uniform(0.1, 10.0, size=(m, p)) * scale
+        labels = np.zeros(m)
+        labels[0] = 1.0
+        g = random_connected_graph(rng, m, extra)
+        for rho in (kernel_density(TrainingSet(x, labels, 1)), laplacian_density(g)):
+            _assert_valid_blocks([rho.matrix], 1e-10, 1e-10)
+            assert np.array_equal(DensityMatrix(rho.matrix).matrix, rho.matrix)
+
+    @given(d=st.integers(2, 24), seed=seeds, source=st.sampled_from(["built", "random", "edge"]),
+           real=st.booleans(), trace_shift=st.sampled_from([-0.9, 0.0, 0.9]),
+           log_weights=st.lists(st.floats(-300.0, 300.0), min_size=3, max_size=3))
+    def test_built_program_states(self, d, seed, source, real, trace_shift, log_weights):
+        """What the program-state builders and ``mix_program_states`` no
+        longer check at run time: from densities K and L that the package
+        built, that are random, or that sit at the edge of the density
+        tolerances (smallest eigenvalue -0.9e-10, trace 1 +- 0.9e-10), the
+        K, K K and K L K blocks and a mixture of the three with weights from
+        1e-300 to 1e300 are exactly Hermitian, PSD and of unit total trace:
+        within 1e-10 from valid densities, within the channel tolerances
+        from edge ones.  The public ``ProgramState`` check passes on each and
+        leaves its blocks bit for bit."""
+        rng = np.random.default_rng(seed)
+        if source == "built":
+            k = kernel_density(random_training_set(rng, d, int(rng.integers(1, 5))))
+            l = laplacian_density(random_connected_graph(rng, d))
+        elif source == "random":
+            k, l = (random_density(rng, d, real=real) for _ in range(2))
+        else:
+            k, l = (_edge_density(rng, d, real, trace_shift) for _ in range(2))
+        psd_tol, trace_tol = (1e-8, 1e-9) if source == "edge" else (1e-10, 1e-10)
+        states = [make_program_state_k(k), make_program_state_kk(k), make_program_state_klk(k, l)]
+        mixture = mix_program_states([(10.0**w, ps) for w, ps in zip(log_weights, states)])
+        for ps in states + [mixture]:
+            _assert_valid_blocks([ps.rho0, ps.rho1], psd_tol, trace_tol)
+            checked = ProgramState(ps.rho0, ps.rho1)
+            assert np.array_equal(checked.rho0, ps.rho0) and np.array_equal(checked.rho1, ps.rho1)
 
     @given(m=st.integers(2, 6), seed=seeds)
     def test_laplacian_density(self, m, seed):

@@ -143,12 +143,12 @@ class TestRunPipeline:
         assert complex_calls and not any(complex_calls)
 
     def test_only_real_validations(self, eig_calls):
-        # the slope diagnostic builds no complex density to validate: what is
-        # left are the eigvalsh checks of K, L, the six program-state blocks
-        # and the two blocks of the mixture
+        # the slope diagnostic builds no complex density to validate, and K,
+        # L, the program states and their mixture are PSD by construction:
+        # no validation is left
         run_pipeline(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
         assert not [name for name, a in eig_calls if np.iscomplexobj(a)]
-        assert sum(name == "eigvalsh" for name, _ in eig_calls) == 10
+        assert sum(name == "eigvalsh" for name, _ in eig_calls) == 0
 
     def test_non_finite_one_step_error_is_numerical_error(self):
         ps = make_program_state_k(DensityMatrix(np.eye(3) / 3))
@@ -169,10 +169,15 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("runner, eigh, eigvalsh", [
         (run_classical, 1, 0),  # A/tr(A) only: the built Laplacian is not re-checked
-        (run_pipeline, 4, 10),
+        # A/tr(A) and the K, K K, K L K generators; nothing built is re-checked
+        (run_pipeline, 4, 0),
+        # the three generators; the checks left are of the probe state, the
+        # 6 trajectory outputs and the 3 exact conjugations
+        (bench_lmr, 3, 10),
     ])
     def test_decomposition_counts(self, eig_calls, runner, eigh, eigvalsh):
-        runner(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
+        testset = () if runner is bench_lmr else (DATA / "grid_20.csv",)
+        runner(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", *testset)
         names = [name for name, _ in eig_calls]
         assert (names.count("eigh"), names.count("eigvalsh")) == (eigh, eigvalsh)
 

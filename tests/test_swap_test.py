@@ -268,7 +268,7 @@ class TestOnePointPath:
 
     @settings(max_examples=60)
     @given(p=st.sampled_from([1, 7, 8, 9, 130]), m=st.integers(1, 12), n=st.integers(1, 9),
-           scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
+           scale=st.sampled_from([1e-200, 1e-160, 1e-150, 1e-3, 1.0, 1e3, 1e150, 1e200]),
            fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_one_point_calls_equal_a_block_row_by_row(self, p, m, n, scale, fortran, seed):
         # p crosses numpy's pairwise-sum (8) and BLAS unroll boundaries
@@ -292,6 +292,26 @@ class TestOnePointPath:
                     assert got == want[i]
                 assert type(one.label) is type(result.label[i]) is np.int64
                 assert type(one.p_estimate) is type(result.p_estimate[i]) is np.float64
+
+    @pytest.mark.parametrize("point", [[1e200, 0.0], [-1e300, 1e300], [1e-200, 0.0],
+                                       [1e-160, -3e-161]],
+                             ids=["overflow", "overflow_both", "underflow", "subnormal"])
+    def test_extreme_norm_reads_as_its_scaled_copy(self, cluster8, rng, point):
+        # the squared norm overflows, underflows to 0 or is subnormal, while
+        # the overlap depends on x / ||x|| only; an overflow warning would
+        # fail the test under the suite's RuntimeWarning filter
+        x = np.array(point)
+        scaled = x / np.max(np.abs(x))
+        alpha = rng.normal(size=cluster8.sample_count)
+        want = classify(alpha, scaled, cluster8)
+        one = classify(alpha, x, cluster8)
+        block = classify(alpha, np.stack([scaled, x, [1.0, 2.0]]), cluster8)
+        assert one.label == want.label == block.label[1] == block.label[0]
+        assert one.p_estimate == want.p_estimate == block.p_estimate[1]
+        # sampled: row 0 of a block and a one-point call draw from seed 3
+        sampled = [classify(alpha, q, cluster8, shots=50, seed=3).p_estimate
+                   for q in (np.stack([x, scaled]), x, scaled)]
+        assert sampled[0][0] == sampled[1] == sampled[2]
 
     @pytest.mark.parametrize("rows, first_bad, message", [
         ([[1.0, 2.0], [0.0, 0.0], [np.nan, 1.0], [3.0, 4.0]], 1, "cannot encode a zero query point"),
