@@ -121,7 +121,8 @@ def _row_norms(x: TrainingSet) -> np.ndarray:
 @overflow_guard("the kernel density")
 def kernel_density(x: TrainingSet) -> DensityMatrix:
     """Trace-normalized linear-kernel density: Tr_2 |X><X| = X X^T / ||X||_F^2,
-    from features below 1 scaled up by an exact power of two (no subnormal products)."""
+    from features below 1 scaled up by an exact power of two (no subnormal
+    products)."""
     _row_norms(x)
     top = np.max(np.abs(x.features))
     f = np.ldexp(x.features, -np.frexp(top)[1]) if top < 1.0 else x.features

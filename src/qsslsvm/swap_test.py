@@ -20,12 +20,12 @@ whose sqrt, *, /, min and max round as numpy's elementwise ops do, and
 takes its dot products from ``np.vdot`` and ``ndarray.dot``, the same
 BLAS ddot as ``np.vecdot`` on a block row, so row i of a block equals a
 one-point call on it bit for bit.  A query whose squared norm overflows
-or is subnormal is read out as x / max|x_i|.  The array expressions that a block takes
-spend ~12 us per one-point call on numpy dispatch over 0-d arrays; the
-scalar path takes ~4 us (m = 24, p = 4, 2-core x86-64), and a readout
-one test point per call pays this per point.  P < 1/2 means positive
-overlap and a positive predicted label; for the linear kernel the
-overlap sign equals the sign of the classical decision score.  The
+or underflows is read out as x / max|x_i|.  The array expressions that
+a block takes spend ~12 us per one-point call on numpy dispatch over 0-d
+arrays; the scalar path takes ~4 us (m = 24, p = 4, 2-core x86-64), and
+a readout one test point per call pays this per point.  P < 1/2 means
+positive overlap and a positive predicted label; for the linear kernel
+the overlap sign equals the sign of the classical decision score.  The
 state construction and the ancilla circuit are the test oracle in
 ``tests/dilation.py``.
 """
@@ -44,7 +44,8 @@ from .errors import DegenerateSystemError, EncodingError, LayoutError, Parameter
 #: are flagged as ambiguous.
 _AMBIGUITY_SIGMAS = 3.0
 
-_TINY = np.finfo(np.float64).tiny  #: a smaller squared query norm is rescaled
+#: A squared query norm below this (subnormal or 0), or not finite, is rescaled.
+_TINY = float(np.finfo(np.float64).tiny)
 
 #: A one-point label by ``P <= 1/2``, the scalar type of ``2 * (P <= 0.5) - 1``.
 _LABELS = {True: np.int_(1), False: np.int_(-1)}
