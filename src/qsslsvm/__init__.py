@@ -15,7 +15,9 @@ from .classical import (
     AssembledSystem,
     KernelSpec,
     ModelSolution,
+    assemble_factored,
     assemble_system,
+    kernel_features,
     kernel_matrix,
     predict,
     solve_classical,

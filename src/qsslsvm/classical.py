@@ -5,26 +5,42 @@ and a graph-smoothness term, which reduces to the linear system
 
     (K/gamma + K K + K L K / gamma) alpha = K y.
 
-Its matrix is formed from two dense products, A = K/gamma + K (K + L K /
-gamma), and then symmetrized.  The solver works on the trace-normalized
-matrix A/tr(A) with eigenvalue filtering, so the classical solution and
-the quantum-simulated one invert the identical matrix.  An
-``AssembledSystem`` decomposes A/tr(A) once (``spectrum``); the classical
-solve, the phase-estimation solve and the pipeline's residual projection
-all read that one decomposition.  This module is the ground-truth oracle
-for the quantum pipeline.
+The solver works on the trace-normalized matrix A/tr(A) with eigenvalue
+filtering, so the classical solution and the quantum-simulated one invert
+the identical matrix.  An ``AssembledSystem`` decomposes A/tr(A) once
+(``spectrum``); the classical solve, the phase-estimation solve and the
+pipeline's residual projection all read that one decomposition.
+
+A is held in one of two forms.  ``assemble_system`` forms it dense from two
+products, A = K/gamma + K (K + L K / gamma), and symmetrizes it.  A kernel
+with an explicit feature map of r < m columns, K = F F^T, is held factored
+by ``assemble_factored``:
+
+    A = F C F^T,   C = I/gamma + F^T F + F^T (L F) / gamma   (r x r).
+
+With a thin QR F = Q R, the nonzero spectrum of A/tr(A) is that of the
+r x r core S = R C R^T / tr(S), and its eigenvectors are Q U_S; the rhs is
+F (F^T y) and A v is F (C (F^T v)).  ``train_semi_supervised`` takes that
+form for the linear kernel (F = X, r = p) and for a polynomial kernel with
+offset c >= 0 (``KernelSpec.features``), so it makes no m x m product or
+decomposition there; rbf kernels, negative offsets and r >= m take the
+dense form.  This module is the ground-truth oracle for the quantum
+pipeline.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .datasets import LaplacianMatrix, TrainingSet
 from .errors import DegenerateSystemError, LayoutError, NumericalError, ParameterError
-from .linalg import SpectralDecomposition, hermitian_eig, overflow_guard
+from .linalg import SpectralDecomposition, as_matrix, hermitian_eig, overflow_guard
 
 _EPS = np.finfo(np.float64).eps
 
@@ -32,7 +48,11 @@ _EPS = np.finfo(np.float64).eps
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel function: linear, polynomial (x.y + offset)^degree, or
-    Gaussian rbf exp(-||x - y||^2 / (2 width^2))."""
+    Gaussian rbf exp(-||x - y||^2 / (2 width^2)).
+
+    A polynomial degree is an integer >= 1 (an integral float is stored as
+    an int, a bool is rejected) and its offset is finite; an rbf width is
+    finite and positive."""
 
     kind: str = "linear"
     degree: int = 3
@@ -42,10 +62,15 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "poly", "rbf"):
             raise ParameterError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "poly" and (int(self.degree) != self.degree or self.degree < 1):
-            raise ParameterError(f"polynomial degree must be an integer >= 1, got {self.degree}")
-        if self.kind == "rbf" and not self.width > 0:
-            raise ParameterError(f"rbf width must be positive, got {self.width}")
+        if self.kind == "poly":
+            d = self.degree
+            if isinstance(d, (bool, np.bool_)) or not float(d).is_integer() or d < 1:
+                raise ParameterError(f"polynomial degree must be an integer >= 1, got {d}")
+            object.__setattr__(self, "degree", int(d))
+            if not math.isfinite(self.offset):
+                raise ParameterError(f"polynomial offset must be finite, got {self.offset}")
+        if self.kind == "rbf" and not 0 < self.width < math.inf:
+            raise ParameterError(f"rbf width must be finite and positive, got {self.width}")
 
     @classmethod
     def parse(cls, text: str) -> "KernelSpec":
@@ -75,9 +100,42 @@ class KernelSpec:
             return inner
         if self.kind == "poly":
             return (inner + self.offset) ** self.degree
-        sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2 * inner
+        sq = np.clip(np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2 * inner,
+                     0.0, None)
+        scale = 2.0 * self.width**2
+        if scale == 0.0:  # 2 width^2 underflows: the limit of a vanishing width
+            return (sq == 0.0).astype(np.float64)
         with np.errstate(over="ignore"):  # an exponent overflowing to -inf gives 0
-            return np.exp(-np.clip(sq, 0.0, None) / (2.0 * self.width**2))
+            return np.exp(-sq / scale)
+
+    def feature_count(self, p: int) -> int | None:
+        """Columns r of the explicit feature map (``features``) of points
+        with ``p`` coordinates, or None for a kernel without one (rbf, or a
+        polynomial with a negative offset)."""
+        if self.kind == "linear":
+            return p
+        if self.kind == "poly" and self.offset >= 0:
+            return math.comb(p + self.degree - (self.offset == 0), self.degree)
+        return None
+
+    def features(self, a: np.ndarray) -> np.ndarray:
+        """Feature rows F with F F^T = gram(a, a), for a kernel with a
+        ``feature_count``.  Linear: the points themselves.  Polynomial: the
+        degree-d monomials of (x, sqrt(offset)), each weighted by the square
+        root of its multinomial coefficient, since (x.y + c)^d is the d-th
+        power of (x, sqrt c).(y, sqrt c); at offset 0 the constant column is
+        dropped."""
+        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+        if self.kind == "linear":
+            return a
+        if self.offset > 0:
+            a = np.hstack([a, np.full((a.shape[0], 1), math.sqrt(self.offset))])
+        d = self.degree
+        monomials = list(combinations_with_replacement(range(a.shape[1]), d))
+        # log of the multinomial d! / prod(n_k!) over each index's multiplicity n_k
+        log_weights = [math.lgamma(d + 1) - sum(math.lgamma(n + 1) for n in Counter(mono).values())
+                       for mono in monomials]
+        return np.prod(a[:, np.array(monomials)], axis=2) * np.exp(0.5 * np.array(log_weights))
 
 
 @overflow_guard("the kernel matrix")
@@ -90,14 +148,75 @@ def kernel_matrix(x: TrainingSet, spec: KernelSpec) -> np.ndarray:
     return (k + k.T) / 2
 
 
-@dataclass(frozen=True)
-class AssembledSystem:
-    """Left-hand matrix A = K/gamma + K K + K L K / gamma and rhs K y."""
+@overflow_guard("the kernel matrix")
+def kernel_features(x: TrainingSet, spec: KernelSpec) -> np.ndarray | None:
+    """Feature rows F of the training samples, F F^T = ``kernel_matrix(x,
+    spec)``, when the kernel has an explicit feature map of fewer than m
+    columns (``KernelSpec.feature_count``); None otherwise.
 
-    a_matrix: np.ndarray
-    rhs: np.ndarray
-    gamma: float
-    trace_a: float
+    K is PSD, so its largest entry lies on its diagonal: 2 max_i K_ii
+    overflows exactly when ``kernel_matrix``'s (K + K^T)/2 does, and raises
+    the same error at O(m p) cost.
+    """
+    m, p = x.features.shape
+    r = spec.feature_count(p)
+    if r is None or r >= m:
+        return None
+    diag = np.sum(x.features * x.features, axis=1)
+    if spec.kind == "poly":
+        diag = (diag + spec.offset) ** spec.degree
+    2.0 * np.max(diag)  # evaluated for its overflow only
+    return spec.features(x.features)
+
+
+class AssembledSystem:
+    """Left-hand matrix A = K/gamma + K K + K L K / gamma, its trace and the
+    right-hand side K y.
+
+    ``AssembledSystem(a_matrix, rhs, gamma, trace_a)`` holds a caller's
+    dense A, and ``spectrum`` checks that A/tr(A) is symmetric
+    (``hermitian_eig``).  The systems that ``assemble_system`` (``_built``)
+    and ``assemble_factored`` (``_factored``) build are symmetrized before
+    they are divided by their trace, so their ``spectrum`` decomposes them
+    with no such check.  A factored system forms ``a_matrix`` only when a
+    caller asks for it.
+    """
+
+    def __init__(self, a_matrix: np.ndarray, rhs: np.ndarray, gamma: float, trace_a: float):
+        self._a = a_matrix
+        self.rhs = rhs
+        self.gamma = gamma
+        self.trace_a = trace_a
+        self._symmetric = False
+        #: (F, C, Q, S) of the factored form, A = F C F^T with F = Q R and
+        #: S = R C R^T / tr(A); None for a dense A
+        self._factors: tuple[np.ndarray, ...] | None = None
+
+    @classmethod
+    def _built(cls, a: np.ndarray, rhs: np.ndarray, gamma: float, trace_a: float) -> AssembledSystem:
+        """Wrap a dense A that ``assemble_system`` symmetrized: A/tr(A) is
+        then exactly symmetric and needs only its finite check."""
+        sys = cls(a, rhs, gamma, trace_a)
+        sys._symmetric = True
+        return sys
+
+    @classmethod
+    def _factored(cls, factors: tuple[np.ndarray, ...], rhs: np.ndarray, gamma: float,
+                  trace_a: float) -> AssembledSystem:
+        """Hold A by the factors ``(F, C, Q, S)`` of ``assemble_factored``."""
+        sys = cls(None, rhs, gamma, trace_a)
+        sys._factors = factors
+        return sys
+
+    @property
+    def a_matrix(self) -> np.ndarray:
+        """Dense A, formed on first use from the factored form."""
+        if self._a is None:
+            f, c = self._factors[:2]
+            with overflow_guard("the system matrix"):
+                a = (f @ c) @ f.T
+                self._a = (a + a.T) / 2
+        return self._a
 
     def normalized_matrix(self) -> np.ndarray:
         """A / tr(A), the matrix both solution paths invert."""
@@ -105,9 +224,24 @@ class AssembledSystem:
             raise DegenerateSystemError("system matrix has non-positive trace")
         return self.a_matrix / self.trace_a
 
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A v; O(m r) in the factored form."""
+        if self._factors is None:
+            return self.a_matrix @ v
+        f, c = self._factors[:2]
+        return f @ (c @ (f.T @ v))
+
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
-        """A/tr(A) decomposed on first use, shared by every consumer."""
+        """A/tr(A) decomposed on first use, shared by every consumer; only
+        its nonzero part (r eigenpairs) in the factored form."""
+        if self._factors is not None:
+            q, s = self._factors[2:]
+            w, u = np.linalg.eigh(s)
+            return SpectralDecomposition(w[::-1].copy(), q @ u[:, ::-1])
+        if self._symmetric:
+            w, v = np.linalg.eigh(as_matrix(self.normalized_matrix()))
+            return SpectralDecomposition(w[::-1].copy(), np.ascontiguousarray(v[:, ::-1]))
         return hermitian_eig(self.normalized_matrix())
 
 
@@ -137,7 +271,40 @@ def assemble_system(
     del inner  # no more than two m x m temporaries at a time
     a += k / gamma
     a = (a + a.T) / 2
-    return AssembledSystem(a, k @ y, float(gamma), float(np.trace(a)))
+    return AssembledSystem._built(a, k @ y, float(gamma), float(np.trace(a)))
+
+
+@overflow_guard("the system matrix")
+def assemble_factored(
+    f: np.ndarray,
+    l: np.ndarray | LaplacianMatrix,
+    y: np.ndarray,
+    gamma: float,
+) -> AssembledSystem:
+    """Build the training system for K = F F^T from the m x r feature rows
+    ``f`` in factored form (module docstring); the only m x m array read is
+    the Laplacian ``l``."""
+    if gamma <= 0:
+        raise ParameterError(f"gamma must be positive, got {gamma}")
+    f = np.ascontiguousarray(f, dtype=np.float64)
+    lm = l.matrix if isinstance(l, LaplacianMatrix) else np.ascontiguousarray(l, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64).reshape(-1)
+    m = f.shape[0]
+    if f.ndim != 2 or lm.shape != (m, m) or y.shape != (m,):
+        raise LayoutError(
+            f"dimension mismatch: F {f.shape}, L {lm.shape}, y {y.shape}"
+        )
+    c = f.T @ (lm @ f)
+    c /= gamma
+    c += f.T @ f
+    c += np.eye(f.shape[1]) / gamma
+    q, r = np.linalg.qr(f)
+    s = r @ c @ r.T
+    s = (s + s.T) / 2
+    trace_a = float(np.trace(s))
+    if trace_a <= 0:
+        raise DegenerateSystemError("system matrix has non-positive trace")
+    return AssembledSystem._factored((f, c, q, s / trace_a), f @ (f.T @ y), float(gamma), trace_a)
 
 
 @dataclass(frozen=True)
@@ -168,7 +335,9 @@ def solve_classical(
     if sigma_filter < 0:
         raise ParameterError(f"sigma_filter must be >= 0, got {sigma_filter}")
     lam = sys.spectrum.eigenvalues
-    m = lam.shape[0]
+    # a thin spectrum stands for m eigenvalues, its implicit zeros included;
+    # those zeros pass the PSD check and lie below any threshold
+    m = sys.spectrum.eigenvectors.shape[0]
     if lam[-1] < -1e-8 * max(1.0, abs(lam[0])):
         raise NumericalError(f"matrix is not PSD (min eigenvalue {lam[-1]:.3e})")
     sigma_eff = sigma_filter or max(float(lam[0]), _EPS) * m * _EPS * 100
@@ -204,7 +373,7 @@ def predict(model: ModelSolution, x_new: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def objective_gradient(sys: AssembledSystem, alpha: np.ndarray) -> np.ndarray:
     """Gradient A alpha - K y of the training objective."""
-    return sys.a_matrix @ np.asarray(alpha, dtype=np.float64) - sys.rhs
+    return sys.matvec(np.asarray(alpha, dtype=np.float64)) - sys.rhs
 
 
 def train_semi_supervised(
@@ -214,8 +383,13 @@ def train_semi_supervised(
     gamma: float,
     sigma_filter: float,
 ) -> tuple[ModelSolution, AssembledSystem]:
-    """Convenience wrapper: kernel matrix, system assembly, and solve."""
-    k = kernel_matrix(x, kernel)
-    sys = assemble_system(k, lap, x.labels, gamma)
+    """Kernel, system assembly, and solve: the factored form when the kernel
+    has an explicit feature map of fewer than m columns
+    (``kernel_features``), the dense form otherwise."""
+    f = kernel_features(x, kernel)
+    if f is None:
+        sys = assemble_system(kernel_matrix(x, kernel), lap, x.labels, gamma)
+    else:
+        sys = assemble_factored(f, lap, x.labels, gamma)
     model = solve_classical(sys, sigma_filter, kernel=kernel, training_features=x.features)
     return model, sys

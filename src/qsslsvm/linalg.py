@@ -55,17 +55,25 @@ def overflow_guard(what: str):
 class SpectralDecomposition:
     """Eigenvalues in descending order with matching orthonormal columns.
 
-    Ordering inside a degenerate eigenspace is arbitrary; only matrix
-    functions ``V diag(f(w)) V^dagger`` are contractual.
+    A thin decomposition of an m x m matrix holds only its nonzero part:
+    eigenvalues of shape ``(r,)`` and columns of shape ``(m, r)``, r < m,
+    the other m - r eigenvalues being 0.  Ordering inside a degenerate
+    eigenspace is arbitrary; only matrix functions are contractual.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def apply(self, f) -> np.ndarray:
-        """Matrix function ``V diag(f(w)) V^dagger`` for a vectorized f."""
+        """Matrix function ``V diag(f(w)) V^dagger + f(0) (I - V V^dagger)``
+        for a vectorized f; the second term is zero unless the
+        decomposition is thin."""
         v = self.eigenvectors
-        return (v * f(self.eigenvalues)) @ v.conj().T
+        out = (v * f(self.eigenvalues)) @ v.conj().T
+        m, r = v.shape
+        if r < m:
+            out = out + f(np.zeros(1))[0] * (np.eye(m) - v @ v.conj().T)
+        return out
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

@@ -1,15 +1,20 @@
 """Tests for the classical semi-supervised LS-SVM solver."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import objective_value, random_connected_graph
+from conftest import objective_value, random_connected_graph, random_training_set
 from qsslsvm.classical import (
+    AssembledSystem,
     KernelSpec,
     ModelSolution,
+    assemble_factored,
     assemble_system,
+    kernel_features,
     kernel_matrix,
     objective_gradient,
     predict,
@@ -25,7 +30,14 @@ from qsslsvm.datasets import (
     normalized_laplacian,
 )
 from qsslsvm.encodings import kernel_density, laplacian_density
-from qsslsvm.errors import DegenerateSystemError, LayoutError, NumericalError, ParameterError
+from qsslsvm.errors import (
+    DegenerateSystemError,
+    LayoutError,
+    NumericalError,
+    ParameterError,
+    SymmetryError,
+)
+from qsslsvm.linalg import hermitian_eig
 
 
 class TestKernelSpec:
@@ -45,6 +57,26 @@ class TestKernelSpec:
             KernelSpec("poly", degree=0)
         with pytest.raises(ParameterError):
             KernelSpec("rbf", width=0.0)
+
+    @pytest.mark.parametrize("kind, arg, value", [
+        ("poly", "offset", math.nan), ("poly", "offset", math.inf), ("poly", "offset", -math.inf),
+        ("rbf", "width", math.nan), ("rbf", "width", math.inf),
+    ])
+    def test_non_finite_offset_or_width(self, kind, arg, value):
+        with pytest.raises(ParameterError, match="must be finite"):
+            KernelSpec(kind, **{arg: value})
+        text = f"poly:2,{value}" if kind == "poly" else f"rbf:{value}"
+        with pytest.raises(ParameterError):
+            KernelSpec.parse(text)
+
+    @pytest.mark.parametrize("degree", [True, np.True_, 2.5, math.inf, math.nan])
+    def test_degree_not_an_integer(self, degree):
+        with pytest.raises(ParameterError, match="degree must be an integer"):
+            KernelSpec("poly", degree=degree)
+
+    @pytest.mark.parametrize("degree", [2.0, np.float64(2.0), np.int64(2)])
+    def test_integral_degree_stored_as_int(self, degree):
+        assert type(KernelSpec("poly", degree=degree).degree) is int
 
 
 class TestKernelMatrix:
@@ -69,10 +101,12 @@ class TestKernelMatrix:
         k = kernel_matrix(ts, KernelSpec("poly", degree=2, offset=1.0))
         assert np.linalg.eigvalsh(k)[0] >= -1e-9
 
-    def test_rbf_exponent_past_float64_is_zero(self):
-        # the squared distance is finite, its ratio to 2 width^2 is not
+    @pytest.mark.parametrize("width", [1e-150, 1e-300])
+    def test_rbf_exponent_past_float64_is_zero(self, width):
+        # the squared distance is finite, its ratio to 2 width^2 is not; at
+        # 1e-300, 2 width^2 itself underflows to 0 (a warning would fail)
         ts = TrainingSet(np.array([[0.0, 1.0], [1e5, 1.0]]), np.array([1.0, -1.0]), 2)
-        assert np.array_equal(kernel_matrix(ts, KernelSpec("rbf", width=1e-150)), np.eye(2))
+        assert np.array_equal(kernel_matrix(ts, KernelSpec("rbf", width=width)), np.eye(2))
 
     @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("poly", 2, 1.0),
                                         KernelSpec("rbf", width=1.0)], ids=lambda k: k.kind)
@@ -140,6 +174,22 @@ class TestAssembleSystem:
     def test_dimension_mismatch(self):
         with pytest.raises(LayoutError):
             assemble_system(np.eye(2), np.zeros((3, 3)), np.array([1.0, -1.0]), 1.0)
+
+    def test_built_spectrum_is_the_checked_one(self, rng):
+        # A/tr(A) is exactly symmetric, so skipping hermitian_eig's
+        # symmetrized copy and deviation scan changes no bit
+        x = rng.normal(size=(30, 4))
+        lm = laplacian(random_connected_graph(rng, 30, 30), "normalized").matrix
+        sys = assemble_system(x @ x.T, lm, np.ones(30), 0.7)
+        checked = hermitian_eig(sys.normalized_matrix())
+        assert np.array_equal(sys.spectrum.eigenvalues, checked.eigenvalues)
+        assert np.array_equal(sys.spectrum.eigenvectors, checked.eigenvectors)
+        assert sys.spectrum.eigenvectors.flags.c_contiguous
+
+    def test_callers_system_is_checked(self):
+        a = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(SymmetryError):
+            AssembledSystem(a, np.ones(2), 1.0, 2.0).spectrum
 
     def test_overflow_is_numerical_error(self):
         k = np.full((2, 2), 1e200)
@@ -280,3 +330,143 @@ class TestSolverProperties:
         model, sys = train_semi_supervised(cluster8, lap, KernelSpec("linear"), 1.0, 1e-9)
         grad = objective_gradient(sys, model.alpha)
         assert np.allclose(grad, sys.a_matrix @ model.alpha - sys.rhs)
+
+
+#: Kernels with an explicit feature map: linear, and polynomial with offset
+#: 0 (no constant column) or positive.
+_FINITE_RANK_KERNELS = st.one_of(
+    st.just(KernelSpec("linear")),
+    st.builds(lambda d, c: KernelSpec("poly", degree=d, offset=c),
+              st.integers(1, 3), st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+)
+
+
+@st.composite
+def _both_forms(draw):
+    """A random problem with r < m <= 300 and its system in the factored
+    form and in the dense form, the oracle."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    p = draw(st.integers(1, 5))
+    kernel = draw(_FINITE_RANK_KERNELS)
+    r = kernel.feature_count(p)
+    assume(r < 300)
+    m = draw(st.integers(r + 1, 300))
+    kind = draw(st.sampled_from(["combinatorial", "normalized"]))
+    gamma = draw(st.floats(1e-2, 1e2))
+    rng = np.random.default_rng(seed)
+    ts = random_training_set(rng, m, p)
+    lap = laplacian(random_connected_graph(rng, m, m), kind)
+    thin = assemble_factored(kernel_features(ts, kernel), lap, ts.labels, gamma)
+    dense = assemble_system(kernel_matrix(ts, kernel), lap, ts.labels, gamma)
+    return thin, dense
+
+
+class TestFactoredRoute:
+    """The factored form A = F C F^T against the dense form as the oracle."""
+
+    @given(m=st.integers(1, 40), p=st.integers(1, 5), kernel=_FINITE_RANK_KERNELS,
+           seed=st.integers(0, 2**32 - 1))
+    def test_features_reproduce_the_gram_matrix(self, m, p, kernel, seed):
+        x = np.random.default_rng(seed).normal(size=(m, p))
+        f = kernel.features(x)
+        k = kernel.gram(x, x)
+        assert f.shape == (m, kernel.feature_count(p))
+        assert np.max(np.abs(f @ f.T - k)) <= 1e-12 * np.max(np.abs(k))
+
+    def test_feature_counts(self):
+        assert KernelSpec("linear").feature_count(8) == 8
+        assert KernelSpec("poly", 2, 1.0).feature_count(8) == 45  # C(10, 2)
+        assert KernelSpec("poly", 2, 0.0).feature_count(8) == 36  # C(9, 2): no constant
+        assert KernelSpec("poly", 2, -1.0).feature_count(8) is None
+        assert KernelSpec("rbf").feature_count(8) is None
+
+    @settings(max_examples=40)
+    @given(_both_forms())
+    def test_spectrum_matches_dense(self, systems):
+        thin, dense = systems
+        r = thin.spectrum.eigenvalues.size
+        assert thin.spectrum.eigenvectors.shape == (dense.rhs.size, r)
+        assert np.max(np.abs(thin.spectrum.eigenvalues - dense.spectrum.eigenvalues[:r])) <= 1e-12
+        # a matrix function with f(0) = 1 reads the thin form's null space
+        f = lambda w: np.exp(-0.9j * w)  # noqa: E731
+        assert np.max(np.abs(thin.spectrum.apply(f) - dense.spectrum.apply(f))) <= 1e-12
+        assert np.max(np.abs(thin.matvec(dense.rhs) - dense.a_matrix @ dense.rhs)) <= (
+            1e-12 * np.max(np.abs(dense.a_matrix)) * np.linalg.norm(dense.rhs, 1))
+        assert thin.trace_a == pytest.approx(dense.trace_a, rel=1e-12)
+
+    @settings(max_examples=40)
+    @given(_both_forms())
+    def test_solution_matches_dense(self, systems):
+        thin, dense = systems
+        lam = dense.spectrum.eigenvalues
+        # away from the threshold both forms keep the same eigenvalues
+        if lam[0] >= 0.05 and np.min(np.abs(lam - 0.05)) > 1e-6:
+            alpha = solve_classical(dense, 0.05).alpha
+            err = np.linalg.norm(solve_classical(thin, 0.05).alpha - alpha)
+            assert err <= 1e-8 * np.linalg.norm(alpha)
+        # at the machine threshold, alpha moves with ill-conditioned kept
+        # eigenvalues: compare the residual on the dense retained space
+        m = lam.size
+        keep = dense.spectrum.eigenvectors[:, lam >= max(lam[0], 2.0**-52) * m * 2.0**-52 * 100]
+        resid = keep.T @ (dense.a_matrix @ solve_classical(thin, 0.0).alpha - dense.rhs)
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(keep.T @ dense.rhs)
+
+    def test_machine_threshold_counts_all_m_eigenvalues(self, rng):
+        # eigenvalues of A/tr(A) near 1 and 1e-12: the second lies below
+        # the threshold 100 m eps lambda_0 at m = 300, not below 100 r eps
+        q = np.linalg.qr(rng.normal(size=(300, 2)))[0]
+        f = q * [1.0, math.sqrt(2e-12)]
+        y = rng.normal(size=300)
+        dense = solve_classical(assemble_system(f @ f.T, np.zeros((300, 300)), y, 1.0), 0.0)
+        thin = solve_classical(assemble_factored(f, np.zeros((300, 300)), y, 1.0), 0.0)
+        assert np.linalg.norm(thin.alpha - dense.alpha) <= 1e-8 * np.linalg.norm(dense.alpha)
+
+    @pytest.mark.parametrize("kernel, p, m, rank", [
+        (KernelSpec("linear"), 4, 5, 4),  # r = m - 1: factored
+        (KernelSpec("linear"), 4, 4, 4),  # r = m: dense
+        (KernelSpec("poly", 2, 1.0), 2, 7, 6),  # (x1, x2, 1): C(4, 2) = 6 columns
+        (KernelSpec("poly", 2, 1.0), 2, 6, 6),
+        (KernelSpec("poly", 2, 0.0), 2, 4, 3),  # (x1, x2): C(3, 2) = 3 columns
+        (KernelSpec("poly", 2, -1.0), 2, 12, 12),  # no real feature map: dense
+        (KernelSpec("rbf"), 2, 12, 12),
+    ])
+    def test_route_follows_the_feature_count(self, rng, kernel, p, m, rank):
+        ts = random_training_set(rng, m, p)
+        lap = normalized_laplacian(random_connected_graph(rng, m, m))
+        model, sys = train_semi_supervised(ts, lap, kernel, 1.0, 0.0)
+        assert sys.spectrum.eigenvectors.shape == (m, min(rank, m))
+        resid = sys.a_matrix @ model.alpha - sys.rhs
+        keep = sys.spectrum.eigenvectors
+        assert np.linalg.norm(keep.T @ resid) <= 1e-8 * np.linalg.norm(keep.T @ sys.rhs)
+
+    @pytest.mark.parametrize("kernel, x, fails", [
+        (KernelSpec("linear"), 1e154, True),  # 2 K_ii = 2e308
+        (KernelSpec("linear"), 9e153, False),
+        (KernelSpec("poly", 2, 1.0), 1e77, True),  # 2 (1e154 + 1)^2
+        (KernelSpec("poly", 2, 1.0), 9e76, False),
+    ])
+    def test_features_overflow_like_the_kernel_matrix(self, kernel, x, fails):
+        ts = TrainingSet(np.array([[x], [-x], [1.0], [2.0]]), np.array([1.0, -1.0, 0.0, 0.0]), 2)
+        assert kernel.feature_count(1) < 4
+        for build in (kernel_matrix, kernel_features):
+            if fails:
+                with pytest.raises(NumericalError, match="^float64 overflow in the kernel matrix$"):
+                    build(ts, kernel)
+            else:
+                assert np.all(np.isfinite(build(ts, kernel)))
+
+    def test_core_overflow_is_a_system_matrix_error(self):
+        f = np.array([[1e100], [-1e100], [1.0]])
+        lm = np.eye(3)
+        for assemble, k in ((assemble_factored, f), (assemble_system, f @ f.T)):
+            with pytest.raises(NumericalError, match="^float64 overflow in the system matrix$"):
+                assemble(k, lm, np.array([1.0, -1.0, 0.0]), 1.0)
+
+    def test_a_matrix_formed_on_request(self, cluster8, cluster8_graph):
+        lap = normalized_laplacian(cluster8_graph)
+        _, sys = train_semi_supervised(cluster8, lap, KernelSpec("linear"), 1.0, 0.05)
+        dense = assemble_system(kernel_matrix(cluster8, KernelSpec("linear")), lap,
+                                cluster8.labels, 1.0)
+        assert sys._a is None
+        assert np.max(np.abs(sys.a_matrix - dense.a_matrix)) <= 1e-12 * np.max(dense.a_matrix)
+        assert np.array_equal(sys.a_matrix, sys.a_matrix.T)

@@ -201,9 +201,16 @@ class TestTrain:
         assert main(["train", str(data)]) == 2
         assert capsys.readouterr().err.startswith("error: [ingest] ")
 
-    def test_rbf_kernel(self):
-        assert main(["train", DATASET8, "--knn", "2", "--kernel", "rbf:1.0",
+    # at width 1e-300, 2 width^2 underflows to 0 and K is the identity
+    @pytest.mark.parametrize("kernel", ["rbf:1.0", "rbf:1e-300"])
+    def test_rbf_kernel(self, kernel):
+        assert main(["train", DATASET8, "--knn", "2", "--kernel", kernel,
                      "--sigma-thresh", "1e-9"]) == 0
+
+    @pytest.mark.parametrize("kernel", ["poly:2,nan", "poly:2,inf", "rbf:nan", "rbf:inf"])
+    def test_non_finite_kernel_parameter_is_input_error(self, capsys, kernel):
+        assert main(["train", DATASET8, "--knn", "2", "--kernel", kernel]) == 2
+        assert capsys.readouterr().err == f"error: bad kernel arguments in '{kernel}'\n"
 
 
 class TestSimulate:

@@ -168,7 +168,8 @@ class TestRunPipeline:
             assert not any(a.shape == b.shape and np.array_equal(a, b) for b in inputs[:i])
 
     @pytest.mark.parametrize("runner, eigh, eigvalsh", [
-        (run_classical, 1, 0),  # A/tr(A) only: the built Laplacian is not re-checked
+        # the linear kernel's r x r core only: the built Laplacian is not re-checked
+        (run_classical, 1, 0),
         # A/tr(A) and the K, K K, K L K generators; nothing built is re-checked
         (run_pipeline, 4, 0),
         # the three generators; the checks left are of the probe state, the
@@ -180,6 +181,16 @@ class TestRunPipeline:
         runner(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", *testset)
         names = [name for name, _ in eig_calls]
         assert (names.count("eigh"), names.count("eigvalsh")) == (eigh, eigvalsh)
+
+    @pytest.mark.parametrize("kernel, size", [
+        ("linear", 2),  # the r x r core, r = p = 2
+        ("poly:2,1", 6),  # r = C(p + 2, 2) = 6 < m = 8
+        ("rbf:1", 8),  # no feature map: A/tr(A), m x m
+    ])
+    def test_train_decomposition_sizes(self, eig_calls, kernel, size):
+        cfg = RunConfig(knn_k=2, kernel=KernelSpec.parse(kernel))
+        run_classical(cfg, DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
+        assert [(name, a.shape) for name, a in eig_calls] == [("eigh", (size, size))]
 
     def test_perturbed_classical_system_is_numerical_error(self, monkeypatch):
         assemble = pipeline.assemble_system
