@@ -13,8 +13,8 @@ pipeline's residual projection all read that one decomposition.
 
 A is held in one of two forms.  ``assemble_system`` forms it dense from two
 products, A = K/gamma + K (K + L K / gamma), and symmetrizes it.  A kernel
-with an explicit feature map of r < m columns, K = F F^T, is held factored
-by ``assemble_factored``:
+with an explicit feature map of r < m columns, K = F F^T, can be held
+factored by ``assemble_factored``:
 
     A = F C F^T,   C = I/gamma + F^T F + F^T (L F) / gamma   (r x r).
 
@@ -22,9 +22,10 @@ With a thin QR F = Q R, the nonzero spectrum of A/tr(A) is that of the
 r x r core S = R C R^T / tr(S), and its eigenvectors are Q U_S; the rhs is
 F (F^T y) and A v is F (C (F^T v)).  ``train_semi_supervised`` takes that
 form for the linear kernel (F = X, r = p) and for a polynomial kernel with
-offset c >= 0 (``KernelSpec.features``), so it makes no m x m product or
-decomposition there; rbf kernels, negative offsets and r >= m take the
-dense form.  This module is the ground-truth oracle for the quantum
+offset c >= 0 (``KernelSpec.features``) when r <= m/2, so it makes no
+m x m product or decomposition there; rbf kernels, negative offsets and
+r > m/2, where the factored form is no cheaper (``_FACTORED_MAX_SHARE``),
+take the dense form.  This module is the ground-truth oracle for the quantum
 pipeline.
 """
 
@@ -43,6 +44,14 @@ from .errors import DegenerateSystemError, LayoutError, NumericalError, Paramete
 from .linalg import SpectralDecomposition, as_matrix, hermitian_eig, overflow_guard
 
 _EPS = np.finfo(np.float64).eps
+
+#: ``train`` takes the factored route when the kernel's feature count r is
+#: at most this share of m.  Measured on one BLAS thread (README Scale
+#: limits), the factored route is about 2.5x faster than the dense one at
+#: r = m/2 and its peak memory is the dense route's; above that its m x r
+#: arrays outgrow the dense route's m x m ones, and from r ~ 0.75 m it is
+#: slower.
+_FACTORED_MAX_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -77,17 +86,17 @@ class KernelSpec:
         """Parse CLI syntax: ``linear``, ``poly:D,C`` or ``rbf:W``."""
         name, _, args = text.partition(":")
         name = name.strip().lower()
+        if name not in ("linear", "poly", "rbf"):
+            raise ParameterError(f"unknown kernel {text!r} (expected linear|poly:d,c|rbf:w)")
         try:
-            if name == "linear":
-                return cls("linear")
             if name == "poly":
                 d_str, _, c_str = args.partition(",")
-                return cls("poly", degree=int(d_str), offset=float(c_str) if c_str else 1.0)
-            if name == "rbf":
-                return cls("rbf", width=float(args))
+                values = {"degree": int(d_str), "offset": float(c_str) if c_str else 1.0}
+            else:
+                values = {"width": float(args)} if name == "rbf" else {}
         except ValueError:
             raise ParameterError(f"bad kernel arguments in {text!r}") from None
-        raise ParameterError(f"unknown kernel {text!r} (expected linear|poly:d,c|rbf:w)")
+        return cls(name, **values)  # a value out of range raises the constructor's message
 
     def gram(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Kernel values K(a_i, b_j) between rows of two point sets."""
@@ -135,7 +144,11 @@ class KernelSpec:
         # log of the multinomial d! / prod(n_k!) over each index's multiplicity n_k
         log_weights = [math.lgamma(d + 1) - sum(math.lgamma(n + 1) for n in Counter(mono).values())
                        for mono in monomials]
-        return np.prod(a[:, np.array(monomials)], axis=2) * np.exp(0.5 * np.array(log_weights))
+        idx = np.array(monomials)
+        f = a[:, idx[:, 0]]
+        for j in range(1, d):  # one m x r product at a time, no m x r x d temporary
+            f *= a[:, idx[:, j]]
+        return f * np.exp(0.5 * np.array(log_weights))
 
 
 @overflow_guard("the kernel matrix")
@@ -151,22 +164,21 @@ def kernel_matrix(x: TrainingSet, spec: KernelSpec) -> np.ndarray:
 @overflow_guard("the kernel matrix")
 def kernel_features(x: TrainingSet, spec: KernelSpec) -> np.ndarray | None:
     """Feature rows F of the training samples, F F^T = ``kernel_matrix(x,
-    spec)``, when the kernel has an explicit feature map of fewer than m
-    columns (``KernelSpec.feature_count``); None otherwise.
+    spec)``, when the kernel has an explicit feature map of at most
+    ``_FACTORED_MAX_SHARE`` m columns (``KernelSpec.feature_count``); None
+    otherwise.
 
-    K is PSD, so its largest entry lies on its diagonal: 2 max_i K_ii
-    overflows exactly when ``kernel_matrix``'s (K + K^T)/2 does, and raises
-    the same error at O(m p) cost.
+    K is PSD, so its largest entry lies on its diagonal K_ii = sum_j F_ij^2:
+    2 max_i K_ii overflows exactly when ``kernel_matrix``'s (K + K^T)/2
+    does, and raises the same error at O(m r) cost.
     """
     m, p = x.features.shape
     r = spec.feature_count(p)
-    if r is None or r >= m:
+    if r is None or r > _FACTORED_MAX_SHARE * m:
         return None
-    diag = np.sum(x.features * x.features, axis=1)
-    if spec.kind == "poly":
-        diag = (diag + spec.offset) ** spec.degree
-    2.0 * np.max(diag)  # evaluated for its overflow only
-    return spec.features(x.features)
+    f = spec.features(x.features)
+    2.0 * np.max(np.sum(f * f, axis=1))  # evaluated for its overflow only
+    return f
 
 
 class AssembledSystem:
@@ -188,9 +200,9 @@ class AssembledSystem:
         self.gamma = gamma
         self.trace_a = trace_a
         self._symmetric = False
-        #: (F, C, Q, S) of the factored form, A = F C F^T with F = Q R and
-        #: S = R C R^T / tr(A); None for a dense A
-        self._factors: tuple[np.ndarray, ...] | None = None
+        # the factored form A = F C F^T with F = Q R and S = R C R^T / tr(A);
+        # all None for a dense A
+        self._f = self._c = self._q = self._s = None
 
     @classmethod
     def _built(cls, a: np.ndarray, rhs: np.ndarray, gamma: float, trace_a: float) -> AssembledSystem:
@@ -201,20 +213,19 @@ class AssembledSystem:
         return sys
 
     @classmethod
-    def _factored(cls, factors: tuple[np.ndarray, ...], rhs: np.ndarray, gamma: float,
-                  trace_a: float) -> AssembledSystem:
-        """Hold A by the factors ``(F, C, Q, S)`` of ``assemble_factored``."""
+    def _factored(cls, f: np.ndarray, c: np.ndarray, q: np.ndarray, s: np.ndarray,
+                  rhs: np.ndarray, gamma: float, trace_a: float) -> AssembledSystem:
+        """Hold A by the factors F, C, Q and S of ``assemble_factored``."""
         sys = cls(None, rhs, gamma, trace_a)
-        sys._factors = factors
+        sys._f, sys._c, sys._q, sys._s = f, c, q, s
         return sys
 
     @property
     def a_matrix(self) -> np.ndarray:
         """Dense A, formed on first use from the factored form."""
         if self._a is None:
-            f, c = self._factors[:2]
             with overflow_guard("the system matrix"):
-                a = (f @ c) @ f.T
+                a = (self._f @ self._c) @ self._f.T
                 self._a = (a + a.T) / 2
         return self._a
 
@@ -226,19 +237,17 @@ class AssembledSystem:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """A v; O(m r) in the factored form."""
-        if self._factors is None:
+        if self._f is None:
             return self.a_matrix @ v
-        f, c = self._factors[:2]
-        return f @ (c @ (f.T @ v))
+        return self._f @ (self._c @ (self._f.T @ v))
 
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
         """A/tr(A) decomposed on first use, shared by every consumer; only
         its nonzero part (r eigenpairs) in the factored form."""
-        if self._factors is not None:
-            q, s = self._factors[2:]
-            w, u = np.linalg.eigh(s)
-            return SpectralDecomposition(w[::-1].copy(), q @ u[:, ::-1])
+        if self._f is not None:
+            w, u = np.linalg.eigh(self._s)
+            return SpectralDecomposition(w[::-1].copy(), self._q @ u[:, ::-1])
         if self._symmetric:
             w, v = np.linalg.eigh(as_matrix(self.normalized_matrix()))
             return SpectralDecomposition(w[::-1].copy(), np.ascontiguousarray(v[:, ::-1]))
@@ -304,7 +313,7 @@ def assemble_factored(
     trace_a = float(np.trace(s))
     if trace_a <= 0:
         raise DegenerateSystemError("system matrix has non-positive trace")
-    return AssembledSystem._factored((f, c, q, s / trace_a), f @ (f.T @ y), float(gamma), trace_a)
+    return AssembledSystem._factored(f, c, q, s / trace_a, f @ (f.T @ y), float(gamma), trace_a)
 
 
 @dataclass(frozen=True)
@@ -384,7 +393,7 @@ def train_semi_supervised(
     sigma_filter: float,
 ) -> tuple[ModelSolution, AssembledSystem]:
     """Kernel, system assembly, and solve: the factored form when the kernel
-    has an explicit feature map of fewer than m columns
+    has an explicit feature map of at most m/2 columns
     (``kernel_features``), the dense form otherwise."""
     f = kernel_features(x, kernel)
     if f is None:

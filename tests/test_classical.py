@@ -356,7 +356,7 @@ def _both_forms(draw):
     rng = np.random.default_rng(seed)
     ts = random_training_set(rng, m, p)
     lap = laplacian(random_connected_graph(rng, m, m), kind)
-    thin = assemble_factored(kernel_features(ts, kernel), lap, ts.labels, gamma)
+    thin = assemble_factored(kernel.features(ts.features), lap, ts.labels, gamma)
     dense = assemble_system(kernel_matrix(ts, kernel), lap, ts.labels, gamma)
     return thin, dense
 
@@ -422,11 +422,11 @@ class TestFactoredRoute:
         assert np.linalg.norm(thin.alpha - dense.alpha) <= 1e-8 * np.linalg.norm(dense.alpha)
 
     @pytest.mark.parametrize("kernel, p, m, rank", [
-        (KernelSpec("linear"), 4, 5, 4),  # r = m - 1: factored
-        (KernelSpec("linear"), 4, 4, 4),  # r = m: dense
-        (KernelSpec("poly", 2, 1.0), 2, 7, 6),  # (x1, x2, 1): C(4, 2) = 6 columns
-        (KernelSpec("poly", 2, 1.0), 2, 6, 6),
-        (KernelSpec("poly", 2, 0.0), 2, 4, 3),  # (x1, x2): C(3, 2) = 3 columns
+        (KernelSpec("linear"), 4, 8, 4),  # r = m/2: factored
+        (KernelSpec("linear"), 4, 7, 7),  # r > m/2: dense
+        (KernelSpec("poly", 2, 1.0), 2, 12, 6),  # (x1, x2, 1): C(4, 2) = 6 columns
+        (KernelSpec("poly", 2, 1.0), 2, 11, 11),
+        (KernelSpec("poly", 2, 0.0), 2, 6, 3),  # (x1, x2): C(3, 2) = 3 columns
         (KernelSpec("poly", 2, -1.0), 2, 12, 12),  # no real feature map: dense
         (KernelSpec("rbf"), 2, 12, 12),
     ])
@@ -446,8 +446,9 @@ class TestFactoredRoute:
         (KernelSpec("poly", 2, 1.0), 9e76, False),
     ])
     def test_features_overflow_like_the_kernel_matrix(self, kernel, x, fails):
-        ts = TrainingSet(np.array([[x], [-x], [1.0], [2.0]]), np.array([1.0, -1.0, 0.0, 0.0]), 2)
-        assert kernel.feature_count(1) < 4
+        ts = TrainingSet(np.array([[x], [-x], [1.0], [2.0], [3.0], [4.0]]),
+                         np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]), 2)
+        assert kernel.feature_count(1) <= 3  # the factored route
         for build in (kernel_matrix, kernel_features):
             if fails:
                 with pytest.raises(NumericalError, match="^float64 overflow in the kernel matrix$"):

@@ -207,10 +207,18 @@ class TestTrain:
         assert main(["train", DATASET8, "--knn", "2", "--kernel", kernel,
                      "--sigma-thresh", "1e-9"]) == 0
 
-    @pytest.mark.parametrize("kernel", ["poly:2,nan", "poly:2,inf", "rbf:nan", "rbf:inf"])
-    def test_non_finite_kernel_parameter_is_input_error(self, capsys, kernel):
+    @pytest.mark.parametrize("kernel, message", [
+        ("poly:2,nan", "polynomial offset must be finite, got nan"),
+        ("poly:2,inf", "polynomial offset must be finite, got inf"),
+        ("rbf:nan", "rbf width must be finite and positive, got nan"),
+        ("rbf:inf", "rbf width must be finite and positive, got inf"),
+        ("poly:0,1", "polynomial degree must be an integer >= 1, got 0"),
+        ("rbf:-1", "rbf width must be finite and positive, got -1.0"),
+        ("poly:two,1", "bad kernel arguments in 'poly:two,1'"),
+    ])
+    def test_kernel_parameter_is_input_error(self, capsys, kernel, message):
         assert main(["train", DATASET8, "--knn", "2", "--kernel", kernel]) == 2
-        assert capsys.readouterr().err == f"error: bad kernel arguments in '{kernel}'\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSimulate:

@@ -182,14 +182,15 @@ class TestRunPipeline:
         names = [name for name, _ in eig_calls]
         assert (names.count("eigh"), names.count("eigvalsh")) == (eigh, eigvalsh)
 
-    @pytest.mark.parametrize("kernel, size", [
-        ("linear", 2),  # the r x r core, r = p = 2
-        ("poly:2,1", 6),  # r = C(p + 2, 2) = 6 < m = 8
-        ("rbf:1", 8),  # no feature map: A/tr(A), m x m
+    @pytest.mark.parametrize("dataset, kernel, size", [
+        ("mixed_20.csv", "linear", 3),  # the r x r core, r = p = 3
+        ("mixed_20.csv", "poly:2,1", 10),  # r = C(p + 2, 2) = 10 = m/2
+        ("two_cluster_8.csv", "poly:2,1", 8),  # r = C(4, 2) = 6 > m/2: A/tr(A), m x m
+        ("mixed_20.csv", "rbf:1", 20),  # no feature map: A/tr(A), m x m
     ])
-    def test_train_decomposition_sizes(self, eig_calls, kernel, size):
+    def test_train_decomposition_sizes(self, eig_calls, dataset, kernel, size):
         cfg = RunConfig(knn_k=2, kernel=KernelSpec.parse(kernel))
-        run_classical(cfg, DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
+        run_classical(cfg, DATA / dataset)
         assert [(name, a.shape) for name, a in eig_calls] == [("eigh", (size, size))]
 
     def test_perturbed_classical_system_is_numerical_error(self, monkeypatch):
