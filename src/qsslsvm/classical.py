@@ -22,10 +22,11 @@ With a thin QR F = Q R, the nonzero spectrum of A/tr(A) is that of the
 r x r core S = R C R^T / tr(S), and its eigenvectors are Q U_S; the rhs is
 F (F^T y) and A v is F (C (F^T v)).  ``train_semi_supervised`` takes that
 form for the linear kernel (F = X, r = p) and for a polynomial kernel with
-offset c >= 0 (``KernelSpec.features``) when r <= m/2, so it makes no
-m x m product or decomposition there; rbf kernels, negative offsets and
-r > m/2, where the factored form is no cheaper (``_FACTORED_MAX_SHARE``),
-take the dense form.  This module is the ground-truth oracle for the quantum
+offset c >= 0 (``KernelSpec.features``) when r <= m/2.  There L F comes
+from the graph's edges in O(E r), and ``predict`` scores through the
+feature map, so that route forms no m x m or m x n array; rbf kernels,
+negative offsets and r > m/2, where the factored form is no cheaper
+(``_FACTORED_MAX_SHARE``), take the dense form.  This module is the ground-truth oracle for the quantum
 pipeline.
 """
 
@@ -161,6 +162,13 @@ def kernel_matrix(x: TrainingSet, spec: KernelSpec) -> np.ndarray:
     return (k + k.T) / 2
 
 
+def _factored_route(spec: KernelSpec, m: int, p: int) -> bool:
+    """Whether ``spec`` has an explicit feature map of at most
+    ``_FACTORED_MAX_SHARE`` m columns for m points with p coordinates."""
+    r = spec.feature_count(p)
+    return r is not None and r <= _FACTORED_MAX_SHARE * m
+
+
 @overflow_guard("the kernel matrix")
 def kernel_features(x: TrainingSet, spec: KernelSpec) -> np.ndarray | None:
     """Feature rows F of the training samples, F F^T = ``kernel_matrix(x,
@@ -172,9 +180,7 @@ def kernel_features(x: TrainingSet, spec: KernelSpec) -> np.ndarray | None:
     2 max_i K_ii overflows exactly when ``kernel_matrix``'s (K + K^T)/2
     does, and raises the same error at O(m r) cost.
     """
-    m, p = x.features.shape
-    r = spec.feature_count(p)
-    if r is None or r > _FACTORED_MAX_SHARE * m:
+    if not _factored_route(spec, *x.features.shape):
         return None
     f = spec.features(x.features)
     2.0 * np.max(np.sum(f * f, axis=1))  # evaluated for its overflow only
@@ -291,19 +297,21 @@ def assemble_factored(
     gamma: float,
 ) -> AssembledSystem:
     """Build the training system for K = F F^T from the m x r feature rows
-    ``f`` in factored form (module docstring); the only m x m array read is
-    the Laplacian ``l``."""
+    ``f`` in factored form (module docstring).  A built Laplacian ``l``
+    gives L F from its graph's edges (``LaplacianMatrix.product``), so no
+    m x m array is formed; a caller's array is multiplied densely."""
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
     f = np.ascontiguousarray(f, dtype=np.float64)
-    lm = l.matrix if isinstance(l, LaplacianMatrix) else np.ascontiguousarray(l, dtype=np.float64)
+    if not isinstance(l, LaplacianMatrix):
+        l = np.ascontiguousarray(l, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64).reshape(-1)
     m = f.shape[0]
-    if f.ndim != 2 or lm.shape != (m, m) or y.shape != (m,):
+    if f.ndim != 2 or l.shape != (m, m) or y.shape != (m,):
         raise LayoutError(
-            f"dimension mismatch: F {f.shape}, L {lm.shape}, y {y.shape}"
+            f"dimension mismatch: F {f.shape}, L {l.shape}, y {y.shape}"
         )
-    c = f.T @ (lm @ f)
+    c = f.T @ (l.product(f) if isinstance(l, LaplacianMatrix) else l @ f)
     c /= gamma
     c += f.T @ f
     c += np.eye(f.shape[1]) / gamma
@@ -369,14 +377,22 @@ def predict(model: ModelSolution, x_new: np.ndarray) -> tuple[np.ndarray, np.nda
     """Scores sum_j alpha_j K(x_j, x) and their sign labels for one point
     ``(p,)`` or a block ``(n, p)``, each of shape ``x_new.shape[:-1]``.
 
-    The m x n kernel block is formed once; a score of exactly zero maps to
-    +1 (documented tie rule).
+    A kernel that ``train`` solves in factored form (an explicit feature
+    map of at most ``_FACTORED_MAX_SHARE`` m columns) is scored as
+    Phi(x) . (Phi(X)^T alpha), with no m x n array; any other forms its
+    m x n kernel block once.  A score of exactly zero maps to +1
+    (documented tie rule).
     """
     x = np.atleast_1d(np.asarray(x_new, dtype=np.float64))
-    p = model.training_features.shape[1]
+    m, p = model.training_features.shape
     if x.shape[-1] != p:
         raise LayoutError(f"point has {x.shape[-1]} features, model expects {p}")
-    scores = (model.alpha @ model.kernel.gram(model.training_features, x)).reshape(x.shape[:-1])
+    kernel = model.kernel
+    if _factored_route(kernel, m, p):
+        scores = kernel.features(x) @ (kernel.features(model.training_features).T @ model.alpha)
+    else:
+        scores = model.alpha @ kernel.gram(model.training_features, x)
+    scores = scores.reshape(x.shape[:-1])
     return scores, 2 * (scores >= 0) - 1
 
 

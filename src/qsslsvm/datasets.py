@@ -25,6 +25,10 @@ _DELIMITERS = (",", ";", "\t", " ")
 #: PSD tolerance for Laplacian validation (smallest eigenvalue lower bound).
 _LAPLACIAN_PSD_TOL = -1e-10
 
+#: Entries of gathered neighbor rows that ``LaplacianMatrix.product`` holds
+#: at a time when one m x r block's worth is fewer.
+_GATHER_ENTRIES = 2**16
+
 
 @dataclass(frozen=True)
 class TrainingSet:
@@ -301,6 +305,19 @@ class SampleGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row-sorted adjacency ``(starts, neighbors)``, computed on first
+        use: ``neighbors`` (2E,) lists each edge from both ends, grouped by
+        vertex, and vertex i's group begins at ``starts[i]``.  No vertex is
+        isolated, so no group is empty."""
+        i, j = self.edge_array.T
+        neighbors = np.concatenate([j, i])[np.argsort(np.concatenate([i, j]), kind="stable")]
+        starts = np.concatenate([[0], np.cumsum(self.degrees)[:-1]])
+        neighbors.setflags(write=False)
+        starts.setflags(write=False)
+        return starts, neighbors
+
 
 def _integer(value) -> int:
     """``value`` as an int; a boolean, fractional or non-numeric value
@@ -421,32 +438,31 @@ def build_knn_graph(x: TrainingSet, k: int) -> SampleGraph:
     return SampleGraph(m, pairs.reshape(-1, 2))
 
 
-@dataclass(frozen=True)
 class LaplacianMatrix:
     """Symmetric PSD Laplacian, either combinatorial or degree-normalized.
 
-    A caller's array is checked: square, symmetric, PSD, and zero row sums
-    (combinatorial) or a unit diagonal and spectrum in [0, 2] (normalized).
-    The builders below wrap their output unchecked (``_built``): built from
-    a validated ``SampleGraph``, it is symmetric and PSD by construction,
-    and the normalized spectrum lies in [0, 2].
+    ``LaplacianMatrix(matrix, kind)`` holds a caller's array, which is
+    checked: square, symmetric, PSD, and zero row sums (combinatorial) or a
+    unit diagonal and spectrum in [0, 2] (normalized).  The builders below
+    hold the validated ``SampleGraph`` instead (``_built``, unchecked: such
+    a Laplacian is symmetric and PSD by construction, and the normalized
+    spectrum lies in [0, 2]).  A built Laplacian forms its dense ``matrix``
+    only when a caller asks for it; ``product`` computes L V from the
+    graph's edges in O(E r) for V of shape (m, r) without it.
     """
 
-    matrix: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.float64)
+    def __init__(self, matrix: np.ndarray, kind: str):
+        m = np.ascontiguousarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise LayoutError(f"Laplacian must be square, got {m.shape}")
-        if self.kind not in ("combinatorial", "normalized"):
-            raise ParameterError(f"unknown Laplacian kind {self.kind!r}")
+        if kind not in ("combinatorial", "normalized"):
+            raise ParameterError(f"unknown Laplacian kind {kind!r}")
         if np.max(np.abs(m - m.T)) > 1e-12:
             raise LayoutError("Laplacian must be symmetric")
         w = np.linalg.eigvalsh(m)
         if w[0] < _LAPLACIAN_PSD_TOL:
             raise ParameterError(f"Laplacian is not PSD (min eigenvalue {w[0]:.3e})")
-        if self.kind == "combinatorial":
+        if kind == "combinatorial":
             if np.max(np.abs(m.sum(axis=1))) > 1e-10:
                 raise ParameterError("combinatorial Laplacian must have zero row sums")
         else:
@@ -455,30 +471,79 @@ class LaplacianMatrix:
             if w[-1] > 2.0 + 1e-10:
                 raise ParameterError(f"normalized Laplacian eigenvalue {w[-1]} above 2")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self._matrix = m
+        self.kind = kind
+        self.graph = None  # the graph a built Laplacian came from
 
     @classmethod
-    def _built(cls, matrix: np.ndarray, kind: str) -> LaplacianMatrix:
-        """Wrap a fresh float64 Laplacian built from a ``SampleGraph``,
-        bypassing the checks; tests/test_closed_forms.py guards its
-        invariants."""
-        matrix.setflags(write=False)
+    def _built(cls, g: SampleGraph, kind: str) -> LaplacianMatrix:
+        """The ``kind`` Laplacian of a validated graph, bypassing the
+        checks; tests/test_closed_forms.py guards its invariants."""
         lap = object.__new__(cls)
-        object.__setattr__(lap, "matrix", matrix)
-        object.__setattr__(lap, "kind", kind)
+        lap._matrix = None
+        lap.kind = kind
+        lap.graph = g
         return lap
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        if self.graph is None:
+            return self._matrix.shape
+        return (self.graph.vertex_count,) * 2
 
-def combinatorial_laplacian(g: SampleGraph) -> LaplacianMatrix:
-    """L[i, i] = d_i and L[i, j] = -1 for each edge (i, j)."""
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense, read-only m x m array, formed on first use."""
+        if self._matrix is None:
+            build = (_combinatorial_laplacian_array if self.kind == "combinatorial"
+                     else _normalized_laplacian_array)
+            self._matrix = build(self.graph)
+            self._matrix.setflags(write=False)
+        return self._matrix
+
+    def product(self, v: np.ndarray) -> np.ndarray:
+        """L v for ``v`` of shape (m,) or (m, r).  A built Laplacian sums
+        each vertex's neighbors from the graph's row-sorted adjacency
+        (``SampleGraph.adjacency``): (L v)_i = d_i v_i - sum_j v_j, or
+        v_i - s_i sum_j s_j v_j with s = 1/sqrt(d) for the normalized kind,
+        in O(E r) time.  The neighbor rows are gathered for a block of
+        vertices at a time, so the gathered array holds about
+        max(m r, ``_GATHER_ENTRIES``) entries, not 2 E r.  A caller's array
+        takes a dense product."""
+        v = np.asarray(v, dtype=np.float64)
+        if self.graph is None:
+            return self._matrix @ v
+        starts, neighbors = self.graph.adjacency
+        cols = v.reshape(v.shape[0], -1)
+        m, r = cols.shape
+        deg = self.graph.degrees.astype(np.float64)[:, None]
+        s = 1.0 / np.sqrt(deg) if self.kind == "normalized" else None
+        w = cols if s is None else s * cols
+        sums = np.empty_like(cols)
+        # a block starts at the first vertex whose rows begin at or past a
+        # multiple of ``step``; step >= m > any degree, so no two multiples
+        # share one, and only the last may lie past every vertex's start
+        step = max(m, _GATHER_ENTRIES // max(r, 1))
+        first = np.searchsorted(starts, np.arange(0, neighbors.size, step))
+        first = first[first < m]
+        for a, b in zip(first, [*first[1:], m]):
+            lo = starts[a]
+            hi = starts[b] if b < m else neighbors.size
+            sums[a:b] = np.add.reduceat(w[neighbors[lo:hi]], starts[a:b] - lo, axis=0)
+        out = deg * cols - sums if s is None else cols - s * sums
+        return out.reshape(v.shape)
+
+
+def _combinatorial_laplacian_array(g: SampleGraph) -> np.ndarray:
+    """The combinatorial Laplacian as a fresh array."""
     lap = np.diag(g.degrees.astype(np.float64))
     i, j = g.edge_array.T
     lap[i, j] = lap[j, i] = -1.0
-    return LaplacianMatrix._built(lap, "combinatorial")
+    return lap
 
 
 def _normalized_laplacian_array(g: SampleGraph) -> np.ndarray:
-    """The normalized Laplacian as a fresh array, for ``normalized_laplacian``
+    """The normalized Laplacian as a fresh array, for ``LaplacianMatrix``
     and the Laplacian density."""
     lap = np.eye(g.vertex_count)
     i, j = g.edge_array.T
@@ -486,9 +551,14 @@ def _normalized_laplacian_array(g: SampleGraph) -> np.ndarray:
     return lap
 
 
+def combinatorial_laplacian(g: SampleGraph) -> LaplacianMatrix:
+    """L[i, i] = d_i and L[i, j] = -1 for each edge (i, j)."""
+    return LaplacianMatrix._built(g, "combinatorial")
+
+
 def normalized_laplacian(g: SampleGraph) -> LaplacianMatrix:
     """Unit diagonal with off-diagonal entries -1/sqrt(d_i d_j) on edges."""
-    return LaplacianMatrix._built(_normalized_laplacian_array(g), "normalized")
+    return LaplacianMatrix._built(g, "normalized")
 
 
 def laplacian(g: SampleGraph, kind: str) -> LaplacianMatrix:

@@ -597,16 +597,17 @@ def cost_model(params: CostModelParams) -> dict:
 
 
 def emit_report(report: dict, path: str | Path) -> Path:
-    """Write a report as JSON with stable key order.
+    """Write a report as JSON with stable key order, serialized whole and
+    written at once.
 
     I/O failures surface as ``OSError`` with the path.  ``simulate`` reports
     follow :data:`REPORT_SCHEMA`, which the test suite checks.
     """
     path = Path(path)
+    text = json.dumps(report, indent=2) + "\n"
     try:
         with open(path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
     return path

@@ -361,6 +361,19 @@ def _both_forms(draw):
     return thin, dense
 
 
+#: (kernel, p, m, rank of the system train solves): rank < m on the
+#: factored route, rank = m on the dense one.
+_ROUTES = [
+    (KernelSpec("linear"), 4, 8, 4),  # r = m/2: factored
+    (KernelSpec("linear"), 4, 7, 7),  # r > m/2: dense
+    (KernelSpec("poly", 2, 1.0), 2, 12, 6),  # (x1, x2, 1): C(4, 2) = 6 columns
+    (KernelSpec("poly", 2, 1.0), 2, 11, 11),
+    (KernelSpec("poly", 2, 0.0), 2, 6, 3),  # (x1, x2): C(3, 2) = 3 columns
+    (KernelSpec("poly", 2, -1.0), 2, 12, 12),  # no real feature map: dense
+    (KernelSpec("rbf"), 2, 12, 12),
+]
+
+
 class TestFactoredRoute:
     """The factored form A = F C F^T against the dense form as the oracle."""
 
@@ -421,15 +434,7 @@ class TestFactoredRoute:
         thin = solve_classical(assemble_factored(f, np.zeros((300, 300)), y, 1.0), 0.0)
         assert np.linalg.norm(thin.alpha - dense.alpha) <= 1e-8 * np.linalg.norm(dense.alpha)
 
-    @pytest.mark.parametrize("kernel, p, m, rank", [
-        (KernelSpec("linear"), 4, 8, 4),  # r = m/2: factored
-        (KernelSpec("linear"), 4, 7, 7),  # r > m/2: dense
-        (KernelSpec("poly", 2, 1.0), 2, 12, 6),  # (x1, x2, 1): C(4, 2) = 6 columns
-        (KernelSpec("poly", 2, 1.0), 2, 11, 11),
-        (KernelSpec("poly", 2, 0.0), 2, 6, 3),  # (x1, x2): C(3, 2) = 3 columns
-        (KernelSpec("poly", 2, -1.0), 2, 12, 12),  # no real feature map: dense
-        (KernelSpec("rbf"), 2, 12, 12),
-    ])
+    @pytest.mark.parametrize("kernel, p, m, rank", _ROUTES)
     def test_route_follows_the_feature_count(self, rng, kernel, p, m, rank):
         ts = random_training_set(rng, m, p)
         lap = normalized_laplacian(random_connected_graph(rng, m, m))
@@ -438,6 +443,40 @@ class TestFactoredRoute:
         resid = sys.a_matrix @ model.alpha - sys.rhs
         keep = sys.spectrum.eigenvectors
         assert np.linalg.norm(keep.T @ resid) <= 1e-8 * np.linalg.norm(keep.T @ sys.rhs)
+
+    @pytest.mark.parametrize("kernel, p, m, rank", _ROUTES)
+    def test_predict_follows_the_route(self, rng, monkeypatch, kernel, p, m, rank):
+        """``predict`` forms the m x n kernel block only where ``train``
+        takes the dense route."""
+        ts = random_training_set(rng, m, p)
+        model = ModelSolution(rng.normal(size=m), 1.0, kernel, 0.0, ts.features)
+        points = rng.normal(size=(5, p))
+        expected = model.alpha @ kernel.gram(ts.features, points)
+        blocks = []
+        gram = KernelSpec.gram
+        monkeypatch.setattr(KernelSpec, "gram",
+                            lambda self, a, b: blocks.append(b.shape) or gram(self, a, b))
+        scores, _ = predict(model, points)
+        assert blocks == ([] if rank < m else [(5, p)])
+        assert np.max(np.abs(scores - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @given(m=st.integers(2, 40), p=st.integers(1, 5), kernel=_FINITE_RANK_KERNELS,
+           n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_feature_scores_match_the_kernel_block(self, m, p, kernel, n, seed):
+        """Phi(x) . (Phi(X)^T alpha) against alpha K(X, x) as the oracle,
+        within 1e-12 of sqrt(K(x, x)) sum_j |alpha_j| sqrt(K(x_j, x_j)),
+        which bounds each score's terms; ``n`` 0 is one point of shape (p,)."""
+        assume(kernel.feature_count(p) <= m / 2)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(m, p))
+        points = rng.normal(size=(n, p) if n else p)
+        model = ModelSolution(rng.normal(size=m), 1.0, kernel, 0.0, x)
+        scores, labels = predict(model, points)
+        expected = (model.alpha @ kernel.gram(x, points)).reshape(points.shape[:-1])
+        diag = lambda a: np.sum(kernel.features(a) ** 2, axis=1)  # noqa: E731
+        size = np.sqrt(diag(points)) * (np.abs(model.alpha) @ np.sqrt(diag(x)))
+        assert scores.shape == labels.shape == points.shape[:-1]
+        assert np.all(np.abs(scores - expected) <= 1e-12 * size.reshape(scores.shape))
 
     @pytest.mark.parametrize("kernel, x, fails", [
         (KernelSpec("linear"), 1e154, True),  # 2 K_ii = 2e308

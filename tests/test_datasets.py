@@ -3,6 +3,7 @@
 import io
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from conftest import (
     sample_graph_by_loop,
 )
 from dilation import incidence_matrix
+from qsslsvm import datasets
 from qsslsvm.datasets import (
     LaplacianMatrix,
     SampleGraph,
@@ -25,6 +27,7 @@ from qsslsvm.datasets import (
     _read_table,
     build_knn_graph,
     combinatorial_laplacian,
+    laplacian,
     load_dataset,
     load_graph,
     load_points,
@@ -472,7 +475,40 @@ class TestIncidenceMatrix:
         assert np.max(np.abs(gi @ gi.T - normalized_laplacian(g).matrix)) < 1e-12
 
 
+@st.composite
+def _connected_graphs(draw):
+    """A connected graph on at most 64 vertices: a random one, a star or a
+    path."""
+    m = draw(st.integers(2, 64))
+    shape = draw(st.sampled_from(["random", "star", "path"]))
+    if shape == "star":
+        centre = draw(st.integers(0, m - 1))
+        return SampleGraph(m, [(centre, j) for j in range(m) if j != centre])
+    if shape == "path":
+        return SampleGraph(m, [(i, i + 1) for i in range(m - 1)])
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_connected_graph(np.random.default_rng(seed), m, draw(st.integers(0, 300)))
+
+
 class TestLaplacians:
+    @given(g=_connected_graphs(), kind=st.sampled_from(["combinatorial", "normalized"]),
+           columns=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-100, 1.0, 1e100]), gather=st.sampled_from([1, 2**16]))
+    def test_edge_product_matches_dense(self, g, kind, columns, seed, scale, gather):
+        """L V from the edge list equals the dense product within 1e-12 of
+        the size |L| |V| of its terms, for a vector (``columns`` 0) or an
+        m x ``columns`` block, gathered in one block or (``gather`` 1) in
+        blocks of about m rows; a caller's array takes the dense product."""
+        shape = (g.vertex_count, columns) if columns else (g.vertex_count,)
+        v = scale * np.random.default_rng(seed).normal(size=shape)
+        lap = laplacian(g, kind)
+        with mock.patch.object(datasets, "_GATHER_ENTRIES", gather):
+            edge = lap.product(v)
+        dense = lap.matrix @ v
+        assert edge.shape == shape
+        assert np.max(np.abs(edge - dense)) <= 1e-12 * np.max(np.abs(lap.matrix) @ np.abs(v))
+        assert np.array_equal(LaplacianMatrix(lap.matrix, kind).product(v), dense)
+
     def test_single_edge_both_kinds(self):
         g = SampleGraph(2, ((0, 1),))
         expected = np.array([[1.0, -1.0], [-1.0, 1.0]])

@@ -3,6 +3,7 @@ model, and report emission."""
 
 import json
 import math
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -272,6 +273,30 @@ class TestRunClassical:
         report = run_classical(cfg, DATA / "two_cluster_8.csv")
         assert report["residual"] <= 1e-6
 
+    def test_factored_route_holds_no_m_by_m_array(self, tmp_path):
+        """A linear ``train`` with 1024 test points forms neither the dense
+        Laplacian nor the m x n kernel block: its traced peak stays below
+        half of one m x m float64 array."""
+        m, p = 1024, 8
+        rng = np.random.default_rng(5)
+        x = np.vstack([rng.normal(1.0, 1.0, (m // 2, p)), rng.normal(-1.0, 1.0, (m // 2, p))])
+        y = np.zeros(m)
+        y[::10] = np.where(x[::10, 0] >= 0, 1.0, -1.0)
+        header = ",".join(f"f{i}" for i in range(p))
+        data, points = tmp_path / "data.csv", tmp_path / "points.csv"
+        np.savetxt(data, np.c_[x, y], delimiter=",", header=header + ",label", comments="")
+        np.savetxt(points, rng.normal(size=(m, p)), delimiter=",", header=header, comments="")
+        cfg = RunConfig(knn_k=5, kernel=KernelSpec("linear"))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = run_classical(cfg, data, points)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(report["predictions"]["labels"]) == m
+        assert peak < m * m * 8 / 2
+
 
 class TestBenchLmr:
     def test_slopes_and_halving(self):
@@ -365,6 +390,10 @@ class TestEmitReport:
         monkeypatch.setattr(pipeline, "REPORT_SCHEMA", schema)
         with pytest.raises(jsonschema.ValidationError, match="'absent' is a required"):
             run_pipeline(RunConfig(knn_k=1), DATA / "two_cluster_4.csv")
+
+    def test_file_is_one_serialization(self, cluster8_report, tmp_path):
+        path = emit_report(cluster8_report, tmp_path / "report.json")
+        assert path.read_bytes() == (json.dumps(cluster8_report, indent=2) + "\n").encode()
 
     def test_stable_key_order(self, cluster8_report, tmp_path):
         p1 = emit_report(cluster8_report, tmp_path / "a.json")

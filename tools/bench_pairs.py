@@ -15,6 +15,14 @@ it does not exist.  A traced run (``--trace 1``) also keeps the mean self
 time per operation of every span (``mean_self_s``) from the run's record
 under ``perfbench/out``, since its final line holds only the per-layer
 metrics that ``BENCHMARK.json`` lists.
+
+At the end it prints, for every workload (and ``--trace`` setting) in
+``--out`` and every end-to-end metric of ``BENCHMARK.json``, each side's
+median and quartiles over the complete pairs, the change of the median,
+and the number of pairs in which the after side is better.  ``--pairs 0``
+runs nothing and prints the summary of an existing ``--out``::
+
+    python3 tools/bench_pairs.py --pairs 0 --out BENCH_24.json
 """
 
 from __future__ import annotations
@@ -23,9 +31,12 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def _commit(tree: Path) -> str:
@@ -69,17 +80,69 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     return record
 
 
+def _pairs(runs: list[dict]) -> list[tuple[dict, dict]]:
+    """(before, after) final lines of the pairs in ``runs`` where both
+    sides finished with a result."""
+    sides = {}
+    for r in runs:
+        if "result" in r:
+            sides.setdefault(r["pair"], {})[r["side"]] = r["result"]
+    return [(s["before"], s["after"]) for _, s in sorted(sides.items()) if len(s) == 2]
+
+
+def summary(doc: dict, metrics: list[dict]) -> list[str]:
+    """Lines giving, per workload and trace setting and per metric, the
+    median [first quartile, third quartile] of each side, the change of
+    the median and the after side's wins over the complete pairs."""
+    lines = []
+    groups = {}
+    for r in doc["runs"]:
+        groups.setdefault((r["workload"], r.get("trace", 0)), []).append(r)
+    for (workload, trace), runs in groups.items():
+        pairs = _pairs(runs)
+        failed = {side: sum(r["result"]["failed"] for r in runs if r["side"] == side and "result" in r)
+                  for side in ("before", "after")}
+        lines.append(f"{workload} trace={trace}: {len(pairs)} complete pairs, "
+                     f"failed ops before {failed['before']}, after {failed['after']}")
+        if len(pairs) < 2:
+            continue
+        for metric in metrics:
+            name = metric["name"]
+            values = {side: [pair[i]["metrics"][name]["value"] for pair in pairs]
+                      for i, side in enumerate(("before", "after"))}
+            lower = metric["better"] == "lower"
+            wins = sum((a < b) if lower else (a > b)
+                       for b, a in zip(values["before"], values["after"]))
+            quoted = {}
+            for side, v in values.items():
+                q1, q2, q3 = statistics.quantiles(v, n=4, method="inclusive")
+                quoted[side] = f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
+            b, a = statistics.median(values["before"]), statistics.median(values["after"])
+            change = f"{100 * (a - b) / b:+.1f} %" if b else "n/a"
+            lines.append(f"  {name:<12} before {quoted['before']}  after {quoted['after']}  "
+                         f"{change}  wins {wins}/{len(pairs)}")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--before", type=Path, required=True)
-    p.add_argument("--after", type=Path, required=True)
-    p.add_argument("--workload", required=True)
+    p.add_argument("--before", type=Path)
+    p.add_argument("--after", type=Path)
+    p.add_argument("--workload")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int)
     p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
+    if args.pairs > 0 and None in (args.before, args.after, args.workload, args.seed):
+        p.error("--before, --after, --workload and --seed are required to run pairs")
+    if args.pairs <= 0 and not args.out.exists():
+        p.error(f"{args.out} does not exist")
+    if args.pairs <= 0:
+        doc = json.loads(args.out.read_text())
+        print("\n".join(summary(doc, json.loads(BENCHMARK.read_text())["end_to_end"])))
+        return 0
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
     doc = (json.loads(args.out.read_text()) if args.out.exists()
            else {"environment": environment(trees["before"], trees["after"]), "runs": []})
@@ -93,6 +156,7 @@ def main(argv=None) -> int:
                                    args.trace))
             doc["runs"].append(record)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print("\n".join(summary(doc, json.loads(BENCHMARK.read_text())["end_to_end"])))
     return 0
 
 
