@@ -26,8 +26,8 @@ offset c >= 0 (``KernelSpec.features``) when r <= m/2.  There L F comes
 from the graph's edges in O(E r), and ``predict`` scores through the
 feature map, so that route forms no m x m or m x n array; rbf kernels,
 negative offsets and r > m/2, where the factored form is no cheaper
-(``_FACTORED_MAX_SHARE``), take the dense form.  This module is the ground-truth oracle for the quantum
-pipeline.
+(``_FACTORED_MAX_SHARE``), take the dense form.  This module is the
+ground-truth oracle for the quantum pipeline.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ _EPS = np.finfo(np.float64).eps
 
 #: ``train`` takes the factored route when the kernel's feature count r is
 #: at most this share of m.  Measured on one BLAS thread (README Scale
-#: limits), the factored route is about 2.5x faster than the dense one at
-#: r = m/2 and its peak memory is the dense route's; above that its m x r
-#: arrays outgrow the dense route's m x m ones, and from r ~ 0.75 m it is
-#: slower.
+#: limits), the factored route takes 0.36-0.44 of the dense time at
+#: r = m/2 with 0.73 of its peak memory; at r = 0.65 m it takes 0.6-0.76
+#: of it (0.77-0.86 on two threads) at the same peak, and from r ~ 0.75 m
+#: it is slower.
 _FACTORED_MAX_SHARE = 0.5
 
 

@@ -108,6 +108,8 @@ def summary(doc: dict, metrics: list[dict]) -> list[str]:
             continue
         for metric in metrics:
             name = metric["name"]
+            if any(name not in r["metrics"] for pair in pairs for r in pair):
+                continue  # a traced run's final line holds the per-layer metrics only
             values = {side: [pair[i]["metrics"][name]["value"] for pair in pairs]
                       for i, side in enumerate(("before", "after"))}
             lower = metric["better"] == "lower"
