@@ -5,9 +5,8 @@ from .channels import (
     EvolutionConfig,
     EvolutionResult,
     ProgramState,
-    make_program_state_k,
-    make_program_state_kk,
-    make_program_state_klk,
+    generator_terms,
+    make_program_state,
     mix_program_states,
     simulate_evolution,
 )

@@ -17,7 +17,9 @@ Weighted mixtures of program states simulate weighted sums of generators,
 which is how the full training matrix gamma^-1 K + K K + gamma^-1 K L K
 is exponentiated.
 
-Every construction is evaluated in closed form on d x d matrices.  A
+Every construction is evaluated in closed form on d x d matrices.
+``generator_terms`` forms the terms K, K K and K L K once; a ``simulate``
+run builds its system matrix and all three program states from them.  A
 ``ProgramState`` holds only the two d x d control blocks rho'' and rho'''
 (float64 when the densities are real); the 2d x 2d matrix is never
 assembled.  ``ProgramState(...)`` checks a caller's blocks Hermitian and
@@ -30,8 +32,7 @@ dilated circuits reduce exactly to
 
     step:   sigma -> c^2 sigma + s^2 tr(sigma) R - i c s [B, sigma]
             with c, s = cos dt, sin dt and R = rho'' + rho''',
-    K K:    rho'' = (K + K K) / 2,    rho''' = (K - K K) / 2,
-    K L K:  rho'' = (K + K L K) / 2,  rho''' = (K - K L K) / 2,
+    G:      rho'' = (K + G) / 2,  rho''' = (K - G) / 2,  G = K, K K, K L K,
 
 so a step costs O(d^3) where the dilation costs O(d^6).  n steps have a
 closed form too.  In the eigenbasis B = V diag(lam) V^dagger, with
@@ -129,41 +130,25 @@ class ProgramState:
         return self.generator, self.rho0 + self.rho1
 
 
-def _two_copy_program_state(k: DensityMatrix, g: np.ndarray) -> ProgramState:
-    """rho'' = (K + G) / 2 and rho''' = (K - G) / 2, generator G."""
-    g = hermitian_part(g)
-    return ProgramState._built((k.matrix + g) / 2.0, (k.matrix - g) / 2.0)
-
-
-def make_program_state_k(k: DensityMatrix) -> ProgramState:
-    """Plain density-exponentiation term in program-state form:
-    rho'' = k, rho''' = 0, so the generator is exactly k."""
-    return ProgramState._built(k.matrix, np.zeros_like(k.matrix))
-
-
-def make_program_state_kk(k: DensityMatrix) -> ProgramState:
-    """Program state whose generator is K K.
-
-    Two copies of K enter with a |+> control; a controlled swap, a partial
-    trace over the second copy, a Hadamard on the control and dephasing
-    leave rho'' = (K + K K) / 2 and rho''' = (K - K K) / 2, which is
-    evaluated here directly.
-    """
-    return _two_copy_program_state(k, k.matrix @ k.matrix)
-
-
-def make_program_state_klk(k: DensityMatrix, l: DensityMatrix) -> ProgramState:
-    """Program state whose generator is K L K.
-
-    The three-register circuit (|+> control, controlled cyclic permutation
-    over the registers holding K, L, K, partial traces over the third and
-    second registers, Hadamard on the control, dephasing) leaves
-    rho'' = (K + K L K) / 2 and rho''' = (K - K L K) / 2 for Hermitian
-    inputs, which is evaluated here directly.
-    """
+def generator_terms(k: DensityMatrix, l: DensityMatrix) -> dict[str, np.ndarray]:
+    """The terms of the training generator by name, each formed once and
+    symmetrized once: {"k": K, "kk": K K, "klk": K (L K)}."""
     if k.dim != l.dim:
         raise LayoutError(f"dimension mismatch: K is {k.dim}, L is {l.dim}")
-    return _two_copy_program_state(k, k.matrix @ l.matrix @ k.matrix)
+    km = k.matrix
+    return {"k": km, "kk": hermitian_part(km @ km), "klk": hermitian_part(km @ (l.matrix @ km))}
+
+
+def make_program_state(k: np.ndarray, g: np.ndarray) -> ProgramState:
+    """Program state rho'' = (K + G) / 2, rho''' = (K - G) / 2 for a term G
+    of ``generator_terms``, its generator, evaluated directly.  G = K: the
+    plain step, rho'' = K and rho''' = 0 exactly.  G = K K: two copies of K
+    with a |+> control, a controlled swap, a partial trace over the second
+    copy, a Hadamard on the control and dephasing.  G = K L K, for Hermitian
+    inputs: a |+> control, a controlled cyclic permutation over registers
+    holding K, L, K, partial traces over the third and second, a Hadamard on
+    the control and dephasing."""
+    return ProgramState._built((k + g) / 2.0, (k - g) / 2.0)
 
 
 def mix_program_states(sources: Sequence[tuple[float, ProgramState]]) -> ProgramState:

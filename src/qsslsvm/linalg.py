@@ -4,9 +4,10 @@ Everything downstream (the classical filtered solve, channel simulation,
 phase estimation) is built from one ``SpectralDecomposition`` per matrix:
 a consumer takes the decomposition, not the matrix, and evaluates its
 matrix function (an exponential, a filtered inverse, a Fejer weight) from
-it, so a matrix that several stages read is decomposed once per run.  Real
-symmetric input stays float64 and is decomposed by a real ``eigh``; only
-complex input (a state, a channel output) is handled in complex128.
+it, so a matrix that several stages read is decomposed once per run, and
+its square not at all (``squared``).  Real symmetric input stays float64
+and is decomposed by a real ``eigh``; only complex input (a state, a
+channel output) is handled in complex128.
 
 All functions are pure; returned arrays are fresh and never alias their
 inputs.
@@ -74,6 +75,12 @@ class SpectralDecomposition:
         if r < m:
             out = out + f(np.zeros(1))[0] * (np.eye(m) - v @ v.conj().T)
         return out
+
+    def squared(self) -> SpectralDecomposition:
+        """The square's decomposition: squared eigenvalues, reordered descending."""
+        w = self.eigenvalues ** 2
+        order = np.argsort(w)[::-1]
+        return SpectralDecomposition(w[order], self.eigenvectors[:, order])
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

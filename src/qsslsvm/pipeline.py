@@ -23,15 +23,14 @@ from .channels import (
     EvolutionConfig,
     ProgramState,
     exact_conjugation,
-    make_program_state_k,
-    make_program_state_kk,
-    make_program_state_klk,
+    generator_terms,
+    make_program_state,
     mix_program_states,
     simulate_evolution,
 )
 from .classical import (
+    AssembledSystem,
     KernelSpec,
-    assemble_system,
     objective_gradient,
     predict,
     solve_classical,
@@ -55,7 +54,7 @@ from .encodings import (
 )
 from .errors import ConfigurationError, LayoutError, NumericalError, ParameterError
 from .hhl import QPEConfig, hhl_solve, quantum_multiply
-from .linalg import SpectralDecomposition, hermitian_eig, state_fidelity
+from .linalg import SpectralDecomposition, hermitian_eig, overflow_guard, state_fidelity
 from .swap_test import _nonnegative_int, classify
 
 SCHEMA_VERSION = 3
@@ -252,13 +251,22 @@ def _report_header(
     }
 
 
-def _program_states(k_density: DensityMatrix, l_density: DensityMatrix) -> dict:
-    """The three program states of the training generator, by term."""
-    return {
-        "k": make_program_state_k(k_density),
-        "kk": make_program_state_kk(k_density),
-        "klk": make_program_state_klk(k_density, l_density),
-    }
+@overflow_guard("the system matrix")
+def _system(terms: dict, y: np.ndarray, gamma: float) -> AssembledSystem:
+    """A = K/gamma + K K + K L K/gamma, exactly symmetric as its terms, and K y."""
+    a = terms["k"] / gamma + terms["kk"]
+    a += terms["klk"] / gamma
+    return AssembledSystem._built(a, terms["k"] @ y, gamma, float(np.trace(a)))
+
+
+def _program_states(terms: dict) -> dict:
+    """The program state of each of the ``generator_terms``, by term."""
+    return {name: make_program_state(terms["k"], g) for name, g in terms.items()}
+
+
+def _decomposition(name: str, ps: ProgramState, eig_k: SpectralDecomposition | None):
+    """The decomposition of ``ps``'s generator; K K's is K's (``eig_k``) squared."""
+    return eig_k.squared() if name == "kk" else hermitian_eig(ps.generator)
 
 
 def _a_hat_deviation(states: dict, gamma: float, a_hat: np.ndarray) -> float:
@@ -370,32 +378,34 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
     y_state = stages.run("encode_labels", lambda: label_state(training.labels))
 
     def _classical():
-        sysq = assemble_system(k_density.matrix, l_density.matrix, training.labels, cfg.gamma)
+        terms = generator_terms(k_density, l_density)
+        sysq = _system(terms, training.labels, cfg.gamma)
         model = solve_classical(
             sysq, cfg.sigma_thresh, kernel=cfg.kernel, training_features=training.features
         )
-        return sysq, model
+        return terms, sysq, model
 
-    sysq, model = stages.run("classical", _classical)
-
-    def _quantum_matrix():
-        states = _program_states(k_density, l_density)
-        spectra = {name: hermitian_eig(ps.generator) for name, ps in states.items()}
-        return states, spectra, _a_hat_deviation(states, cfg.gamma, sysq.normalized_matrix())
-
-    states, spectra, a_hat_deviation = stages.run("program_states", _quantum_matrix)
+    terms, sysq, model = stages.run("classical", _classical)
+    states = stages.run("program_states", lambda: _program_states(terms))
+    del terms, k_density, l_density  # the states hold what the later stages read
+    spectra, eig = {}, None
+    for name, ps in states.items():  # K's decomposition, then K K's from it
+        spectra[name] = eig = stages.run("program_states", lambda: _decomposition(name, ps, eig))
+    a_hat_deviation = stages.run("program_states", lambda: _a_hat_deviation(
+        states, cfg.gamma, sysq.normalized_matrix()))
 
     qpe_cfg = QPEConfig(clock_qubits=cfg.clock_qubits)
     # the k program state's generator is K itself (rho0 = K, rho1 = 0)
     ky_state = stages.run("multiply", lambda: quantum_multiply(spectra["k"], y_state, qpe_cfg))
-    ky_exact = k_density.matrix @ training.labels
-    multiply_fidelity = state_fidelity(ky_state.amplitudes, ky_exact / np.linalg.norm(ky_exact))
+    multiply_fidelity = state_fidelity(ky_state.amplitudes, sysq.rhs / np.linalg.norm(sysq.rhs))
 
     hhl_result = stages.run(
         "invert", lambda: hhl_solve(sysq.spectrum, ky_state, cfg.sigma_thresh, qpe_cfg)
     )
     alpha_classical = model.alpha
-    alpha_unit = alpha_classical / np.linalg.norm(alpha_classical)
+    # scaled by max|alpha_i| first: the squares of a tiny alpha underflow
+    alpha_unit = alpha_classical / np.max(np.abs(alpha_classical))
+    alpha_unit /= np.linalg.norm(alpha_unit)
     solution_fidelity = state_fidelity(hhl_result.solution_state.amplitudes, alpha_unit)
 
     def _classify():
@@ -474,15 +484,6 @@ def run_classical(cfg: RunConfig, dataset: str | Path, testset: str | Path | Non
     return report
 
 
-def _bench_program_states(stages: _Stages, cfg: RunConfig, dataset: str | Path) -> dict:
-    """The stages of a ``bench`` run up to its program states, which are
-    returned; the training set, graph and densities are not held past them."""
-    training, _, graph = _front_end(stages, cfg, dataset)
-    k_density = stages.run("encode_kernel", lambda: kernel_density(training))
-    l_density = stages.run("encode_laplacian", lambda: laplacian_density(graph))
-    return stages.run("program_states", lambda: _program_states(k_density, l_density))
-
-
 def bench_lmr(
     cfg: RunConfig,
     dataset: str | Path,
@@ -499,7 +500,12 @@ def bench_lmr(
         raise ParameterError(f"total time must be finite and positive, got {total_time}")
     n = EvolutionConfig(total_time, cfg.delta).resolved_steps()
     stages = _Stages()
-    states = _bench_program_states(stages, cfg, dataset)
+    training, points, graph = _front_end(stages, cfg, dataset)
+    k_density = stages.run("encode_kernel", lambda: kernel_density(training))
+    l_density = stages.run("encode_laplacian", lambda: laplacian_density(graph))
+    states = stages.run("program_states", lambda: _program_states(
+        generator_terms(k_density, l_density)))
+    del training, points, graph, k_density, l_density  # not held through the trajectories
     probe = _probe_state(states["k"].system_dim, cfg.seed)
     sigma0 = DensityMatrix(np.outer(probe.amplitudes, probe.amplitudes.conj()))
 
@@ -518,11 +524,12 @@ def bench_lmr(
             "halving_ratio": errors[n] / max(errors[2 * n], 1e-300),
         }
 
-    sweeps, slopes, trajectory = {}, {}, {}
-    for name, ps in states.items():
-        # one decomposition serves the dt sweep, the exact final state and
-        # both trajectories
-        eig = stages.run("program_states", lambda: hermitian_eig(ps.generator))
+    sweeps, slopes, trajectory, eig = {}, {}, {}, None
+    for name in list(states):
+        # one state and one decomposition at a time serve the dt sweep, the exact
+        # final state and both trajectories; K's, the one before, serves K K's
+        ps = states.pop(name)
+        eig = stages.run("program_states", lambda: _decomposition(name, ps, eig))
         sweeps[name], slopes[name] = stages.run(
             "bench", lambda: _one_step_errors(name, ps, eig, probe, dts))
         trajectory[name] = stages.run("trajectory", lambda: _trajectory(ps, eig))

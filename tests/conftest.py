@@ -15,6 +15,7 @@ import pytest
 from hypothesis import settings
 
 from qsslsvm import pipeline
+from qsslsvm.channels import ProgramState, generator_terms, make_program_state
 from qsslsvm.datasets import (
     LaplacianMatrix,
     SampleGraph,
@@ -109,6 +110,12 @@ def random_density(rng: np.random.Generator, d: int, real: bool = False) -> Dens
         a = a + 1j * rng.normal(size=(d, d))
     m = a @ a.conj().T
     return DensityMatrix(m / np.trace(m).real)
+
+
+def term_state(k: DensityMatrix, term: str, l: DensityMatrix | None = None) -> ProgramState:
+    """``make_program_state`` of the ``generator_terms`` entry ``term``
+    ("k", "kk" or "klk") of K and L; L defaults to K for the terms without it."""
+    return make_program_state(k.matrix, generator_terms(k, k if l is None else l)[term])
 
 
 def random_pure_density(rng: np.random.Generator, d: int) -> DensityMatrix:

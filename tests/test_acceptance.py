@@ -21,6 +21,7 @@ from conftest import (
     random_connected_graph,
     random_density,
     random_training_set,
+    term_state,
 )
 from dilation import (
     dense_glmr_step,
@@ -28,7 +29,7 @@ from dilation import (
     dense_program_state_klk,
     dense_simulate_evolution,
 )
-from qsslsvm.channels import EvolutionConfig, exact_conjugation, make_program_state_k
+from qsslsvm.channels import EvolutionConfig, exact_conjugation
 from qsslsvm.classical import KernelSpec, kernel_matrix, solve_classical, assemble_system
 from qsslsvm.datasets import TrainingSet, build_knn_graph, load_dataset, normalized_laplacian
 from qsslsvm.encodings import kernel_density, label_state, laplacian_density
@@ -118,7 +119,7 @@ def test_criterion_4_channel_error_order():
     k, l = random_density(rng, 4), random_density(rng, 4)
     sigma = random_density(rng, 4)
     channels = {
-        "k": make_program_state_k(k),
+        "k": term_state(k, "k"),
         "kk": dense_program_state_kk(k),
         "klk": dense_program_state_klk(k, l),
     }

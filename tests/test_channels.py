@@ -10,6 +10,7 @@ from conftest import (
     random_density,
     random_hermitian,
     random_pure_density,
+    term_state,
 )
 from dilation import (
     controlled_partial_swap_evolution,
@@ -23,9 +24,7 @@ from qsslsvm.channels import (
     EvolutionConfig,
     ProgramState,
     exact_conjugation,
-    make_program_state_k,
-    make_program_state_kk,
-    make_program_state_klk,
+    generator_terms,
     mix_program_states,
     simulate_evolution,
 )
@@ -162,7 +161,7 @@ class TestProgramStateValidation:
     def test_real_densities_give_float64_blocks(self, rng):
         k = random_density(rng, 3, real=True)
         l = random_density(rng, 3, real=True)
-        states = [make_program_state_k(k), make_program_state_kk(k), make_program_state_klk(k, l)]
+        states = [term_state(k, "k"), term_state(k, "kk"), term_state(k, "klk", l)]
         for ps in states + [mix_program_states([(1.0, ps) for ps in states])]:
             assert ps.rho0.dtype == np.float64 and ps.rho1.dtype == np.float64
 
@@ -172,13 +171,13 @@ class TestProgramStates:
         m = 3
         k = maximally_mixed(m)
         l = random_density(rng, m, real=True)
-        ps = make_program_state_klk(k, l)
+        ps = term_state(k, "klk", l)
         assert np.max(np.abs(ps.generator - l.matrix / m**2)) < 1e-12
 
     def test_klk_diagonal(self):
         k = DensityMatrix(np.diag([0.75, 0.25]))
         l = DensityMatrix(np.diag([0.4, 0.6]))
-        ps = make_program_state_klk(k, l)
+        ps = term_state(k, "klk", l)
         expected = k.matrix @ l.matrix @ k.matrix
         assert np.max(np.abs(ps.generator - expected)) < 1e-12
 
@@ -186,7 +185,7 @@ class TestProgramStates:
         for _ in range(10):
             d = int(rng.integers(2, 6))
             k, l = random_density(rng, d), random_density(rng, d)
-            ps = make_program_state_klk(k, l)
+            ps = term_state(k, "klk", l)
             target = 0.5 * (
                 k.matrix.conj().T @ l.matrix @ k.matrix
                 + k.matrix @ l.matrix @ k.matrix.conj().T
@@ -196,37 +195,37 @@ class TestProgramStates:
 
     def test_kk_identity_kernel(self):
         m = 4
-        ps = make_program_state_kk(maximally_mixed(m))
+        ps = term_state(maximally_mixed(m), "kk")
         assert np.max(np.abs(ps.generator - np.eye(m) / m**2)) < 1e-12
 
     def test_kk_diagonal(self):
         k = DensityMatrix(np.diag([0.75, 0.25]))
-        ps = make_program_state_kk(k)
+        ps = term_state(k, "kk")
         assert np.allclose(ps.generator, np.diag([0.75**2, 0.25**2]), atol=1e-12)
 
     def test_kk_random(self, rng):
         k = random_density(rng, 3)
-        ps = make_program_state_kk(k)
+        ps = term_state(k, "kk")
         assert np.max(np.abs(ps.generator - k.matrix @ k.matrix)) < 1e-10
 
     def test_k_embedding_blocks(self, rng):
         k = random_density(rng, 3)
-        ps = make_program_state_k(k)
-        assert np.allclose(ps.rho0, k.matrix)
-        assert np.allclose(ps.rho1, 0.0)
+        ps = term_state(k, "k")
+        assert np.array_equal(ps.rho0, k.matrix)
+        assert not ps.rho1.any()
         assert np.trace(ps.rho0 + ps.rho1).real == pytest.approx(1.0, abs=1e-12)
 
     def test_k_channel_equals_lmr(self, rng):
         k, sigma = random_density(rng, 3), random_density(rng, 3)
-        ps = make_program_state_k(k)
+        ps = term_state(k, "k")
         for dt in (0.0, 0.1, -0.2):
             assert np.max(np.abs(
                 glmr_step(ps, sigma, dt).matrix - lmr_step(k, sigma, dt).matrix
             )) < 1e-12
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(LayoutError):
-            make_program_state_klk(random_density(rng, 2), random_density(rng, 3))
+        with pytest.raises(LayoutError, match="K is 2, L is 3"):
+            generator_terms(random_density(rng, 2), random_density(rng, 3))
 
 
 class TestControlledPartialSwap:
@@ -247,7 +246,7 @@ class TestControlledPartialSwap:
 
 class TestGlmrStep:
     def test_zero_time(self, rng):
-        ps = make_program_state_klk(random_density(rng, 2), random_density(rng, 2))
+        ps = term_state(random_density(rng, 2), "klk", random_density(rng, 2))
         sigma = random_density(rng, 2)
         assert np.allclose(glmr_step(ps, sigma, 0.0).matrix, sigma.matrix, atol=1e-14)
 
@@ -255,13 +254,13 @@ class TestGlmrStep:
         k = DensityMatrix(np.diag([0.6, 0.4]))
         l = DensityMatrix(np.diag([0.3, 0.7]))
         sigma = DensityMatrix(np.diag([0.9, 0.1]))
-        ps = make_program_state_klk(k, l)
+        ps = term_state(k, "klk", l)
         for dt in DT_SWEEP:
             err = np.linalg.norm(glmr_step(ps, sigma, dt).matrix - sigma.matrix)
             assert err <= 2.1 * dt**2
 
     def test_klk_second_order_slope(self, rng):
-        ps = make_program_state_klk(random_density(rng, 2), random_density(rng, 2))
+        ps = term_state(random_density(rng, 2), "klk", random_density(rng, 2))
         sigma = random_density(rng, 2)
         eig = hermitian_eig(ps.generator)
         errs = [
@@ -274,15 +273,15 @@ class TestGlmrStep:
 
     def test_outputs_are_densities(self, rng):
         # DensityMatrix construction re-validates trace/PSD on every step
-        for maker in (make_program_state_k, make_program_state_kk):
-            ps = maker(random_density(rng, 3))
+        for term in ("k", "kk"):
+            ps = term_state(random_density(rng, 3), term)
             sigma = random_pure_density(rng, 3)
             out = glmr_step(ps, sigma, 0.3)
             assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-9)
             assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-8
 
     def test_dimension_mismatch(self, rng):
-        ps = make_program_state_k(random_density(rng, 2))
+        ps = term_state(random_density(rng, 2), "k")
         with pytest.raises(LayoutError):
             glmr_step(ps, random_density(rng, 3), 0.1)
 
@@ -292,9 +291,9 @@ class TestMixtures:
         k = random_density(rng, 3)
         l = random_density(rng, 3)
         sources = [
-            (0.5, make_program_state_k(k)),
-            (1.0, make_program_state_kk(k)),
-            (0.5, make_program_state_klk(k, l)),
+            (0.5, term_state(k, "k")),
+            (1.0, term_state(k, "kk")),
+            (0.5, term_state(k, "klk", l)),
         ]
         mix = mix_program_states(sources)
         expected = (
@@ -305,7 +304,7 @@ class TestMixtures:
         assert np.max(np.abs(mix.generator - expected)) < 1e-10
 
     def test_weight_validation(self, rng):
-        ps = make_program_state_k(random_density(rng, 2))
+        ps = term_state(random_density(rng, 2), "k")
         with pytest.raises(ParameterError):
             mix_program_states([])
         with pytest.raises(ParameterError):
@@ -317,14 +316,14 @@ class TestMixtures:
     def test_weights_checked_before_arithmetic(self, rng, weights):
         # refused before any arithmetic: the suite's warning filter turns a
         # numpy RuntimeWarning into a failure
-        ps = make_program_state_k(random_density(rng, 2))
+        ps = term_state(random_density(rng, 2), "k")
         with pytest.raises(ParameterError, match="weights"):
             mix_program_states([(w, ps) for w in weights])
 
     def test_mixture_invariant_under_weight_scale(self, rng):
         # the mixture depends on the weights only through w_i / sum_j w_j
         k = random_density(rng, 3)
-        states = [make_program_state_k(k), make_program_state_kk(k)]
+        states = [term_state(k, "k"), term_state(k, "kk")]
         for scale in (5e-324, 1e-300, 1e300):
             mix = mix_program_states([(scale, ps) for ps in states])
             even = mix_program_states([(1.0, ps) for ps in states])
@@ -334,7 +333,7 @@ class TestMixtures:
 
 class TestSimulateEvolution:
     def test_zero_time_returns_input(self, rng):
-        ps = make_program_state_k(random_density(rng, 2))
+        ps = term_state(random_density(rng, 2), "k")
         sigma = random_density(rng, 2)
         res = simulate_evolution([(1.0, ps)], sigma, EvolutionConfig(0.0))
         assert np.allclose(res.state.matrix, sigma.matrix)
@@ -344,7 +343,7 @@ class TestSimulateEvolution:
         k = random_density(rng, 2)
         sigma = random_density(rng, 2)
         cfg = EvolutionConfig(total_time=0.2, steps=8)
-        res = simulate_evolution([(1.0, make_program_state_k(k))], sigma, cfg)
+        res = simulate_evolution([(1.0, term_state(k, "k"))], sigma, cfg)
         manual = sigma
         for _ in range(8):
             manual = lmr_step(k, manual, 0.2 / 8)
@@ -387,9 +386,9 @@ class TestSimulateEvolution:
         sigma0 = random_density(rng, m, real=True)
         gamma = 1.0
         sources = [
-            (1 / gamma, make_program_state_k(k)),
-            (1.0, make_program_state_kk(k)),
-            (1 / gamma, make_program_state_klk(k, l)),
+            (1 / gamma, term_state(k, "k")),
+            (1.0, term_state(k, "kk")),
+            (1 / gamma, term_state(k, "klk", l)),
         ]
         res = simulate_evolution(sources, sigma0, EvolutionConfig(1.0, 1e-3))
         generator = mix_program_states(sources).generator
@@ -401,7 +400,7 @@ class TestSimulateEvolution:
         assert density_fidelity(res.state.matrix, exact.matrix) >= 0.999
 
     def test_doubling_steps_halves_error(self, rng):
-        ps = make_program_state_kk(random_density(rng, 3))
+        ps = term_state(random_density(rng, 3), "kk")
         sigma0 = random_pure_density(rng, 3)
         exact = exact_conjugation(hermitian_eig(ps.generator), sigma0, 1.0)
         errs = {}
@@ -413,7 +412,7 @@ class TestSimulateEvolution:
     def test_stochastic_mode_seeded(self, rng):
         k = random_density(rng, 2)
         l = random_density(rng, 2)
-        sources = [(1.0, make_program_state_k(k)), (1.0, make_program_state_klk(k, l))]
+        sources = [(1.0, term_state(k, "k")), (1.0, term_state(k, "klk", l))]
         sigma0 = random_density(rng, 2)
         cfg = EvolutionConfig(0.5, steps=50)
         out1 = stepwise_simulate_evolution(sources, sigma0, cfg, rng=np.random.default_rng(5))
@@ -427,7 +426,7 @@ class TestSimulateEvolution:
         # the mixture's step generator, decomposed by the caller, serves the
         # trajectory: the same state, and no decomposition inside
         k = random_density(rng, 4, real=True)
-        sources = [(0.5, make_program_state_k(k)), (1.5, make_program_state_kk(k))]
+        sources = [(0.5, term_state(k, "k")), (1.5, term_state(k, "kk"))]
         eig = hermitian_eig(mix_program_states(sources).step_operators()[0])
         sigma0 = random_density(rng, 4)
         cfg = EvolutionConfig(1.0, steps=100)
@@ -440,7 +439,7 @@ class TestSimulateEvolution:
     @pytest.mark.parametrize("wrong", ["other_matrix", "one_source", "shape", "not_orthonormal"])
     def test_wrong_decomposition_rejected(self, rng, wrong):
         k = random_density(rng, 4, real=True)
-        sources = [(0.5, make_program_state_k(k)), (1.5, make_program_state_kk(k))]
+        sources = [(0.5, term_state(k, "k")), (1.5, term_state(k, "kk"))]
         eig = {
             "other_matrix": lambda: hermitian_eig(random_hermitian(rng, 4)),
             "one_source": lambda: hermitian_eig(sources[1][1].generator),

@@ -265,6 +265,30 @@ class TestSimulate:
     def test_all_filtered_is_numerical_error(self):
         assert main(["simulate", DATASET8, "--knn", "2", "--sigma-thresh", "0.999"]) == 3
 
+    @pytest.mark.parametrize("gamma", ["1e-200", "1e-300"])
+    def test_tiny_gamma(self, tmp_path, capsys, gamma):
+        # alpha is ~gamma, finite and nonzero, but its squares underflow: its
+        # unit vector is taken from alpha / max|alpha_i|
+        out_path = tmp_path / "sim.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", DATASET8, "--knn", "2", "--gamma", gamma,
+                         "--report", str(out_path)]) == 0
+        assert [str(w.message) for w in caught] == []
+        doc = json.loads(out_path.read_text())
+        assert doc["quantum"]["solution_fidelity"] >= 0.99
+        assert doc["classification"]["agreement"] == 1.0
+
+    def test_subnormal_gamma_overflows_the_system_matrix(self, capsys):
+        # K/gamma overflows: one error line from the guard, no NaN or Inf
+        # reaching a later check
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", DATASET8, "--knn", "2", "--gamma", "1e-310"]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "numerical error: [classical] float64 overflow in the system matrix\n")
+
     def test_missing_file_is_io_error(self, capsys):
         assert main(["simulate", "/no/such/file.csv"]) == 4
         assert capsys.readouterr().err.startswith("i/o error: [ingest] ")

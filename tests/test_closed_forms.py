@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, random_density, random_training_set
+from conftest import (
+    random_connected_graph,
+    random_density,
+    random_hermitian,
+    random_training_set,
+    term_state,
+)
 from dilation import (
     data_state,
     dense_classify,
@@ -38,9 +44,7 @@ from qsslsvm.channels import (
     EvolutionConfig,
     ProgramState,
     exact_conjugation,
-    make_program_state_k,
-    make_program_state_kk,
-    make_program_state_klk,
+    generator_terms,
     mix_program_states,
     simulate_evolution,
 )
@@ -61,7 +65,7 @@ from qsslsvm.encodings import (
 from qsslsvm.errors import NumericalError, ParameterError
 from qsslsvm.hhl import QPEConfig, _clock_weights, hhl_solve, quantum_multiply
 from qsslsvm.linalg import SpectralDecomposition, hermitian_eig
-from qsslsvm.pipeline import _DT_SWEEP, _one_step_errors
+from qsslsvm.pipeline import _DT_SWEEP, _one_step_errors, _system
 from qsslsvm.swap_test import classify
 
 TOL = 1e-12
@@ -153,27 +157,27 @@ _DYADIC = [
 class TestAgainstDilation:
     def test_program_states(self, rng):
         k, l, sigma = (random_density(rng, 4) for _ in range(3))
-        assert _gap(program_state_matrix(make_program_state_kk(k)),
+        assert _gap(program_state_matrix(term_state(k, "kk")),
                     program_state_matrix(dense_program_state_kk(k))) <= TOL
-        assert _gap(program_state_matrix(make_program_state_klk(k, l)),
+        assert _gap(program_state_matrix(term_state(k, "klk", l)),
                     program_state_matrix(dense_program_state_klk(k, l))) <= TOL
         # the K program state's step is the plain density-exponentiation step
         for dt in (0.3, -0.7):
-            assert _gap(glmr_step(make_program_state_k(k), sigma, dt).matrix,
+            assert _gap(glmr_step(term_state(k, "k"), sigma, dt).matrix,
                         lmr_step(k, sigma, dt).matrix) <= TOL
 
     def test_glmr_step(self, rng):
         k, l, sigma = (random_density(rng, 4) for _ in range(3))
-        for ps in (make_program_state_k(k), make_program_state_kk(k),
-                   make_program_state_klk(k, l)):
+        for ps in (term_state(k, "k"), term_state(k, "kk"),
+                   term_state(k, "klk", l)):
             for dt in (0.2, -0.05, 1.0):
                 assert _gap(glmr_step(ps, sigma, dt).matrix,
                             dense_glmr_step(ps, sigma, dt).matrix) <= TOL
 
     def test_fifty_step_evolution(self, rng):
         k, l, sigma = (random_density(rng, 4) for _ in range(3))
-        sources = [(0.5, make_program_state_k(k)), (1.0, make_program_state_kk(k)),
-                   (0.5, make_program_state_klk(k, l))]
+        sources = [(0.5, term_state(k, "k")), (1.0, term_state(k, "kk")),
+                   (0.5, term_state(k, "klk", l))]
         cfg = EvolutionConfig(1.0, steps=50)
         closed = simulate_evolution(sources, sigma, cfg)
         dense = dense_simulate_evolution(sources, sigma, cfg)
@@ -184,7 +188,7 @@ class TestAgainstDilation:
 
     def test_glmr_phase_estimation(self, rng):
         k, l = random_density(rng, 2), random_density(rng, 2)
-        sources = [(1.0, make_program_state_k(k)), (1.0, make_program_state_klk(k, l))]
+        sources = [(1.0, term_state(k, "k")), (1.0, term_state(k, "klk", l))]
         b = np.array([0.6, 0.8j])
         cfg = QPEConfig(2)
         closed = glmr_phase_estimation(sources, b, cfg, steps_per_unit=100)
@@ -556,12 +560,41 @@ class TestProperties:
     def test_program_states(self, d, seed, dt):
         rng = np.random.default_rng(seed)
         k, l, sigma = (random_density(rng, d) for _ in range(3))
-        assert _gap(glmr_step(make_program_state_k(k), sigma, dt).matrix,
+        assert _gap(glmr_step(term_state(k, "k"), sigma, dt).matrix,
                     lmr_step(k, sigma, dt).matrix) <= TOL
-        assert _gap(program_state_matrix(make_program_state_kk(k)),
+        assert _gap(program_state_matrix(term_state(k, "kk")),
                     program_state_matrix(dense_program_state_kk(k))) <= TOL
-        assert _gap(program_state_matrix(make_program_state_klk(k, l)),
+        assert _gap(program_state_matrix(term_state(k, "klk", l)),
                     program_state_matrix(dense_program_state_klk(k, l))) <= TOL
+
+    @given(d=st.integers(2, 24), seed=seeds, log_gamma=st.floats(-300.0, 300.0))
+    def test_built_system(self, d, seed, log_gamma):
+        """What ``AssembledSystem._built`` does not check for the system
+        ``simulate`` sums from its generator terms, K/gamma + K K +
+        K L K/gamma over package-built densities: it is exactly symmetric."""
+        rng = np.random.default_rng(seed)
+        k = kernel_density(random_training_set(rng, d, int(rng.integers(1, 5))))
+        l = laplacian_density(random_connected_graph(rng, d))
+        a = _system(generator_terms(k, l), np.ones(d), 10.0**log_gamma).a_matrix
+        assert np.array_equal(a, a.T)
+
+    @given(m=st.integers(2, 64), seed=seeds, kind=st.sampled_from(["real", "complex", "signed"]),
+           t=st.floats(0.5, 4.0))
+    def test_squared_spectrum(self, m, seed, kind, t):
+        """K K's decomposition read from K's (``squared``), for a real or
+        complex density K and for a Hermitian K with negative eigenvalues,
+        whose squares fall out of order: its eigenvalues descend, and
+        exp(-i K K t) from it is within 1e-12 of the one from decomposing
+        K K itself."""
+        rng = np.random.default_rng(seed)
+        if kind == "signed":
+            k = random_hermitian(rng, m) / m
+        else:
+            k = random_density(rng, m, real=kind == "real").matrix
+        derived = hermitian_eig(k).squared()
+        assert np.all(np.diff(derived.eigenvalues) <= 0)
+        assert _gap(derived.apply(lambda w: np.exp(-1j * w * t)),
+                    hermitian_eig(k @ k).apply(lambda w: np.exp(-1j * w * t))) <= TOL
 
     @given(m=st.sampled_from([1, 2]) | st.integers(3, 64), seed=seeds,
            term=st.sampled_from(["k", "kk", "klk"]), real=st.booleans(),
@@ -583,9 +616,9 @@ class TestProperties:
             k = DensityMatrix(np.outer(w, w.conj()) / np.vdot(w, w).real)
         else:
             k = random_density(rng, m, real=real)
-        ps = {"k": lambda: make_program_state_k(k),
-              "kk": lambda: make_program_state_kk(k),
-              "klk": lambda: make_program_state_klk(k, random_density(rng, m, real=True))}[term]()
+        ps = {"k": lambda: term_state(k, "k"),
+              "kk": lambda: term_state(k, "kk"),
+              "klk": lambda: term_state(k, "klk", random_density(rng, m, real=True))}[term]()
         eig = hermitian_eig(ps.generator)
         if eigenvector_probe:
             phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
@@ -659,7 +692,7 @@ class TestProperties:
         else:
             k, l = (_edge_density(rng, d, real, trace_shift) for _ in range(2))
         psd_tol, trace_tol = (1e-8, 1e-9) if source == "edge" else (1e-10, 1e-10)
-        states = [make_program_state_k(k), make_program_state_kk(k), make_program_state_klk(k, l)]
+        states = [term_state(k, "k"), term_state(k, "kk"), term_state(k, "klk", l)]
         mixture = mix_program_states([(10.0**w, ps) for w, ps in zip(log_weights, states)])
         for ps in states + [mixture]:
             _assert_valid_blocks([ps.rho0, ps.rho1], psd_tol, trace_tol)

@@ -9,14 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import random_density, term_state
 from dilation import (
     conditional_rotation_invert,
     conditional_rotation_multiply,
     glmr_phase_estimation,
     phase_estimation,
 )
-from qsslsvm.channels import make_program_state_k
 from qsslsvm.classical import KernelSpec, assemble_system, solve_classical
 from qsslsvm.encodings import DensityMatrix, kernel_density, label_state, laplacian_density
 from qsslsvm.errors import (
@@ -380,12 +379,12 @@ class TestGlmrBackend:
         b = np.array([1.0, 1.0]) / np.sqrt(2)
         cfg = QPEConfig(3, np.pi)
         exact = phase_estimation(k, b, cfg).clock_distribution()
-        demo = glmr_phase_estimation(make_program_state_k(k), b, cfg, steps_per_unit=800)
+        demo = glmr_phase_estimation(term_state(k, "k"), b, cfg, steps_per_unit=800)
         assert np.max(np.abs(demo - exact)) < 0.02
         assert np.sum(demo) == pytest.approx(1.0, abs=1e-8)
 
     def test_steps_validation(self, rng):
-        ps = make_program_state_k(random_density(rng, 2))
+        ps = term_state(random_density(rng, 2), "k")
         with pytest.raises(ParameterError):
             glmr_phase_estimation(ps, np.array([1.0, 0.0]), QPEConfig(2), steps_per_unit=0)
 

@@ -9,9 +9,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import DATA, load_report
+from conftest import DATA, load_report, term_state
 from qsslsvm import cli, pipeline
-from qsslsvm.channels import make_program_state_k
 from qsslsvm.classical import KernelSpec, assemble_system
 from qsslsvm.datasets import build_knn_graph, load_dataset
 from qsslsvm.encodings import DensityMatrix, StateVector, kernel_density, laplacian_density
@@ -152,7 +151,7 @@ class TestRunPipeline:
         assert sum(name == "eigvalsh" for name, _ in eig_calls) == 0
 
     def test_non_finite_one_step_error_is_numerical_error(self):
-        ps = make_program_state_k(DensityMatrix(np.eye(3) / 3))
+        ps = term_state(DensityMatrix(np.eye(3) / 3), "k")
         broken = SpectralDecomposition(np.full(3, np.nan), np.eye(3))
         probe = StateVector.normalized(np.ones(3))
         with pytest.raises(NumericalError, match=r"of the k channel at dt=0\.2 "):
@@ -160,22 +159,24 @@ class TestRunPipeline:
 
     def test_one_decomposition_per_matrix(self, eig_calls):
         # A/tr(A) serves the classical solve, the inversion and the residual
-        # projection; the generators K (also the multiply's matrix), K K and
-        # K L K each serve every dt of the slope diagnostic
+        # projection; the generators K (also the multiply's matrix) and K L K
+        # each serve every dt of the slope diagnostic, and K's decomposition
+        # squared serves K K's
         run_pipeline(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
         inputs = [a for name, a in eig_calls if name == "eigh"]
-        assert len(inputs) == 4
+        assert len(inputs) == 3
         for i, a in enumerate(inputs):
             assert not any(a.shape == b.shape and np.array_equal(a, b) for b in inputs[:i])
 
     @pytest.mark.parametrize("runner, eigh, eigvalsh", [
         # the linear kernel's r x r core only: the built Laplacian is not re-checked
         (run_classical, 1, 0),
-        # A/tr(A) and the K, K K, K L K generators; nothing built is re-checked
-        (run_pipeline, 4, 0),
-        # the three generators; the checks left are of the probe state, the
-        # 6 trajectory outputs and the 3 exact conjugations
-        (bench_lmr, 3, 10),
+        # A/tr(A) and the K and K L K generators (K K's spectrum is K's,
+        # squared); nothing built is re-checked
+        (run_pipeline, 3, 0),
+        # the K and K L K generators; the checks left are of the probe state,
+        # the 6 trajectory outputs and the 3 exact conjugations
+        (bench_lmr, 2, 10),
     ])
     def test_decomposition_counts(self, eig_calls, runner, eigh, eigvalsh):
         testset = () if runner is bench_lmr else (DATA / "grid_20.csv",)
@@ -195,12 +196,13 @@ class TestRunPipeline:
         assert [(name, a.shape) for name, a in eig_calls] == [("eigh", (size, size))]
 
     def test_perturbed_classical_system_is_numerical_error(self, monkeypatch):
-        assemble = pipeline.assemble_system
+        # the system's 1/gamma weight off by 1e-6 relative to the mixture's
+        system = pipeline._system
 
-        def perturbed(k, l, y, gamma):
-            return assemble(k, l, y, gamma * (1.0 + 1e-6))
+        def perturbed(terms, y, gamma):
+            return system(terms, y, gamma * (1.0 + 1e-6))
 
-        monkeypatch.setattr(pipeline, "assemble_system", perturbed)
+        monkeypatch.setattr(pipeline, "_system", perturbed)
         with pytest.raises(NumericalError, match=r"^\[program_states\]"):
             run_pipeline(RunConfig(knn_k=2), DATA / "two_cluster_8.csv")
 
@@ -312,10 +314,13 @@ class TestBenchLmr:
             bench_lmr(cfg, DATA / "two_cluster_4.csv", dts=(0.2, 0.1))
 
     def test_one_decomposition_per_generator(self, eig_calls):
-        # 3 generators, each serving its dt sweep, its exact final state and
-        # both trajectories (n and 2n steps), which are handed the decomposition
+        # 3 generators, each decomposition serving its dt sweep, its exact
+        # final state and both trajectories (n and 2n steps), which are
+        # handed it; K K's is K's, squared
         bench_lmr(RunConfig(knn_k=2), DATA / "two_cluster_8.csv")
-        assert sum(name == "eigh" for name, _ in eig_calls) == 3
+        inputs = [a for name, a in eig_calls if name == "eigh"]
+        assert len(inputs) == 2
+        assert not np.array_equal(inputs[0], inputs[1])
 
 
 class TestCostModel:
