@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import IO
@@ -109,11 +109,18 @@ def _read_table(
     and so must each row's sum of squared features in float64, which
     ``nonzero`` also requires to be positive.  Errors carry the line they
     were found on: of several faults, the one on the first line.
+
+    A well-formed body is parsed whole: its field counts are checked line
+    by line, and its fields split from the joined lines and converted by
+    one ``np.array`` call (Python's ``float`` syntax, which ignores the
+    whitespace around a field).  On any fault the table is read again row
+    by row, which names the line.
     """
-    rows = _read_lines(source)
-    if not rows:
+    lines = _read_text(source).splitlines()
+    start = next((n for n, line in enumerate(lines) if line.strip()), None)
+    if start is None:
         raise ParseError("empty file")
-    header_line, header_text = rows[0]
+    header_line, header_text = start + 1, lines[start]
     delim = _detect_delimiter(header_text)
     header = _split(header_text, delim)
     has_label = header[-1].strip().lower() == "label"
@@ -130,8 +137,25 @@ def _read_table(
     if p < 1:
         raise ParseError("no feature columns", header_line)
 
+    body = [line for line in lines[header_line:] if line.strip()]
+    if delim == " ":
+        whole = all(len(line.split()) == len(header) for line in body)
+    else:
+        whole = all(line.count(delim) == len(header) - 1 for line in body)
+    if body and whole:
+        fields = " ".join(body).split() if delim == " " else delim.join(body).split(delim)
+        try:
+            values = np.array(fields, dtype=np.float64).reshape(len(body), len(header))
+        except ValueError:
+            pass  # a field that the row-by-row search names
+        else:
+            if not _faults(values, p, label_required, nonzero)[0].any():
+                return np.ascontiguousarray(values[:, :p]), values[:, -1]
+
     table = []
-    for lineno, line in rows[1:]:
+    for lineno, line in enumerate(lines[header_line:], header_line + 1):
+        if not line.strip():
+            continue
         fields = _split(line, delim)
         if len(fields) != len(header):
             # a fault on an earlier line is reported first
@@ -144,13 +168,33 @@ def _read_table(
     return np.ascontiguousarray(values[:, :p]), values[:, -1]
 
 
+def _faults(
+    values: np.ndarray, p: int, label_required: bool, nonzero: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a parsed table that break ``_read_table``'s rules, and each
+    row's sum of squared features: a fault is a non-finite sum (a
+    non-finite field or an overflowing sum), with ``nonzero`` a zero one,
+    and with ``label_required`` a label other than -1, 0 and +1."""
+    # summed column by column, in the order of a per-row sum over the fields
+    norm2 = np.zeros(len(values))
+    with np.errstate(over="ignore"):
+        for column in values[:, :p].T:
+            norm2 += column * column
+    fault = ~np.isfinite(norm2)
+    if nonzero:
+        fault |= norm2 == 0.0
+    if label_required:
+        fault |= ~np.isin(values[:, -1], (-1.0, 0.0, 1.0))
+    return fault, norm2
+
+
 def _table_values(
     table: list[tuple[int, list[str]]], p: int, label_required: bool, nonzero: bool
 ) -> np.ndarray:
     """The ``(line number, fields)`` rows of a table, all of one length, as
-    a float64 array, checked as ``_read_table`` describes.  The fields are
-    parsed by one ``np.array`` call (Python's ``float`` syntax) and checked
-    column-wise; only a non-numeric field is searched for row by row."""
+    a float64 array, checked as ``_read_table`` describes: the first row
+    with a fault raises.  The fields are parsed by one ``np.array`` call;
+    only a non-numeric field is searched for row by row."""
     if not table:
         return np.empty((0, 0))
     try:
@@ -163,25 +207,14 @@ def _table_values(
                 _table_values(table[:i], p, label_required, nonzero)
                 raise ParseError(f"non-numeric field: {exc}", lineno) from None
         raise
-    feats = values[:, :p]
-    # summed column by column, in the order of a per-row sum over the fields
-    norm2 = np.zeros(len(values))
-    with np.errstate(over="ignore"):
-        for column in feats.T:
-            norm2 += column * column
-    finite = np.isfinite(feats).all(axis=1)
-    fault = ~np.isfinite(norm2)  # a non-finite field or an overflowing sum
-    if nonzero:
-        fault |= norm2 == 0.0
-    if label_required:
-        fault |= ~np.isin(values[:, -1], (-1.0, 0.0, 1.0))
+    fault, norm2 = _faults(values, p, label_required, nonzero)
     if not fault.any():
         return values
     i = int(np.argmax(fault))
     lineno, fields = table[i]
-    if not finite[i]:
-        field = fields[int(np.argmin(np.isfinite(feats[i])))]
-        raise ParseError(f"non-finite field: {field!r}", lineno)
+    finite = np.isfinite(values[i, :p])
+    if not finite.all():
+        raise ParseError(f"non-finite field: {fields[int(np.argmin(finite))]!r}", lineno)
     if not math.isfinite(norm2[i]):
         raise ParseError("sum of squared features overflows float64", lineno)
     if nonzero and norm2[i] == 0.0:
@@ -225,11 +258,6 @@ def _read_text(source: str | Path | IO[str]) -> str:
         raise ParseError(f"file is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _read_lines(source: str | Path | IO[str]) -> list[tuple[int, str]]:
-    text = _read_text(source)
-    return [(i + 1, line) for i, line in enumerate(text.splitlines()) if line.strip()]
-
-
 def _pair_array(edges) -> np.ndarray:
     """``edges`` as an (E, 2) array of int64, or of Python ints where an
     index does not fit int64; anything else raises ``ParameterError``."""
@@ -248,14 +276,16 @@ def _pair_array(edges) -> np.ndarray:
     return pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class SampleGraph:
     """Undirected, unweighted graph over the m samples.
 
-    ``edges`` are (i, j) pairs, as a sequence or an (E, 2) integer array.
-    They are stored deduplicated as (i, j) with i < j in lexicographic
-    order, both as the ``edges`` tuple and as the read-only (E, 2) int64
-    ``edge_array``.  A self-loop or an index outside [0, m) raises
+    ``SampleGraph(m, edges)`` takes (i, j) pairs, as a sequence or an
+    (E, 2) integer array.  They are stored once, deduplicated as (i, j)
+    with i < j in lexicographic order, in the read-only (E, 2) int64
+    ``edge_array``; ``edges`` derives the same pairs as a tuple of Python
+    int tuples.  Two graphs are equal when their vertex counts and edges
+    are.  A self-loop or an index outside [0, m) raises
     ``ParameterError`` naming the first such pair in input order.
     Isolated vertices are rejected because every sample must participate
     in the manifold graph (and the degree-normalized Laplacian would be
@@ -263,19 +293,18 @@ class SampleGraph:
     """
 
     vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    degrees: np.ndarray = field(init=False, compare=False, repr=False)
-    edge_array: np.ndarray = field(init=False, compare=False, repr=False)
+    edge_array: np.ndarray
+    degrees: np.ndarray
 
-    def __post_init__(self):
-        m = int(self.vertex_count)
+    def __init__(self, vertex_count: int, edges):
+        m = int(vertex_count)
         if m < 1:
             raise ParameterError(f"vertex count must be >= 1, got {m}")
-        pairs = _pair_array(self.edges)
+        pairs = _pair_array(edges)
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
         bad = (lo == hi) | (lo < 0) | (hi >= m)
-        if np.any(bad):
+        if bad.any():
             i, j = (int(v) for v in pairs[np.argmax(bad)])
             if i == j:
                 raise ParameterError(f"self-loop at vertex {i}")
@@ -285,25 +314,44 @@ class SampleGraph:
             # (or a key i*m + j past int64) exists
             keys = set(zip(lo.tolist(), hi.tolist()))
         else:
-            keys = np.unique(lo * m + hi)  # sorted; m <= 2E keeps i*m + j in int64
+            keys = lo * m + hi  # m <= 2E keeps i*m + j in int64
+            keys.sort()
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         if m > 2 * len(keys):
             raise DegreeError(f"{len(keys)} edges leave some of {m} vertices isolated")
-        edges = np.empty((len(keys), 2), dtype=np.int64)
-        edges[:, 0], edges[:, 1] = np.divmod(keys, m)
-        deg = np.bincount(edges.reshape(-1), minlength=m)
-        if np.any(deg == 0):
+        edge_array = np.empty((len(keys), 2), dtype=np.int64)
+        edge_array[:, 0], edge_array[:, 1] = np.divmod(keys, m)
+        deg = np.bincount(edge_array.reshape(-1), minlength=m)
+        if not deg.all():
             isolated = int(np.flatnonzero(deg == 0)[0])
             raise DegreeError(f"vertex {isolated} is isolated (degree 0)")
-        edges.setflags(write=False)
+        edge_array.setflags(write=False)
         deg.setflags(write=False)
         object.__setattr__(self, "vertex_count", m)
-        object.__setattr__(self, "edges", tuple(map(tuple, edges.tolist())))
+        object.__setattr__(self, "edge_array", edge_array)
         object.__setattr__(self, "degrees", deg)
-        object.__setattr__(self, "edge_array", edges)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The stored pairs as a tuple of Python int tuples, formed anew
+        from ``edge_array`` on each access."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.edge_array.shape[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleGraph):
+            return NotImplemented
+        return (self.vertex_count == other.vertex_count
+                and np.array_equal(self.edge_array, other.edge_array))
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edge_array.tobytes()))
+
+    def __repr__(self):
+        return f"SampleGraph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
 
     @cached_property
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
@@ -356,8 +404,21 @@ def load_graph(source: str | Path | IO[str]) -> SampleGraph:
     return SampleGraph(m, tuple(edges))
 
 
-#: Rows of the distance matrix that ``build_knn_graph`` holds at a time.
-_KNN_BLOCK_ROWS = 16
+#: Rows of the screened squared distances that ``build_knn_graph`` holds
+#: at a time.
+_KNN_BLOCK_ROWS = 32
+
+#: The unit roundoff and the smallest subnormal of float64.
+_UNIT = 2.0**-53
+_SUBNORMAL = 2.0**-1074
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+#: A sample whose squared norm reaches this takes no part in the screen.
+_HUGE_NORM2 = _FLOAT_MAX / 16
+
+#: Relative slack on a row's threshold for a square root that ties it.
+_TIE_SLACK = 1.0 + 16 * _UNIT
 
 
 def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
@@ -389,53 +450,121 @@ def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _distance_rows(columns: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Euclidean distances of samples ``start:stop`` to every sample, from
-    the feature-major ``(p, m)`` array ``columns``.  The squared
-    differences form one ``(p, rows, m)`` array, freed on return, whose
-    sum over features is bit-identical to
-    ``np.sum((x_i - x_j)**2, axis=-1)`` over the sample-major array."""
-    with np.errstate(over="ignore"):  # a distance past float64 is inf, a tie
-        diff = columns[:, start:stop, None] - columns[:, None, :]
-        return np.sqrt(_pairwise_sum(np.multiply(diff, diff, out=diff)))
+def _pair_distances(columns: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Euclidean distances of the sample pairs ``(i[n], j[n])`` from the
+    feature-major ``(p, m)`` array ``columns``.  The squared differences
+    of the gathered pairs form one ``(p, pairs)`` array whose sum over
+    features is bit-identical to ``np.sum((x_i - x_j)**2, axis=-1)`` over
+    the sample-major array.  A distance past float64 is inf; the caller
+    decides whether its overflow warns."""
+    diff = columns[:, i] - columns[:, j]
+    return np.sqrt(_pairwise_sum(np.multiply(diff, diff, out=diff)))
 
 
 def build_knn_graph(x: TrainingSet, k: int) -> SampleGraph:
     """Symmetric (union) k-nearest-neighbor graph under Euclidean distance.
 
-    Distance ties are broken by the lower vertex index, so the result is
-    deterministic for a fixed input: with each row's self-distance set
-    below every distance, a row's neighbors are the columns a stable sort
-    of its distances ranks 1..k.  Rows are taken ``_KNN_BLOCK_ROWS`` at a
-    time.  A block's distances are ``sqrt(sum((x_i - x_j)^2))`` from its
-    feature-major difference array, and ``argpartition`` selects the k + 1
-    smallest of each row; only a row with more than k + 1 distances at or
-    below its k-th neighbor's, a tie across the cut, is sorted in full.
-    So the graph takes O(m^2 p) time and holds a
-    ``p x _KNN_BLOCK_ROWS x m`` array, never an ``m x m`` one.
-    ``SampleGraph`` merges the pairs found from both ends.
+    A row's neighbors are the first k other samples in (distance, index)
+    order, so distance ties go to the lower vertex index and the result
+    is deterministic for a fixed input.  Each distance that decides a
+    neighbor is ``sqrt(sum((x_i - x_j)^2))`` from ``_pair_distances``,
+    bit-identical to ``np.sum`` over the last axis of a sample-major
+    difference array, so ties (and overflow to inf) come out as from it.
+
+    Rows are taken ``_KNN_BLOCK_ROWS`` at a time and screened first: with
+    ``n_i = ||x_i||^2``, ``S_ij = n_i + n_j - 2 x_i . x_j`` comes from one
+    BLAS product per block, and ``e_ij = c (n_i + n_j) + t`` bounds how
+    far ``S_ij`` lies from the exact sum of squares: the rounding errors
+    of both against the true squared distance, added (derived in
+    ``_neighbor_pairs``).  With ``tau_i`` the k-th smallest
+    ``S_ij + e_ij`` over ``j != i``, every neighbor of row i has
+    ``S_ij - e_ij <= tau_i`` (up to a slack for square roots that tie),
+    and only those candidates are ranked.  When every row of a block has
+    exactly k candidates, they are its neighbors; otherwise the block's
+    candidates get their exact distances and are sorted.  A sample with
+    ``n_i >= max/16`` takes no part in the screen: every pair it is in is
+    a candidate.  So the graph takes O(m^2 p) multiply-adds in BLAS and
+    O(m^2) other work, and holds ``_KNN_BLOCK_ROWS x m`` arrays, never an
+    ``m x m`` one.  ``SampleGraph`` merges the pairs found from both ends.
     """
     m = x.sample_count
     if not 1 <= k < m:
         raise ParameterError(f"k must be in [1, {m - 1}], got {k}")
+    return SampleGraph(m, _neighbor_pairs(x, k))
+
+
+def _neighbor_pairs(x: TrainingSet, k: int) -> np.ndarray:
+    """The ``(m k, 2)`` pairs (i, j) of each sample i and its k nearest
+    others, screened and ranked as ``build_knn_graph`` describes.  The
+    screen's two block arrays are made once and reused, so a large m does
+    not map and fault fresh pages for every block."""
+    # The bound e_ij, with u = 2^-53, eta = 2^-1074 (each rounding that
+    # underflows adds at most eta/2), gamma_q = q u / (1 - q u), N = n_i + n_j
+    # and D = ||x_i - x_j||^2 (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., sec. 3.1):
+    # - a dot product of p terms in any order, fused or not, lies within
+    #   gamma_p sum_k |a_k b_k| + p eta of the true one, and
+    #   2 sum_k |x_ik x_jk| <= N; so the computed n_i + n_j and
+    #   -2 x_i . x_j (one product with the exactly doubled -2 x_j) are each
+    #   within gamma_p N + 2 p eta;
+    # - the exact sum of squares rounds a difference, its square and p - 1
+    #   sums: within gamma_{p+2} D + p eta, and D <= 2 N;
+    # - S +- e is evaluated as (-2 x_i . x_j + w_j) + w_i with
+    #   w = (1 +- c) n +- t/2, whose roundings add at most 6 u N and eta.
+    # In all, (4 p + 10) u N + (5 p + 1) eta to first order: c = (4 p + 16) u
+    # leaves 6 u N for the second-order terms (enough for p below 10^7),
+    # and t = 8 (p + 1) eta leaves at least 9 eta.  A sample with
+    # n_i < max/16 in both places keeps N, S, e and D finite.
+    #
+    # tau_i, the k-th smallest S + e, has k columns whose exact squared
+    # distance is at most tau_i.  A neighbor's distance is at most the
+    # rounded sqrt(tau_i), so its squared distance is at most
+    # (1 + 5 u) tau_i, or tau_i + 2.5 eta where tau_i is subnormal; the
+    # threshold (1 + 16 u) tau_i and the eta left in t cover both.
+    m, p = x.features.shape
+    feats = x.features
     pairs = np.empty((m, k, 2), dtype=np.int64)
     pairs[:, :, 0] = np.arange(m)[:, None]
-    columns = np.ascontiguousarray(x.features.T)
-    for start in range(0, m, _KNN_BLOCK_ROWS):
-        stop = min(start + _KNN_BLOCK_ROWS, m)
-        dist = _distance_rows(columns, start, stop)
-        rows = np.arange(stop - start)
-        dist[rows, start + rows] = -1.0
-        # the k + 1 smallest of each row, its own sample among them, with
-        # the largest in column k
-        part = np.argpartition(dist, k, axis=1)[:, : k + 1]
-        cut = dist[rows, part[:, k]]
-        ties = np.flatnonzero(np.sum(dist <= cut[:, None], axis=1) > k + 1)
-        near = part[part != (start + rows)[:, None]].reshape(-1, k)
-        if ties.size:
-            near[ties] = np.argsort(dist[ties], axis=1, kind="stable")[:, 1 : k + 1]
-        pairs[start:stop, :, 1] = near
-    return SampleGraph(m, pairs.reshape(-1, 2))
+    c = (4 * p + 16) * _UNIT
+    t = 8 * (p + 1) * _SUBNORMAL
+    with np.errstate(over="ignore"):  # a distance past float64 is inf, a tie
+        norm2 = np.vecdot(feats, feats)  # inf past float64
+        upper = (1 + c) * norm2 + t / 2
+        lower = (1 - c) * norm2 - t / 2
+        huge = norm2 >= _HUGE_NORM2
+        if huge.any():
+            feats = np.where(huge[:, None], 0.0, feats)
+            upper[huge] = np.inf  # out of every threshold
+            lower[huge] = -np.inf  # a candidate in every row
+        scaled = -2.0 * feats.T
+        block = (min(_KNN_BLOCK_ROWS, m), m)
+        screens, highs, below = np.empty(block), np.empty(block), np.empty(block, dtype=bool)
+        for start in range(0, m, _KNN_BLOCK_ROWS):
+            stop = min(start + _KNN_BLOCK_ROWS, m)
+            rows = stop - start
+            screen = np.matmul(feats[start:stop], scaled, out=screens[:rows])  # -2 x_i . x_j
+            high = np.add(screen, upper, out=highs[:rows])
+            high.reshape(-1)[start :: m + 1] = np.inf  # j == i
+            # rounding is monotone: the k-th smallest of (S + e)_ij with
+            # w_i added last is w_i added to the k-th smallest before it
+            high.partition(k - 1, axis=1)
+            tau = high[:, k - 1] + upper[start:stop]
+            # an infinite tau (a huge row, or fewer than k screened columns)
+            # keeps every other column
+            limit = np.minimum(tau * _TIE_SLACK, _FLOAT_MAX)
+            screen += lower
+            screen += lower[start:stop, None]
+            screen.reshape(-1)[start :: m + 1] = np.inf
+            # candidates in (row, index) order
+            r, j = np.nonzero(np.less_equal(screen, limit[:, None], out=below[:rows]))
+            if j.size > rows * k:  # some row has more than k candidates: rank them
+                dist = _pair_distances(x.features.T, start + r, j)
+                order = np.lexsort((dist, r))  # stable: ties keep index order
+                counts = np.bincount(r, minlength=rows)
+                j = j[order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]]
+            # every row has at least k candidates, so now exactly k
+            pairs[start:stop, :, 1] = j.reshape(rows, k)
+    return pairs.reshape(-1, 2)
 
 
 class LaplacianMatrix:

@@ -21,7 +21,7 @@ from qsslsvm.datasets import (
     SampleGraph,
     TrainingSet,
     _detect_delimiter,
-    _read_lines,
+    _read_text,
     _split,
     build_knn_graph,
     load_dataset,
@@ -203,7 +203,8 @@ def read_table_by_loop(
     and a per-row sum of squares in field order (uncompensated, as ``sum``
     adds floats before Python 3.12), raising the same errors on the same
     lines (oracle for the vectorized ``datasets._read_table``)."""
-    rows = _read_lines(source)
+    text = _read_text(source)
+    rows = [(i + 1, line) for i, line in enumerate(text.splitlines()) if line.strip()]
     if not rows:
         raise ParseError("empty file")
     header_line, header_text = rows[0]

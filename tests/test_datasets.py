@@ -23,7 +23,7 @@ from qsslsvm.datasets import (
     LaplacianMatrix,
     SampleGraph,
     TrainingSet,
-    _distance_rows,
+    _pair_distances,
     _read_table,
     build_knn_graph,
     combinatorial_laplacian,
@@ -69,6 +69,31 @@ _NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
 _ODD_FIELD = st.sampled_from(["inf", "-Infinity", "nan", "1e200", "-1e154", "1e-200", "-0.0",
                               "1_000", "0x10", "", "abc", " 2.5 ", "\u0661\u0662"])
 _LABEL = st.sampled_from(["1", "-1", "0", "1.0", "-0"] * 3 + ["2", "0.5", "nan", "inf", "x"])
+
+
+@st.composite
+def _knn_samples(draw):
+    """A feature matrix and a k for ``build_knn_graph``: m up to 300 (several
+    row blocks), p up to 40, k up to 8; now and then rounded coordinates
+    (tied distances), duplicated rows, a scale where squares underflow
+    (1e-300, 1e-160) or near overflow (1e150), clusters shifted 1e6 or
+    1e12 from the origin (where n_i + n_j - 2 x_i . x_j cancels), and
+    rows of +-1e200 (squared norms past float64)."""
+    m = draw(st.integers(2, 300))
+    p = draw(st.integers(1, 40))
+    k = draw(st.integers(1, min(8, m - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(m, p))
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        x = np.round(x, decimals)
+    x[rng.integers(0, m, size=draw(st.integers(0, m // 4)))] = x[rng.integers(0, m)]
+    x[: m // 2] += 3.0  # two clusters
+    x += draw(st.sampled_from([0.0, 1e6, 1e12]))
+    x *= draw(st.sampled_from([1.0, 1e-300, 1e-160, 1e150]))
+    huge = rng.integers(0, m, size=draw(st.integers(0, 3)))
+    x[huge] = 1e200 * rng.choice([-1.0, 1.0], size=(len(huge), p))
+    return x, k
 
 
 @st.composite
@@ -411,10 +436,18 @@ class TestKnnGraph:
                 with np.errstate(over="ignore"):
                     assert build_knn_graph(ts, k).edges == knn_edges_by_sort(x, k), (variant, k)
 
+    @settings(max_examples=150)
+    @given(_knn_samples())
+    def test_matches_sort_oracle_on_drawn_samples(self, case):
+        x, k = case
+        ts = TrainingSet(x, np.r_[1.0, np.zeros(len(x) - 1)], 1)
+        with np.errstate(over="ignore"):
+            assert build_knn_graph(ts, k).edges == knn_edges_by_sort(x, k)
+
     def test_distance_block_is_bit_equal_to_row_major_sum(self):
-        # the feature-major block adds the squares in numpy's pairwise order,
-        # so ranking ties (rounded coordinates, duplicate rows, 1e200 rows at
-        # distance inf) come out exactly as from np.sum over the last axis
+        # the gathered feature-major pairs add the squares in numpy's pairwise
+        # order, so ranking ties (rounded coordinates, duplicate rows, 1e200
+        # rows at distance inf) come out exactly as from np.sum over the last axis
         rng = np.random.default_rng(5)
         for p in range(1, 301):
             x = np.round(rng.normal(size=(21, p)) * np.exp(rng.normal(scale=3, size=(21, p))), 1)
@@ -426,7 +459,9 @@ class TestKnnGraph:
                 for start, stop in ((0, 16), (16, 21)):
                     diff = x[start:stop, None, :] - x[None, :, :]
                     expected = np.sqrt(np.sum(diff * diff, axis=2))
-                    assert np.array_equal(_distance_rows(columns, start, stop), expected), p
+                    i, j = np.indices(expected.shape).reshape(2, -1)
+                    dist = _pair_distances(columns, start + i, j).reshape(expected.shape)
+                    assert np.array_equal(dist, expected), p
 
     def test_memory_stays_below_one_distance_matrix(self, rng):
         m, p = 512, 8
