@@ -22,11 +22,15 @@ Every construction is evaluated in closed form on d x d matrices.
 run builds its system matrix and all three program states from them.  A
 ``ProgramState`` holds only the two d x d control blocks rho'' and rho'''
 (float64 when the densities are real); the 2d x 2d matrix is never
-assembled.  ``ProgramState(...)`` checks a caller's blocks Hermitian and
-PSD (for a block-diagonal state, the full density check) with unit total
-trace.  The builders below skip that check (``ProgramState._built``): for
-densities 0 <= K <= I and ||L|| <= 1, K +- K K = K (I +- K) and K +- K L K
-are PSD with trace 2 tr K, and so is a positive mixture.  With S^2 = I,
+assembled.  A state owns the decomposition of its generator
+(``spectrum``), made on first use and shared by every consumer, or
+handed to ``ProgramState._built`` by a builder that holds it (K K's
+state gets K's, squared); nothing re-checks it.  ``ProgramState(...)``
+checks a caller's blocks Hermitian and PSD (for a block-diagonal state,
+the full density check) with unit total trace.  The builders below skip
+that check (``ProgramState._built``): for densities 0 <= K <= I and
+||L|| <= 1, K +- K K = K (I +- K) and K +- K L K are PSD with trace
+2 tr K, and so is a positive mixture.  With S^2 = I,
 exp(-iS dt) = cos(dt) I - i sin(dt) S, and the partial traces of the
 dilated circuits reduce exactly to
 
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -68,12 +73,6 @@ from .swap_test import _nonnegative_int
 #: the strict single-construction bounds.
 _CHANNEL_TOLS = dict(hermitian_tol=1e-9, psd_tol=1e-8, trace_tol=1e-9)
 
-#: Largest max|B V - V diag(lam)| and max|V^dagger V - I| accepted for a
-#: decomposition passed to ``simulate_evolution``.  A program state's step
-#: generator has spectral norm at most 1, where ``eigh`` leaves both near
-#: d * 1e-16.
-_DECOMPOSITION_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class ProgramState:
@@ -83,7 +82,8 @@ class ProgramState:
     block-diagonal state |0><0| (x) rho'' + |1><1| (x) rho'''.  Each is
     checked Hermitian and PSD, and tr(rho'' + rho''') = 1; a block-diagonal
     matrix is PSD exactly when its blocks are, so this is the full density
-    check.  The generator is rho'' - rho'''.
+    check.  The generator is rho'' - rho''', and ``spectrum`` its
+    decomposition.
     """
 
     rho0: np.ndarray
@@ -107,12 +107,17 @@ class ProgramState:
             object.__setattr__(self, name, block)
 
     @classmethod
-    def _built(cls, rho0: np.ndarray, rho1: np.ndarray) -> ProgramState:
-        """Wrap fresh blocks PSD by construction, unchecked."""
+    def _built(
+        cls, rho0: np.ndarray, rho1: np.ndarray, spectrum: SpectralDecomposition | None = None
+    ) -> ProgramState:
+        """Wrap fresh blocks PSD by construction, unchecked, with the
+        decomposition of their generator when the builder holds it."""
         ps = object.__new__(cls)
         for name, block in (("rho0", rho0), ("rho1", rho1)):
             block.setflags(write=False)
             object.__setattr__(ps, name, block)
+        if spectrum is not None:
+            ps.__dict__["spectrum"] = spectrum  # where ``cached_property`` keeps it
         return ps
 
     @property
@@ -123,6 +128,12 @@ class ProgramState:
     def generator(self) -> np.ndarray:
         """B = rho'' - rho'''."""
         return self.rho0 - self.rho1
+
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        """The decomposition of ``generator``, made on first use (unless
+        ``_built`` was handed it) and shared by every consumer."""
+        return hermitian_eig(self.generator)
 
     def step_operators(self) -> tuple[np.ndarray, np.ndarray]:
         """(B, R) = (rho'' - rho''', rho'' + rho'''), the two matrices one
@@ -154,7 +165,8 @@ def make_program_state(k: np.ndarray, g: np.ndarray) -> ProgramState:
 def mix_program_states(sources: Sequence[tuple[float, ProgramState]]) -> ProgramState:
     """Weighted mixture sum_i p_i rho'_i, p_i = w_i / sum_j w_j, whose
     generator is sum_i p_i B_i; ``ParameterError`` unless each w_i is finite
-    and positive and their sum finite."""
+    and positive and their sum finite.  A single source is its own mixture:
+    it is returned itself, with its ``spectrum``."""
     if not sources:
         raise ParameterError("at least one program state is required")
     weights = [float(w) for w, _ in sources]
@@ -163,6 +175,8 @@ def mix_program_states(sources: Sequence[tuple[float, ProgramState]]) -> Program
     total = sum(weights)
     if total == math.inf:
         raise ParameterError(f"mixture weights {weights} sum past the float64 range")
+    if len(sources) == 1:
+        return sources[0][1]
     dims = {ps.system_dim for _, ps in sources}
     if len(dims) != 1:
         raise LayoutError(f"program states have mixed dimensions {sorted(dims)}")
@@ -248,47 +262,18 @@ def _channel_power(
     return v @ state @ vh
 
 
-def _checked_decomposition(
-    b: np.ndarray, eig: SpectralDecomposition | None
-) -> SpectralDecomposition:
-    """``eig`` after checking that it decomposes ``b``: shapes (d,) and
-    (d, d), and max|B V - V diag(lam)| and max|V^dagger V - I| at most
-    ``_DECOMPOSITION_TOL``, else ``ParameterError``; a fresh decomposition
-    of ``b`` when ``eig`` is None."""
-    if eig is None:
-        return hermitian_eig(b)
-    lam, v = np.asarray(eig.eigenvalues), np.asarray(eig.eigenvectors)
-    d = b.shape[0]
-    if lam.shape != (d,) or v.shape != (d, d):
-        raise ParameterError(
-            f"decomposition shapes {lam.shape} and {v.shape} do not fit a {d} x {d} generator"
-        )
-    residual = float(np.max(np.abs(b @ v - v * lam)))
-    defect = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
-    if not max(residual, defect) <= _DECOMPOSITION_TOL:
-        raise ParameterError(
-            f"the decomposition does not fit the mixture generator: residual {residual:.3e}, "
-            f"orthonormality defect {defect:.3e} (tolerance {_DECOMPOSITION_TOL:g})"
-        )
-    return eig
-
-
 def simulate_evolution(
     sources: Sequence[tuple[float, ProgramState]],
     sigma0: DensityMatrix,
     cfg: EvolutionConfig,
-    eig: SpectralDecomposition | None = None,
 ) -> EvolutionResult:
     """n program-state steps under the deterministic source mixture, in
     closed form.
 
-    ``eig`` optionally gives the decomposition of the mixture's
-    ``generator`` B, so that a caller holding it saves the
-    eigendecomposition; a wrong shape or a fit worse than
-    ``_DECOMPOSITION_TOL`` raises ``ParameterError``.
-
-    In the eigenbasis B = V diag(lam) V^dagger of the mixture generator,
-    with X~ = V^dagger X V, one step maps sigma~_ab to
+    The mixture's generator B is decomposed by its ``spectrum``; a single
+    source is its own mixture, so its decomposition is the one its other
+    consumers share.  In the eigenbasis B = V diag(lam) V^dagger, with
+    X~ = V^dagger X V, one step maps sigma~_ab to
     h_ab sigma~_ab + s^2 tr(sigma) R~_ab, h_ab = c^2 - i c s (lam_a - lam_b).
     The step keeps the trace because tr R = 1, so n steps give
 
@@ -305,10 +290,8 @@ def simulate_evolution(
     n = cfg.resolved_steps()
     if n == 0:
         return EvolutionResult(sigma0, 0)
-    b, r = mixture.step_operators()
-    eig = _checked_decomposition(b, eig)
-    del b  # only its decomposition is used: not held through the trajectory
-    state = _channel_power(eig, r, sigma0.matrix, cfg.total_time / n, n)
+    r = mixture.rho0 + mixture.rho1
+    state = _channel_power(mixture.spectrum, r, sigma0.matrix, cfg.total_time / n, n)
     return EvolutionResult(DensityMatrix(state, **_CHANNEL_TOLS), n)
 
 

@@ -417,9 +417,6 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 #: A sample whose squared norm reaches this takes no part in the screen.
 _HUGE_NORM2 = _FLOAT_MAX / 16
 
-#: Relative slack on a row's threshold for a square root that ties it.
-_TIE_SLACK = 1.0 + 16 * _UNIT
-
 
 def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
     """Sum of ``terms`` over axis 0 in the order numpy's pairwise summation
@@ -478,8 +475,8 @@ def build_knn_graph(x: TrainingSet, k: int) -> SampleGraph:
     of both against the true squared distance, added (derived in
     ``_neighbor_pairs``).  With ``tau_i`` the k-th smallest
     ``S_ij + e_ij`` over ``j != i``, every neighbor of row i has
-    ``S_ij - e_ij <= tau_i`` (up to a slack for square roots that tie),
-    and only those candidates are ranked.  When every row of a block has
+    ``S_ij - e_ij <= tau_i`` (``e_ij`` also covers a square root that
+    ties), and only those candidates are ranked.  When every row of a block has
     exactly k candidates, they are its neighbors; otherwise the block's
     candidates get their exact distances and are sorted.  A sample with
     ``n_i >= max/16`` takes no part in the screen: every pair it is in is
@@ -511,21 +508,31 @@ def _neighbor_pairs(x: TrainingSet, k: int) -> np.ndarray:
     #   sums: within gamma_{p+2} D + p eta, and D <= 2 N;
     # - S +- e is evaluated as (-2 x_i . x_j + w_j) + w_i with
     #   w = (1 +- c) n +- t/2, whose roundings add at most 6 u N and eta.
-    # In all, (4 p + 10) u N + (5 p + 1) eta to first order: c = (4 p + 16) u
-    # leaves 6 u N for the second-order terms (enough for p below 10^7),
-    # and t = 8 (p + 1) eta leaves at least 9 eta.  A sample with
-    # n_i < max/16 in both places keeps N, S, e and D finite.
+    # In all, (4 p + 10) u N + (5 p + 1) eta to first order, so the
+    # computed S - e and S + e bracket the computed sum of squares E, with
+    # (c - (4 p + 10) u) N + t - (5 p + 1) eta to spare below and above,
+    # less the second-order terms.
     #
-    # tau_i, the k-th smallest S + e, has k columns whose exact squared
-    # distance is at most tau_i.  A neighbor's distance is at most the
-    # rounded sqrt(tau_i), so its squared distance is at most
-    # (1 + 5 u) tau_i, or tau_i + 2.5 eta where tau_i is subnormal; the
-    # threshold (1 + 16 u) tau_i and the eta left in t cover both.
+    # A square root that ties the threshold takes 10 u N more.  Let J be
+    # the k columns with the smallest S + e, each with S + e <= tau_i, and
+    # j' the one of them with the largest E.  A neighbor j is among the
+    # first k in (distance, index) order and J has k members, so
+    # rounded sqrt(E_j) <= rounded sqrt(E_j').  The square root is
+    # correctly rounded and a root of a positive double is normal, so
+    # E_j <= ((1 + u) / (1 - u))^2 E_j' <= (1 + 5 u) E_j', and
+    # 5 u E_j' <= 10 u N_j' + 5 u p eta (from E <= (1 + gamma_{p+2}) D + p eta
+    # and D <= 2 N).  So if S + e clears E_j' by 10 u N_j' and S - e stays
+    # at or below E_j, then (S - e)_j <= E_j <= (S + e)_j' <= tau_i: the
+    # neighbor is a candidate.  c = (4 p + 26) u leaves those 10 u N and
+    # 6 u N for the second-order terms (enough for p below 10^7), and
+    # t = 8 (p + 1) eta leaves at least 9 eta, covering 5 u p eta and the
+    # absolute roundings of subnormal values.  A sample with n_i < max/16
+    # in both places keeps N, S, e and D finite.
     m, p = x.features.shape
     feats = x.features
     pairs = np.empty((m, k, 2), dtype=np.int64)
     pairs[:, :, 0] = np.arange(m)[:, None]
-    c = (4 * p + 16) * _UNIT
+    c = (4 * p + 26) * _UNIT
     t = 8 * (p + 1) * _SUBNORMAL
     with np.errstate(over="ignore"):  # a distance past float64 is inf, a tie
         norm2 = np.vecdot(feats, feats)  # inf past float64
@@ -551,7 +558,7 @@ def _neighbor_pairs(x: TrainingSet, k: int) -> np.ndarray:
             tau = high[:, k - 1] + upper[start:stop]
             # an infinite tau (a huge row, or fewer than k screened columns)
             # keeps every other column
-            limit = np.minimum(tau * _TIE_SLACK, _FLOAT_MAX)
+            limit = np.minimum(tau, _FLOAT_MAX)
             screen += lower
             screen += lower[start:stop, None]
             screen.reshape(-1)[start :: m + 1] = np.inf

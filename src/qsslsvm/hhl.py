@@ -8,8 +8,10 @@ filtered pseudo-inverse applied to the input.  The multiplication variant
 writes lambda instead of c/lambda and yields A|b>/||A|b>||.
 
 Both run in closed form from one spectral decomposition A = sum_i lambda_i
-v_i v_i^dagger, passed in or made from the matrix.  With c_i = <v_i|b>,
-clock size T and evolution time t0, phase estimation reads clock y on
+v_i v_i^dagger, passed in or made from the matrix.  A thin one, holding
+only the nonzero eigenpairs, gives the same state: an eigenvalue 0 reads
+clock 0, whose gain is 0 in both.  With c_i = <v_i|b>, clock size T and
+evolution time t0, phase estimation reads clock y on
 eigenvector i with probability w[y, i], the Fejer kernel
 sin^2(pi u_i) / (T^2 sin^2(pi (u_i - y) / T)) centred on the eigenphase
 in clock bins u_i = lambda_i t0 T / (2 pi), evaluated in real float64 with
@@ -250,7 +252,7 @@ def hhl_solve(a_hat, b, sigma_thresh: float, cfg: QPEConfig) -> HHLResult:
         raise DegenerateSystemError(
             f"every eigenvalue lies below the filter threshold {sigma_thresh}"
         )
-    vec = _as_unit_state(b, lam.shape[0])
+    vec = _as_unit_state(b, eig.eigenvectors.shape[0])
     t0 = cfg.evolution_time
     if t0 is None:
         t0 = default_evolution_time(float(lam[0]))
@@ -284,7 +286,7 @@ def quantum_multiply(k, y, cfg: QPEConfig) -> StateVector:
         raise AmplitudeOverflowError(
             f"eigenvalue {lam[0]:.6g} exceeds the unit multiplication range"
         )
-    vec = _as_unit_state(y, lam.shape[0])
+    vec = _as_unit_state(y, eig.eigenvectors.shape[0])
     t0 = math.pi if cfg.evolution_time is None else cfg.evolution_time
     lam_hat, weights, _ = _clock_weights(eig, t0, cfg.clock_dim)
     gain = np.where(lam_hat <= 1.0 + 1e-12, np.minimum(lam_hat, 1.0), 0.0)

@@ -54,7 +54,7 @@ from .encodings import (
 )
 from .errors import ConfigurationError, LayoutError, NumericalError, ParameterError
 from .hhl import QPEConfig, hhl_solve, quantum_multiply
-from .linalg import SpectralDecomposition, hermitian_eig, overflow_guard, state_fidelity
+from .linalg import overflow_guard, state_fidelity
 from .swap_test import _nonnegative_int, classify
 
 SCHEMA_VERSION = 3
@@ -260,13 +260,12 @@ def _system(terms: dict, y: np.ndarray, gamma: float) -> AssembledSystem:
 
 
 def _program_states(terms: dict) -> dict:
-    """The program state of each of the ``generator_terms``, by term."""
-    return {name: make_program_state(terms["k"], g) for name, g in terms.items()}
-
-
-def _decomposition(name: str, ps: ProgramState, eig_k: SpectralDecomposition | None):
-    """The decomposition of ``ps``'s generator; K K's is K's (``eig_k``) squared."""
-    return eig_k.squared() if name == "kk" else hermitian_eig(ps.generator)
+    """The program state of each of the ``generator_terms``, by term.  K K's
+    carries K's decomposition squared, so K is decomposed here."""
+    states = {name: make_program_state(terms["k"], g) for name, g in terms.items()}
+    kk = states["kk"]
+    states["kk"] = ProgramState._built(kk.rho0, kk.rho1, states["k"].spectrum.squared())
+    return states
 
 
 def _a_hat_deviation(states: dict, gamma: float, a_hat: np.ndarray) -> float:
@@ -293,12 +292,11 @@ def _probe_state(d: int, seed: int) -> StateVector:
 
 
 def _one_step_errors(
-    term: str, ps: ProgramState, eig: SpectralDecomposition, probe: StateVector,
-    dts: tuple[float, ...],
+    term: str, ps: ProgramState, probe: StateVector, dts: tuple[float, ...],
 ) -> tuple[list[float], float]:
     """Frobenius errors of one ``ps`` step on P = |v><v| (``probe``) over
-    ``dts`` against exact conjugation under the generator B, whose
-    decomposition is ``eig``, and their log-log slope.
+    ``dts`` against exact conjugation under the generator B (decomposed
+    by ``ps.spectrum``), and their log-log slope.
 
     With (B, R) = ``ps.step_operators()``, c, s = cos dt, sin dt and
     u = e^{-iB dt} v, the step gives c^2 P + s^2 R - i c s [B, P] and the
@@ -331,13 +329,14 @@ def _one_step_errors(
     computation is the test oracle ``tests/dilation.py::dense_one_step_errors``.
     """
     b, r = ps.step_operators()
+    lam, vecs = ps.spectrum.eigenvalues, ps.spectrum.eigenvectors
     v = probe.amplitudes
     dt = np.asarray(dts, dtype=np.float64)
     # slice j holds [v, Bv, delta] at dts[j]; one QR call serves the sweep
     spans = np.empty((dt.size, v.size, 3), dtype=np.complex128)
     spans[:, :, 0], spans[:, :, 1] = v, b @ v
-    spans[:, :, 2] = (eig.eigenvectors @ (np.expm1(-1j * np.outer(eig.eigenvalues, dt))
-                                          * (eig.eigenvectors.conj().T @ v)[:, None])).T
+    spans[:, :, 2] = (vecs @ (np.expm1(-1j * np.outer(lam, dt))
+                              * (vecs.conj().T @ v)[:, None])).T
     qs, tris = np.linalg.qr(spans)
     del spans  # not held through the sweep, whose peak memory it would raise
     errs = []
@@ -388,15 +387,13 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
     terms, sysq, model = stages.run("classical", _classical)
     states = stages.run("program_states", lambda: _program_states(terms))
     del terms, k_density, l_density  # the states hold what the later stages read
-    spectra, eig = {}, None
-    for name, ps in states.items():  # K's decomposition, then K K's from it
-        spectra[name] = eig = stages.run("program_states", lambda: _decomposition(name, ps, eig))
     a_hat_deviation = stages.run("program_states", lambda: _a_hat_deviation(
         states, cfg.gamma, sysq.normalized_matrix()))
 
     qpe_cfg = QPEConfig(clock_qubits=cfg.clock_qubits)
     # the k program state's generator is K itself (rho0 = K, rho1 = 0)
-    ky_state = stages.run("multiply", lambda: quantum_multiply(spectra["k"], y_state, qpe_cfg))
+    ky_state = stages.run(
+        "multiply", lambda: quantum_multiply(states["k"].spectrum, y_state, qpe_cfg))
     multiply_fidelity = state_fidelity(ky_state.amplitudes, sysq.rhs / np.linalg.norm(sysq.rhs))
 
     hhl_result = stages.run(
@@ -430,7 +427,7 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
 
     def _bench():
         probe = _probe_state(training.sample_count, cfg.seed)
-        return {name: _one_step_errors(name, ps, spectra[name], probe, _DT_SWEEP)[1]
+        return {name: _one_step_errors(name, ps, probe, _DT_SWEEP)[1]
                 for name, ps in states.items()}
 
     slopes = stages.run("bench", _bench)
@@ -509,13 +506,12 @@ def bench_lmr(
     probe = _probe_state(states["k"].system_dim, cfg.seed)
     sigma0 = DensityMatrix(np.outer(probe.amplitudes, probe.amplitudes.conj()))
 
-    def _trajectory(ps, eig):
-        exact_final = exact_conjugation(eig, sigma0, total_time)
+    def _trajectory(ps):
+        exact_final = exact_conjugation(ps.spectrum, sigma0, total_time)
         errors = {}
         for steps in (n, 2 * n):
             run = simulate_evolution(
-                [(1.0, ps)], sigma0, EvolutionConfig(total_time, cfg.delta, steps), eig
-            )
+                [(1.0, ps)], sigma0, EvolutionConfig(total_time, cfg.delta, steps))
             errors[steps] = float(np.linalg.norm(run.state.matrix - exact_final.matrix))
         return {
             "steps": n,
@@ -524,15 +520,14 @@ def bench_lmr(
             "halving_ratio": errors[n] / max(errors[2 * n], 1e-300),
         }
 
-    sweeps, slopes, trajectory, eig = {}, {}, {}, None
+    sweeps, slopes, trajectory = {}, {}, {}
     for name in list(states):
-        # one state and one decomposition at a time serve the dt sweep, the exact
-        # final state and both trajectories; K's, the one before, serves K K's
+        # one state at a time, with its decomposition, serves the dt sweep,
+        # the exact final state and both trajectories
         ps = states.pop(name)
-        eig = stages.run("program_states", lambda: _decomposition(name, ps, eig))
         sweeps[name], slopes[name] = stages.run(
-            "bench", lambda: _one_step_errors(name, ps, eig, probe, dts))
-        trajectory[name] = stages.run("trajectory", lambda: _trajectory(ps, eig))
+            "bench", lambda: _one_step_errors(name, ps, probe, dts))
+        trajectory[name] = stages.run("trajectory", lambda: _trajectory(ps))
 
     return {
         "schema_version": SCHEMA_VERSION,

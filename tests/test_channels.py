@@ -8,7 +8,6 @@ from conftest import (
     density_fidelity,
     maximally_mixed,
     random_density,
-    random_hermitian,
     random_pure_density,
     term_state,
 )
@@ -30,7 +29,7 @@ from qsslsvm.channels import (
 )
 from qsslsvm.encodings import DensityMatrix
 from qsslsvm.errors import EncodingError, LayoutError, ParameterError
-from qsslsvm.linalg import SpectralDecomposition, hermitian_eig
+from qsslsvm.linalg import hermitian_eig
 
 DT_SWEEP = (0.2, 0.1, 0.05, 0.025)
 
@@ -310,6 +309,14 @@ class TestMixtures:
         with pytest.raises(ParameterError):
             mix_program_states([(-1.0, ps)])
 
+    def test_single_source_is_its_own_mixture(self, rng):
+        # returned itself, with its decomposition, once its weight is checked
+        ps = term_state(random_density(rng, 3), "kk")
+        assert mix_program_states([(0.25, ps)]) is ps
+        for w in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="weights"):
+                mix_program_states([(w, ps)])
+
     @pytest.mark.parametrize("weights", [
         (0.0,), (float("nan"),), (float("inf"),), (1.0, float("-inf")), (1e308, 1e308),
     ], ids=["zero", "nan", "inf", "neg_inf", "overflowing_sum"])
@@ -421,33 +428,6 @@ class TestSimulateEvolution:
         # sampled trajectory still lands near the mixture target
         exact = exact_conjugation(hermitian_eig(mix_program_states(sources).generator), sigma0, 0.5)
         assert np.linalg.norm(out1.state.matrix - exact.matrix) < 0.2
-
-    def test_supplied_decomposition(self, rng, eig_calls):
-        # the mixture's step generator, decomposed by the caller, serves the
-        # trajectory: the same state, and no decomposition inside
-        k = random_density(rng, 4, real=True)
-        sources = [(0.5, term_state(k, "k")), (1.5, term_state(k, "kk"))]
-        eig = hermitian_eig(mix_program_states(sources).step_operators()[0])
-        sigma0 = random_density(rng, 4)
-        cfg = EvolutionConfig(1.0, steps=100)
-        own = simulate_evolution(sources, sigma0, cfg)
-        del eig_calls[:]
-        supplied = simulate_evolution(sources, sigma0, cfg, eig)
-        assert not [name for name, _ in eig_calls if name == "eigh"]
-        assert np.array_equal(supplied.state.matrix, own.state.matrix)
-
-    @pytest.mark.parametrize("wrong", ["other_matrix", "one_source", "shape", "not_orthonormal"])
-    def test_wrong_decomposition_rejected(self, rng, wrong):
-        k = random_density(rng, 4, real=True)
-        sources = [(0.5, term_state(k, "k")), (1.5, term_state(k, "kk"))]
-        eig = {
-            "other_matrix": lambda: hermitian_eig(random_hermitian(rng, 4)),
-            "one_source": lambda: hermitian_eig(sources[1][1].generator),
-            "shape": lambda: hermitian_eig(random_hermitian(rng, 5)),
-            "not_orthonormal": lambda: SpectralDecomposition(np.zeros(4), np.zeros((4, 4))),
-        }[wrong]()
-        with pytest.raises(ParameterError, match="decomposition"):
-            simulate_evolution(sources, random_density(rng, 4), EvolutionConfig(1.0, steps=10), eig)
 
     def test_empty_sources(self, rng):
         with pytest.raises(ParameterError):

@@ -45,6 +45,7 @@ from qsslsvm.channels import (
     ProgramState,
     exact_conjugation,
     generator_terms,
+    make_program_state,
     mix_program_states,
     simulate_evolution,
 )
@@ -65,7 +66,7 @@ from qsslsvm.encodings import (
 from qsslsvm.errors import NumericalError, ParameterError
 from qsslsvm.hhl import QPEConfig, _clock_weights, hhl_solve, quantum_multiply
 from qsslsvm.linalg import SpectralDecomposition, hermitian_eig
-from qsslsvm.pipeline import _DT_SWEEP, _one_step_errors, _system
+from qsslsvm.pipeline import _DT_SWEEP, _one_step_errors, _program_states, _system
 from qsslsvm.swap_test import classify
 
 TOL = 1e-12
@@ -578,6 +579,29 @@ class TestProperties:
         a = _system(generator_terms(k, l), np.ones(d), 10.0**log_gamma).a_matrix
         assert np.array_equal(a, a.T)
 
+    @given(d=st.integers(1, 32), rank=st.integers(1, 32), seed=seeds, real=st.booleans())
+    def test_program_state_spectra(self, d, rank, seed, real):
+        """What no consumer re-checks: a program state's ``spectrum``
+        decomposes its generator B, for every state of ``generator_terms``
+        and for the K K state that ``_program_states`` seeds with K's
+        decomposition squared.  Eigenvalues descend, and
+        max|B V - V diag(lam)| and max|V^dagger V - I| are at most 1e-10.
+        K, real or complex, has any rank up to d: the near-zero eigenvalues
+        of a rank-deficient K carry either sign, so their squares would not
+        descend unless reordered."""
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=(d, min(rank, d)))
+        if not real:
+            f = f + 1j * rng.normal(size=f.shape)
+        k = DensityMatrix(f @ f.conj().T / np.vdot(f, f).real)
+        terms = generator_terms(k, random_density(rng, d, real=real))
+        states = [make_program_state(terms["k"], g) for g in terms.values()]
+        for ps in states + [_program_states(terms)["kk"]]:
+            lam, v = ps.spectrum.eigenvalues, ps.spectrum.eigenvectors
+            assert np.all(np.diff(lam) <= 0)
+            assert _gap(ps.generator @ v, v * lam) <= 1e-10
+            assert _gap(v.conj().T @ v, np.eye(d)) <= 1e-10
+
     @given(m=st.integers(2, 64), seed=seeds, kind=st.sampled_from(["real", "complex", "signed"]),
            t=st.floats(0.5, 4.0))
     def test_squared_spectrum(self, m, seed, kind, t):
@@ -619,7 +643,7 @@ class TestProperties:
         ps = {"k": lambda: term_state(k, "k"),
               "kk": lambda: term_state(k, "kk"),
               "klk": lambda: term_state(k, "klk", random_density(rng, m, real=True))}[term]()
-        eig = hermitian_eig(ps.generator)
+        eig = ps.spectrum
         if eigenvector_probe:
             phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
             probe = StateVector(eig.eigenvectors[:, rng.integers(m)] * phase)
@@ -627,7 +651,7 @@ class TestProperties:
             probe = StateVector.normalized(rng.normal(size=m) + 1j * rng.normal(size=m))
         dense = dense_one_step_errors(ps, eig, probe, dts)
         bound = [1e-11 * max(e, math.sin(dt) ** 2) for e, dt in zip(dense, dts)]
-        closed = _outcome(_one_step_errors, term, ps, eig, probe, dts)
+        closed = _outcome(_one_step_errors, term, ps, probe, dts)
         if closed is NumericalError:
             assert all(e <= b for e, b in zip(dense, bound))
         else:

@@ -9,14 +9,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_density, term_state
+from conftest import DATA, random_density, term_state
 from dilation import (
     conditional_rotation_invert,
     conditional_rotation_multiply,
     glmr_phase_estimation,
     phase_estimation,
 )
-from qsslsvm.classical import KernelSpec, assemble_system, solve_classical
+from qsslsvm.classical import (
+    KernelSpec,
+    assemble_factored,
+    assemble_system,
+    kernel_features,
+    kernel_matrix,
+    solve_classical,
+)
+from qsslsvm.datasets import build_knn_graph, laplacian, load_dataset
 from qsslsvm.encodings import DensityMatrix, kernel_density, label_state, laplacian_density
 from qsslsvm.errors import (
     AmplitudeOverflowError,
@@ -232,6 +240,26 @@ class TestHhlSolve:
         fresh = hhl_solve(sys.normalized_matrix(), b, 0.05, QPEConfig(8))
         assert np.array_equal(shared.solution_state.amplitudes, fresh.solution_state.amplitudes)
         assert shared.success_probability == fresh.success_probability
+
+    def test_thin_spectrum_matches_dense(self):
+        # train's factored route decomposes A/tr(A) thin, (m, r) with r = p;
+        # the input is sized from the eigenvector rows, and the m - r
+        # implicit zero eigenvalues read clock 0 with gain 0, as the dense
+        # spectrum's near-zero ones do
+        ts = load_dataset(DATA / "mixed_20.csv")
+        lap = laplacian(build_knn_graph(ts, 2), "normalized")
+        kernel = KernelSpec.parse("linear")
+        thin = assemble_factored(kernel_features(ts, kernel), lap, ts.labels, 1.0)
+        dense = assemble_system(kernel_matrix(ts, kernel), lap, ts.labels, 1.0)
+        assert thin.spectrum.eigenvectors.shape == (20, 3)
+        cfg = QPEConfig(8)
+        solved = [hhl_solve(sys.spectrum, dense.rhs, 0.05, cfg) for sys in (thin, dense)]
+        assert 1.0 - state_fidelity(solved[0].solution_state.amplitudes,
+                                    solved[1].solution_state.amplitudes) <= 1e-12
+        assert abs(solved[0].success_probability - solved[1].success_probability) <= 1e-12
+        assert solved[0].retained_eigenvalues == solved[1].retained_eigenvalues
+        multiplied = [quantum_multiply(sys.spectrum, ts.labels, cfg) for sys in (thin, dense)]
+        assert 1.0 - state_fidelity(multiplied[0].amplitudes, multiplied[1].amplitudes) <= 1e-12
 
     def test_degenerate_when_all_filtered(self):
         with pytest.raises(DegenerateSystemError):

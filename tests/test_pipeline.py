@@ -11,6 +11,7 @@ import pytest
 
 from conftest import DATA, load_report, term_state
 from qsslsvm import cli, pipeline
+from qsslsvm.channels import ProgramState
 from qsslsvm.classical import KernelSpec, assemble_system
 from qsslsvm.datasets import build_knn_graph, load_dataset
 from qsslsvm.encodings import DensityMatrix, StateVector, kernel_density, laplacian_density
@@ -151,11 +152,12 @@ class TestRunPipeline:
         assert sum(name == "eigvalsh" for name, _ in eig_calls) == 0
 
     def test_non_finite_one_step_error_is_numerical_error(self):
-        ps = term_state(DensityMatrix(np.eye(3) / 3), "k")
+        k = term_state(DensityMatrix(np.eye(3) / 3), "k")
         broken = SpectralDecomposition(np.full(3, np.nan), np.eye(3))
+        ps = ProgramState._built(k.rho0, k.rho1, broken)
         probe = StateVector.normalized(np.ones(3))
         with pytest.raises(NumericalError, match=r"of the k channel at dt=0\.2 "):
-            pipeline._one_step_errors("k", ps, broken, probe, (0.2, 0.1, 0.05))
+            pipeline._one_step_errors("k", ps, probe, (0.2, 0.1, 0.05))
 
     def test_one_decomposition_per_matrix(self, eig_calls):
         # A/tr(A) serves the classical solve, the inversion and the residual
