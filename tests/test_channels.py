@@ -24,12 +24,14 @@ from qsslsvm.channels import (
     ProgramState,
     exact_conjugation,
     generator_terms,
+    make_program_state,
     mix_program_states,
     simulate_evolution,
 )
 from qsslsvm.encodings import DensityMatrix
 from qsslsvm.errors import EncodingError, LayoutError, ParameterError
 from qsslsvm.linalg import hermitian_eig
+from qsslsvm.pipeline import _program_states
 
 DT_SWEEP = (0.2, 0.1, 0.05, 0.025)
 
@@ -428,6 +430,35 @@ class TestSimulateEvolution:
         # sampled trajectory still lands near the mixture target
         exact = exact_conjugation(hermitian_eig(mix_program_states(sources).generator), sigma0, 0.5)
         assert np.linalg.norm(out1.state.matrix - exact.matrix) < 0.2
+
+    @pytest.mark.parametrize("term", ["k", "kk", "klk"])
+    def test_single_source_decomposed_once(self, rng, eig_calls, term):
+        # a single source is its own mixture, so its cached spectrum serves
+        # every trajectory: one eigh for two runs, and the same state
+        k = random_density(rng, 4, real=True)
+        ps = term_state(k, term, random_density(rng, 4, real=True))
+        sigma0 = random_density(rng, 4)
+        cfg = EvolutionConfig(1.0, steps=100)
+        del eig_calls[:]
+        runs = [simulate_evolution([(w, ps)], sigma0, cfg) for w in (1.0, 0.5)]
+        assert [name for name, _ in eig_calls if name == "eigh"] == ["eigh"]
+        assert np.array_equal(runs[0].state.matrix, runs[1].state.matrix)
+
+    def test_seeded_spectrum_serves_trajectory(self, rng, eig_calls):
+        # the K K state that _program_states seeds with K's decomposition
+        # squared evolves with no decomposition inside, to the state its own
+        # decomposition gives
+        k = random_density(rng, 4, real=True)
+        terms = generator_terms(k, k)
+        seeded = _program_states(terms)["kk"]
+        own = make_program_state(terms["k"], terms["kk"])
+        sigma0 = random_density(rng, 4)
+        cfg = EvolutionConfig(1.0, steps=100)
+        del eig_calls[:]
+        out = simulate_evolution([(1.0, seeded)], sigma0, cfg)
+        assert not [name for name, _ in eig_calls if name == "eigh"]
+        expected = simulate_evolution([(1.0, own)], sigma0, cfg)
+        assert np.max(np.abs(out.state.matrix - expected.state.matrix)) <= 1e-12
 
     def test_empty_sources(self, rng):
         with pytest.raises(ParameterError):
