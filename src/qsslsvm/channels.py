@@ -18,8 +18,8 @@ which is how the full training matrix gamma^-1 K + K K + gamma^-1 K L K
 is exponentiated.
 
 Every construction is evaluated in closed form on d x d matrices.
-``generator_terms`` forms the terms K, K K and K L K once; a ``simulate``
-run builds its system matrix and all three program states from them.  A
+``generator_terms`` forms K, K K and K L K once for the three program
+states; ``simulate`` assembles its system matrix apart, from K's factor.  A
 ``ProgramState`` holds only the two d x d control blocks rho'' and rho'''
 (float64 when the densities are real); the 2d x 2d matrix is never
 assembled.  A state owns the decomposition of its generator

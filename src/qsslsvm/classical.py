@@ -26,7 +26,9 @@ offset c >= 0 (``KernelSpec.features``) when r <= m/2.  There L F comes
 from the graph's edges in O(E r), and ``predict`` scores through the
 feature map, so that route forms no m x m or m x n array; rbf kernels,
 negative offsets and r > m/2, where the factored form is no cheaper
-(``_FACTORED_MAX_SHARE``), take the dense form.  This module is the
+(``_FACTORED_MAX_SHARE``), take the dense form.  ``simulate`` assembles
+its system here too, from the kernel density's factor X/||X||_F and L/m,
+so ``train`` and ``simulate`` share one assembly; this module is the
 ground-truth oracle for the quantum pipeline.
 """
 
@@ -231,8 +233,8 @@ class AssembledSystem:
         """Dense A, formed on first use from the factored form."""
         if self._a is None:
             with overflow_guard("the system matrix"):
-                a = (self._f @ self._c) @ self._f.T
-                self._a = (a + a.T) / 2
+                a = (0.5 * (self._f @ self._c)) @ self._f.T
+                self._a = a + a.T  # symmetrized from halves, as S is
         return self._a
 
     def normalized_matrix(self) -> np.ndarray:
@@ -316,8 +318,8 @@ def assemble_factored(
     c += f.T @ f
     c += np.eye(f.shape[1]) / gamma
     q, r = np.linalg.qr(f)
-    s = r @ c @ r.T
-    s = (s + s.T) / 2
+    s = (0.5 * r) @ c @ r.T
+    s = s + s.T  # (S + S^T) / 2 from halves, which cannot overflow
     trace_a = float(np.trace(s))
     if trace_a <= 0:
         raise DegenerateSystemError("system matrix has non-positive trace")

@@ -4,14 +4,15 @@ Oracle and QRAM access are emulated classically.  The training route
 consumes the label state |y> and the reduced densities of the data
 superposition |X> and the incidence-row superposition |G_I>; those are the
 partial traces Tr_2 |X><X| and Tr_2 |G_I><G_I|, evaluated in closed form as
-X X^T / ||X||_F^2 and L / m (G_I G_I^T is the degree-normalized Laplacian
-L) without building either full state, its (m p)^2 or (m E)^2 outer
-product, or the m x E incidence matrix G_I.  Both densities are real
-symmetric and stay float64; a density's dimension is its matrix's.  The full states
-and their partial traces are the test oracle in ``tests/dilation.py``.
-``DensityMatrix(...)`` checks a caller's matrix; the builders skip that
-check (``DensityMatrix._built``): X X^T / ||X||_F^2 is a Gram matrix over
-its trace, and L / m has its spectrum in [0, 2/m].
+F F^T with F = X / ||X||_F (``kernel_factor``, also the factor of
+``simulate``'s classical system) and L / m (G_I G_I^T is the
+degree-normalized Laplacian L) without building either full state, its
+(m p)^2 or (m E)^2 outer product, or the m x E incidence matrix G_I.  Both
+densities are real symmetric and stay float64; a density's dimension is
+its matrix's.  The full states and their partial traces are the test
+oracle in ``tests/dilation.py``.  ``DensityMatrix(...)`` checks a caller's
+matrix; the builders skip that check (``DensityMatrix._built``): F F^T is
+a Gram matrix of unit trace, and L / m has its spectrum in [0, 2/m].
 """
 
 from __future__ import annotations
@@ -119,14 +120,20 @@ def _row_norms(x: TrainingSet) -> np.ndarray:
 
 
 @overflow_guard("the kernel density")
-def kernel_density(x: TrainingSet) -> DensityMatrix:
-    """Trace-normalized linear-kernel density: Tr_2 |X><X| = X X^T / ||X||_F^2,
-    from features below 1 scaled up by an exact power of two (no subnormal
+def kernel_factor(x: TrainingSet) -> np.ndarray:
+    """F = X / ||X||_F, the factor of the kernel density F F^T, from
+    features below 1 scaled up by an exact power of two (no subnormal
     products)."""
     _row_norms(x)
     top = np.max(np.abs(x.features))
     f = np.ldexp(x.features, -np.frexp(top)[1]) if top < 1.0 else x.features
-    return DensityMatrix._built(f @ f.T / np.sum(f * f))
+    return f / np.sqrt(np.sum(f * f))
+
+
+def kernel_density(x: TrainingSet) -> DensityMatrix:
+    """Linear-kernel density Tr_2 |X><X| = F F^T, F = ``kernel_factor(x)``."""
+    f = kernel_factor(x)
+    return DensityMatrix._built(f @ f.T)
 
 
 def label_state(y: np.ndarray) -> StateVector:

@@ -5,8 +5,10 @@ complexity cost model, and structured JSON reports.
 density encodings, quantum matrix multiplication for |Ky>, eigenvalue-
 filtered inversion for |alpha>, overlap-readout classification -- and
 verifies every stage against the classical solver on the identical
-normalized matrix, including the matrix the program-state mixture
-simulates.
+normalized matrix.  That system is ``train``'s factored assembly
+(``assemble_factored``) over K's factor F and L/m, and the program states
+come from the dense terms of ``generator_terms``: the check of the matrix
+their mixture simulates compares two independent routes.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .channels import (
     simulate_evolution,
 )
 from .classical import (
-    AssembledSystem,
     KernelSpec,
+    assemble_factored,
     objective_gradient,
     predict,
     solve_classical,
@@ -49,19 +51,20 @@ from .encodings import (
     DensityMatrix,
     StateVector,
     kernel_density,
+    kernel_factor,
     label_state,
     laplacian_density,
 )
 from .errors import ConfigurationError, LayoutError, NumericalError, ParameterError
 from .hhl import QPEConfig, hhl_solve, quantum_multiply
-from .linalg import overflow_guard, state_fidelity
+from .linalg import state_fidelity
 from .swap_test import _nonnegative_int, classify
 
 SCHEMA_VERSION = 3
 
 #: Largest entrywise deviation allowed between the matrix the program-state
-#: mixture simulates and the classical A/tr(A); both are built from the same
-#: densities, so anything above roundoff means the two routes diverged.
+#: mixture simulates and the classical A/tr(A), two routes over the same
+#: densities: anything above roundoff means one of them is wrong.
 _A_HAT_TOL = 1e-12
 
 #: One-step dt sweep of the channel error-slope diagnostic.
@@ -251,14 +254,6 @@ def _report_header(
     }
 
 
-@overflow_guard("the system matrix")
-def _system(terms: dict, y: np.ndarray, gamma: float) -> AssembledSystem:
-    """A = K/gamma + K K + K L K/gamma, exactly symmetric as its terms, and K y."""
-    a = terms["k"] / gamma + terms["kk"]
-    a += terms["klk"] / gamma
-    return AssembledSystem._built(a, terms["k"] @ y, gamma, float(np.trace(a)))
-
-
 def _program_states(terms: dict) -> dict:
     """The program state of each of the ``generator_terms``, by term.  K K's
     carries K's decomposition squared, so K is decomposed here."""
@@ -376,17 +371,14 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
     l_density = stages.run("encode_laplacian", lambda: laplacian_density(graph))
     y_state = stages.run("encode_labels", lambda: label_state(training.labels))
 
-    def _classical():
-        terms = generator_terms(k_density, l_density)
-        sysq = _system(terms, training.labels, cfg.gamma)
-        model = solve_classical(
-            sysq, cfg.sigma_thresh, kernel=cfg.kernel, training_features=training.features
-        )
-        return terms, sysq, model
-
-    terms, sysq, model = stages.run("classical", _classical)
-    states = stages.run("program_states", lambda: _program_states(terms))
-    del terms, k_density, l_density  # the states hold what the later stages read
+    # train's factored assembly, A = F C F^T over the factor F of K = F F^T
+    sysq = stages.run("classical", lambda: assemble_factored(
+        kernel_factor(training), l_density.matrix, training.labels, cfg.gamma))
+    model = stages.run("classical", lambda: solve_classical(
+        sysq, cfg.sigma_thresh, kernel=cfg.kernel, training_features=training.features))
+    states = stages.run("program_states", lambda: _program_states(
+        generator_terms(k_density, l_density)))
+    del k_density, l_density  # the states hold what the later stages read
     a_hat_deviation = stages.run("program_states", lambda: _a_hat_deviation(
         states, cfg.gamma, sysq.normalized_matrix()))
 
@@ -397,8 +389,7 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
     multiply_fidelity = state_fidelity(ky_state.amplitudes, sysq.rhs / np.linalg.norm(sysq.rhs))
 
     hhl_result = stages.run(
-        "invert", lambda: hhl_solve(sysq.spectrum, ky_state, cfg.sigma_thresh, qpe_cfg)
-    )
+        "invert", lambda: hhl_solve(sysq.spectrum, ky_state, cfg.sigma_thresh, qpe_cfg))
     alpha_classical = model.alpha
     # scaled by max|alpha_i| first: the squares of a tiny alpha underflow
     alpha_unit = alpha_classical / np.max(np.abs(alpha_classical))
@@ -435,10 +426,8 @@ def run_pipeline(cfg: RunConfig, dataset: str | Path, testset: str | Path | None
     # residual restricted to the retained eigenspace of A/tr(A)
     keep = sysq.spectrum.eigenvectors[:, sysq.spectrum.eigenvalues >= cfg.sigma_thresh]
     resid_vec = objective_gradient(sysq, alpha_classical)
-    rhs_proj = keep.T @ sysq.rhs
-    residual_retained = float(
-        np.linalg.norm(keep.T @ resid_vec) / max(np.linalg.norm(rhs_proj), 1e-30)
-    )
+    residual_retained = float(np.linalg.norm(keep.T @ resid_vec)
+                              / max(np.linalg.norm(keep.T @ sysq.rhs), 1e-30))
 
     return {
         **_report_header("simulate", cfg, dataset, testset, training, graph),
@@ -565,8 +554,8 @@ class CostModelParams:
             raise ParameterError(f"q must be in [1, m={self.m}], got {self.q}")
         if not 0 < self.epsilon < 1:
             raise ParameterError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not self.eta > 0 or not 0 < self.delta_fail <= 1:
-            raise ParameterError("eta must be positive and delta_fail in (0, 1]")
+        if not 0 < self.eta < math.inf or not 0 < self.delta_fail <= 1:
+            raise ParameterError("eta must be finite and positive and delta_fail in (0, 1]")
 
 
 def cost_model(params: CostModelParams) -> dict:
@@ -576,25 +565,27 @@ def cost_model(params: CostModelParams) -> dict:
     quantum:      q^3 eps^-3 log(m p)
     dequantized:  q^9 eps^-6 eta^6 log^3(1/delta_fail)
 
-    The log^3 factor is floored at 1 so the neutral default
+    The log^3 factor, taken as -log(delta_fail) so that a subnormal
+    delta_fail stays finite, is floored at 1 so the neutral default
     delta_fail = 1 contributes a constant instead of annihilating the
-    bound.  Regimes: full rank (q = m), constant rank (q = 1), and slow
-    growth in between.
+    bound.  A cost past the float64 range raises ``NumericalError``.
+    Regimes: full rank (q = m), constant rank (q = 1), and slow growth in
+    between.
     """
     q, eps = params.q, params.epsilon
-    quantum = q**3 * eps**-3 * math.log(params.m * params.p)
-    log_fail = max(1.0, math.log(1.0 / params.delta_fail) ** 3)
-    dequantized = q**9 * eps**-6 * params.eta**6 * log_fail
-    if params.q == params.m:
-        regime = "full_rank"
-    elif params.q == 1:
-        regime = "constant_rank"
-    else:
-        regime = "slow_growth"
+    try:
+        quantum = q**3 * eps**-3 * math.log(params.m * params.p)
+        log_fail = max(1.0, (-math.log(params.delta_fail)) ** 3)
+        dequantized = q**9 * eps**-6 * params.eta**6 * log_fail
+    except OverflowError:
+        quantum = dequantized = math.inf
+    if not (math.isfinite(quantum) and math.isfinite(dequantized)):
+        raise NumericalError("cost exceeds the float64 range")
     return {
         "quantum_cost": float(quantum),
         "dequantized_cost": float(dequantized),
-        "regime": regime,
+        "regime": ("full_rank" if params.q == params.m
+                   else "constant_rank" if params.q == 1 else "slow_growth"),
     }
 
 

@@ -1,6 +1,6 @@
 """Shared fixtures, random-object helpers, and reference functions that
 only the tests use (Uhlmann fidelity, the maximally mixed state, the
-training objective, reading a report back).  Every ``simulate`` report
+training objective, the dense training system, reading a report back).  Every ``simulate`` report
 that a test produces is validated against ``REPORT_SCHEMA``."""
 
 import functools
@@ -288,6 +288,14 @@ def objective_value(
         + 0.5 * alpha @ f / gamma
         + 0.5 * f @ lm @ f / gamma
     )
+
+
+def dense_system(
+    k: np.ndarray, l: np.ndarray, y: np.ndarray, gamma: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The training system summed densely: A = K/gamma + K K + K L K/gamma
+    and K y (oracle for the factored assembly ``simulate`` runs)."""
+    return k / gamma + k @ k + k @ l @ k / gamma, k @ y
 
 
 def load_report(path: str | Path) -> dict:

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import warnings
 
 import numpy as np
@@ -369,3 +370,30 @@ class TestCostModel:
     def test_bad_rank_is_input_error(self):
         assert main(["costmodel", "--m", "4", "--p", "2", "--q", "9",
                      "--epsilon", "0.5"]) == 2
+
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--epsilon", "1e-300"], 3, "numerical error: cost exceeds the float64 range"),
+        (["--eta", "1e60"], 3, "numerical error: cost exceeds the float64 range"),
+        (["--m", str(10**41), "--q", str(10**41)], 3,
+         "numerical error: cost exceeds the float64 range"),
+        (["--eta", "inf"], 2, "error: eta must be finite and positive"),
+    ])
+    def test_cost_past_float64_is_an_error(self, tmp_path, capsys, flags, code, message):
+        # each once ended in an OverflowError traceback or an Infinity report
+        out = tmp_path / "cost.json"
+        argv = ["costmodel", "--m", "100", "--p", "4", "--q", "10", "--epsilon", "0.1"]
+        assert main(argv + flags + ["--report", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_subnormal_failure_probability_is_finite(self, tmp_path):
+        # log(1/delta) overflowed to inf at delta = 1e-320; -log(delta) does not
+        out = tmp_path / "cost.json"
+        assert main(["costmodel", "--m", "100", "--p", "4", "--q", "10", "--epsilon", "0.1",
+                     "--delta-fail", "1e-320", "--report", str(out)]) == 0
+        text = out.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        expected = 10.0**9 * 0.1**-6 * (-math.log(1e-320)) ** 3
+        assert json.loads(text)["dequantized_cost"] == pytest.approx(expected, rel=1e-12)

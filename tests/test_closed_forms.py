@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    dense_system,
     random_connected_graph,
     random_density,
     random_hermitian,
@@ -49,7 +50,12 @@ from qsslsvm.channels import (
     mix_program_states,
     simulate_evolution,
 )
-from qsslsvm.classical import KernelSpec, assemble_system, train_semi_supervised
+from qsslsvm.classical import (
+    KernelSpec,
+    assemble_factored,
+    assemble_system,
+    train_semi_supervised,
+)
 from qsslsvm.datasets import (
     TrainingSet,
     combinatorial_laplacian,
@@ -60,13 +66,14 @@ from qsslsvm.encodings import (
     DensityMatrix,
     StateVector,
     kernel_density,
+    kernel_factor,
     label_state,
     laplacian_density,
 )
 from qsslsvm.errors import NumericalError, ParameterError
 from qsslsvm.hhl import QPEConfig, _clock_weights, hhl_solve, quantum_multiply
 from qsslsvm.linalg import SpectralDecomposition, hermitian_eig
-from qsslsvm.pipeline import _DT_SWEEP, _one_step_errors, _program_states, _system
+from qsslsvm.pipeline import _DT_SWEEP, _one_step_errors, _program_states
 from qsslsvm.swap_test import classify
 
 TOL = 1e-12
@@ -568,16 +575,26 @@ class TestProperties:
         assert _gap(program_state_matrix(term_state(k, "klk", l)),
                     program_state_matrix(dense_program_state_klk(k, l))) <= TOL
 
-    @given(d=st.integers(2, 24), seed=seeds, log_gamma=st.floats(-300.0, 300.0))
-    def test_built_system(self, d, seed, log_gamma):
-        """What ``AssembledSystem._built`` does not check for the system
-        ``simulate`` sums from its generator terms, K/gamma + K K +
-        K L K/gamma over package-built densities: it is exactly symmetric."""
+    @given(d=st.integers(2, 24), p=st.integers(1, 5), seed=seeds,
+           log_gamma=st.floats(-300.0, 300.0))
+    def test_factored_system(self, d, p, seed, log_gamma):
+        """``simulate``'s classical system, ``assemble_factored`` over the
+        kernel factor F and L/m, against the dense sum K/gamma + K K +
+        K L K/gamma (``dense_system``): A/tr(A) within 1e-12 of its largest
+        entry, tr(A) within 1e-12 relative, and K y within
+        1e-12 max|K| ||y||_1, a scale of its terms, since K y cancels."""
         rng = np.random.default_rng(seed)
-        k = kernel_density(random_training_set(rng, d, int(rng.integers(1, 5))))
-        l = laplacian_density(random_connected_graph(rng, d))
-        a = _system(generator_terms(k, l), np.ones(d), 10.0**log_gamma).a_matrix
-        assert np.array_equal(a, a.T)
+        ts = random_training_set(rng, d, p)
+        k = kernel_density(ts).matrix
+        l = laplacian_density(random_connected_graph(rng, d)).matrix
+        gamma = 10.0**log_gamma
+        a, rhs = dense_system(k, l, ts.labels, gamma)
+        sys = assemble_factored(kernel_factor(ts), l, ts.labels, gamma)
+        a_hat = a / np.trace(a)
+        assert np.max(np.abs(sys.normalized_matrix() - a_hat)) <= 1e-12 * np.max(np.abs(a_hat))
+        assert abs(sys.trace_a - np.trace(a)) <= 1e-12 * np.trace(a)
+        assert (np.max(np.abs(sys.rhs - rhs))
+                <= 1e-12 * np.max(np.abs(k)) * np.sum(np.abs(ts.labels)))
 
     @given(d=st.integers(1, 32), rank=st.integers(1, 32), seed=seeds, real=st.booleans())
     def test_program_state_spectra(self, d, rank, seed, real):

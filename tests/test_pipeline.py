@@ -11,7 +11,7 @@ import pytest
 
 from conftest import DATA, load_report, term_state
 from qsslsvm import cli, pipeline
-from qsslsvm.channels import ProgramState
+from qsslsvm.channels import ProgramState, generator_terms
 from qsslsvm.classical import KernelSpec, assemble_system
 from qsslsvm.datasets import build_knn_graph, load_dataset
 from qsslsvm.encodings import DensityMatrix, StateVector, kernel_density, laplacian_density
@@ -159,23 +159,24 @@ class TestRunPipeline:
         with pytest.raises(NumericalError, match=r"of the k channel at dt=0\.2 "):
             pipeline._one_step_errors("k", ps, probe, (0.2, 0.1, 0.05))
 
-    def test_one_decomposition_per_matrix(self, eig_calls):
-        # A/tr(A) serves the classical solve, the inversion and the residual
-        # projection; the generators K (also the multiply's matrix) and K L K
-        # each serve every dt of the slope diagnostic, and K's decomposition
-        # squared serves K K's
+    def test_one_decomposition_per_matrix(self, eig_calls, cluster8, cluster8_graph):
+        # A/tr(A)'s p x p core serves the classical solve, the inversion and
+        # the residual projection; the generators K (also the multiply's
+        # matrix) and K L K each serve every dt of the slope diagnostic, and
+        # K's decomposition squared serves K K's
         run_pipeline(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", DATA / "grid_20.csv")
-        inputs = [a for name, a in eig_calls if name == "eigh"]
-        assert len(inputs) == 3
-        for i, a in enumerate(inputs):
-            assert not any(a.shape == b.shape and np.array_equal(a, b) for b in inputs[:i])
+        core, k, klk = [a for name, a in eig_calls if name == "eigh"]
+        terms = generator_terms(kernel_density(cluster8), laplacian_density(cluster8_graph))
+        assert core.shape == (2, 2)
+        np.testing.assert_allclose(k, terms["k"], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(klk, terms["klk"], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("runner, eigh, eigvalsh", [
         # the linear kernel's r x r core only: the built Laplacian is not re-checked
         (run_classical, 1, 0),
-        # A/tr(A) and the K and K L K generators (K K's spectrum is K's,
-        # squared); nothing built is re-checked
-        (run_pipeline, 3, 0),
+        # A/tr(A)'s p x p core, then the m x m generators K and K L K (K K's
+        # spectrum is K's, squared); nothing built is re-checked
+        (run_pipeline, [(2, 2), (8, 8), (8, 8)], 0),
         # the K and K L K generators; the checks left are of the probe state,
         # the 6 trajectory outputs and the 3 exact conjugations
         (bench_lmr, 2, 10),
@@ -183,8 +184,10 @@ class TestRunPipeline:
     def test_decomposition_counts(self, eig_calls, runner, eigh, eigvalsh):
         testset = () if runner is bench_lmr else (DATA / "grid_20.csv",)
         runner(RunConfig(knn_k=2), DATA / "two_cluster_8.csv", *testset)
-        names = [name for name, _ in eig_calls]
-        assert (names.count("eigh"), names.count("eigvalsh")) == (eigh, eigvalsh)
+        # a count, or the shape of each eigh in call order
+        shapes = [a.shape for name, a in eig_calls if name == "eigh"]
+        eigvalsh_count = sum(name == "eigvalsh" for name, _ in eig_calls)
+        assert (shapes if isinstance(eigh, list) else len(shapes), eigvalsh_count) == (eigh, eigvalsh)
 
     @pytest.mark.parametrize("dataset, kernel, size", [
         ("mixed_20.csv", "linear", 3),  # the r x r core, r = p = 3
@@ -198,15 +201,29 @@ class TestRunPipeline:
         assert [(name, a.shape) for name, a in eig_calls] == [("eigh", (size, size))]
 
     def test_perturbed_classical_system_is_numerical_error(self, monkeypatch):
-        # the system's 1/gamma weight off by 1e-6 relative to the mixture's
-        system = pipeline._system
+        # the assembly's 1/gamma weight off by 1e-6 relative to the mixture's
+        assemble = pipeline.assemble_factored
 
-        def perturbed(terms, y, gamma):
-            return system(terms, y, gamma * (1.0 + 1e-6))
+        def perturbed(f, l, y, gamma):
+            return assemble(f, l, y, gamma * (1.0 + 1e-6))
 
-        monkeypatch.setattr(pipeline, "_system", perturbed)
+        monkeypatch.setattr(pipeline, "assemble_factored", perturbed)
         with pytest.raises(NumericalError, match=r"^\[program_states\]"):
             run_pipeline(RunConfig(knn_k=2), DATA / "two_cluster_8.csv")
+
+    def test_wrong_generator_term_exits_3(self, monkeypatch, capsys):
+        # K K in place of K L K reaches the program states only, so the
+        # mixture's matrix leaves the independently assembled A/tr(A)
+        terms = pipeline.generator_terms
+
+        def wrong_klk(k, l):
+            t = terms(k, l)
+            return {**t, "klk": t["kk"]}
+
+        monkeypatch.setattr(pipeline, "generator_terms", wrong_klk)
+        code = cli.main(["simulate", str(DATA / "two_cluster_8.csv"), "--knn", "2"])
+        assert code == cli.EXIT_NUMERICAL
+        assert "[program_states] the program-state mixture simulates" in capsys.readouterr().err
 
     def test_edgeless_graph_rejected(self, tmp_path):
         graph = tmp_path / "empty.json"
