@@ -1,7 +1,8 @@
 """Shared fixtures, random-object helpers, and reference functions that
 only the tests use (Uhlmann fidelity, the maximally mixed state, the
-training objective, the dense training system, reading a report back).  Every ``simulate`` report
-that a test produces is validated against ``REPORT_SCHEMA``."""
+training objective, the dense training system, reading a report back).
+Every ``simulate`` report that a test produces is validated against
+``REPORT_SCHEMA``."""
 
 import functools
 import json

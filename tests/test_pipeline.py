@@ -187,7 +187,8 @@ class TestRunPipeline:
         # a count, or the shape of each eigh in call order
         shapes = [a.shape for name, a in eig_calls if name == "eigh"]
         eigvalsh_count = sum(name == "eigvalsh" for name, _ in eig_calls)
-        assert (shapes if isinstance(eigh, list) else len(shapes), eigvalsh_count) == (eigh, eigvalsh)
+        assert (shapes if isinstance(eigh, list) else len(shapes),
+                eigvalsh_count) == (eigh, eigvalsh)
 
     @pytest.mark.parametrize("dataset, kernel, size", [
         ("mixed_20.csv", "linear", 3),  # the r x r core, r = p = 3
